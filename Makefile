@@ -40,9 +40,11 @@ modules:
 # executed against the VM at -O0/-O2 × jobs 1/4 plus multi-module linking
 # under both targets, the crasher corpus replayed through the wasm arms of
 # diffArms (TestCrashers), explicit module validation, and a CLI round trip
-# through -target=wasm.
+# through -target=wasm, plus the VM and wasm engine tests (zeroed frames,
+# allocation-free calls, reset after a trap).
 wasm:
 	$(GO) test -run 'TestWasm|TestCrashers' -count=1 ./internal/driver
+	$(GO) test -count=1 ./internal/wasm ./internal/vm
 	$(GO) run ./cmd/thorinc -target=wasm -run examples/fib.imp 10 | grep -qx 'result: 55'
 
 # fuzz-smoke gives the integer-fold fuzzer (seeded with the signed-overflow

@@ -238,6 +238,18 @@ type VM struct {
 	// MaxSteps bounds execution (0 = no bound).
 	MaxSteps int64
 	Counters Counters
+
+	// frames is the call stack, innermost last. Frames are kept by value,
+	// so a *frame is only valid until the next push.
+	frames []frame
+	// regs is the register arena: each frame's register file is the LIFO
+	// slice regs[base:base+fn.NumRegs]. Registers above the innermost
+	// frame are always zero, so a new frame starts from zeroed registers
+	// and the arena keeps no dead heap value alive.
+	regs []Value
+	// tmp stages the values of a jump's parallel copy and a tail call's
+	// arguments.
+	tmp []Value
 }
 
 // New creates a VM for prog writing intrinsic output to out (io.Discard if
@@ -253,8 +265,7 @@ func New(prog *Program, out io.Writer) *VM {
 
 type frame struct {
 	fn       *Func
-	regs     []Value
-	pc       int
+	base     int   // offset of the register file in VM.regs
 	rets     []int // caller registers receiving the return values
 	retBlock int   // caller block to continue at (-1: top level)
 }
@@ -271,27 +282,68 @@ func (m *VM) Run(args ...Value) ([]Value, error) {
 // Call executes function fnIdx with args and returns its results.
 func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 	fn := m.prog.Funcs[fnIdx]
-	f := &frame{fn: fn, regs: make([]Value, fn.NumRegs), pc: 0, retBlock: -1}
 	if len(args) != len(fn.ParamRegs) {
 		return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.ParamRegs), len(args))
 	}
-	for i, r := range fn.ParamRegs {
-		f.regs[r] = args[i]
+	defer m.unwind()
+	r := m.push(fn, nil, -1)
+	for i, p := range fn.ParamRegs {
+		r[p] = args[i]
 	}
-	stack := []*frame{f}
-	var jmpBuf []Value
+	return m.run(fn, r)
+}
+
+// push appends a frame for fn and returns its zeroed register file.
+func (m *VM) push(fn *Func, rets []int, retBlock int) []Value {
+	base := 0
+	if n := len(m.frames); n > 0 {
+		f := &m.frames[n-1]
+		base = f.base + f.fn.NumRegs
+	}
+	if need := base + fn.NumRegs; need > len(m.regs) {
+		regs := make([]Value, max(2*len(m.regs), need, 64))
+		copy(regs, m.regs[:base])
+		m.regs = regs
+	}
+	m.frames = append(m.frames, frame{fn: fn, base: base, rets: rets, retBlock: retBlock})
+	return m.regs[base : base+fn.NumRegs : base+fn.NumRegs]
+}
+
+// pop zeroes the innermost frame's registers and removes the frame.
+func (m *VM) pop() {
+	f := &m.frames[len(m.frames)-1]
+	clear(m.regs[f.base : f.base+f.fn.NumRegs])
+	m.frames = m.frames[:len(m.frames)-1]
+}
+
+// unwind pops every frame left behind by an error or a halt, restoring
+// the all-zero arena.
+func (m *VM) unwind() {
+	for len(m.frames) > 0 {
+		m.pop()
+	}
+	clear(m.tmp)
+}
+
+// run executes from the start of fn, the innermost frame's function with
+// registers r, until the outermost frame returns.
+func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
+	code := fn.Code
+	pc := 0
+	limit := m.MaxSteps
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
 
 	for {
-		if m.MaxSteps > 0 && m.Counters.Instructions >= m.MaxSteps {
+		if m.Counters.Instructions >= limit {
 			return nil, ErrStepLimit
 		}
-		fr := stack[len(stack)-1]
-		if fr.pc >= len(fr.fn.Code) {
-			return nil, fmt.Errorf("vm: %s: fell off code end", fr.fn.Name)
+		if pc >= len(code) {
+			return nil, fmt.Errorf("vm: %s: fell off code end", fn.Name)
 		}
-		in := &fr.fn.Code[fr.pc]
+		in := &code[pc]
 		m.Counters.Instructions++
-		r := fr.regs
 
 		switch in.Op {
 		case OpNop:
@@ -310,7 +362,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			r[in.A] = Value{I: r[in.B].I * r[in.C].I}
 		case OpDivI:
 			if r[in.C].I == 0 {
-				return nil, fmt.Errorf("vm: %s: division by zero", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: division by zero", fn.Name)
 			}
 			if r[in.B].I == math.MinInt64 && r[in.C].I == -1 {
 				// Two's-complement wrap, matching the constant folder; the
@@ -321,7 +373,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			}
 		case OpRemI:
 			if r[in.C].I == 0 {
-				return nil, fmt.Errorf("vm: %s: remainder by zero", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: remainder by zero", fn.Name)
 			}
 			if r[in.C].I == -1 {
 				r[in.A] = Value{I: 0}
@@ -396,74 +448,67 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			r[in.A] = Value{F: v}
 
 		case OpJmp:
-			m.jump(fr, int(in.Imm), in.Args, &jmpBuf)
+			pc = m.jump(fn, r, int(in.Imm), in.Args)
 			continue
 
 		case OpBr:
 			m.Counters.Branches++
 			if r[in.A].I != 0 {
-				fr.pc = fr.fn.Blocks[in.B].Start
+				pc = fn.Blocks[in.B].Start
 			} else {
-				fr.pc = fr.fn.Blocks[in.C].Start
+				pc = fn.Blocks[in.C].Start
 			}
 			continue
 
 		case OpCall, OpTailCall:
-			callee := m.prog.Funcs[in.Imm]
-			nf := m.newFrame(callee, fr, in, nil)
-			if in.Op == OpTailCall {
+			tail := in.Op == OpTailCall
+			if tail {
 				m.Counters.TailCalls++
-				nf.rets, nf.retBlock = fr.rets, fr.retBlock
-				stack[len(stack)-1] = nf
 			} else {
 				m.Counters.DirectCalls++
-				fr.pc++ // resume after the call once Rets are written
-				stack = append(stack, nf)
 			}
-			m.noteDepth(len(stack))
+			fn = m.prog.Funcs[in.Imm]
+			r = m.call(fn, r, in, nil, tail)
+			code, pc = fn.Code, 0
 			continue
 
 		case OpCallClosure, OpTailCallClosure:
 			clo, ok := r[in.B].Ref.(*Closure)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: call through non-closure", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: call through non-closure", fn.Name)
 			}
-			callee := m.prog.Funcs[clo.Fn]
-			nf := m.newFrame(callee, fr, in, clo.Env)
-			if in.Op == OpTailCallClosure {
+			tail := in.Op == OpTailCallClosure
+			m.Counters.IndirectCalls++
+			if tail {
 				m.Counters.TailCalls++
-				m.Counters.IndirectCalls++
-				nf.rets, nf.retBlock = fr.rets, fr.retBlock
-				stack[len(stack)-1] = nf
-			} else {
-				m.Counters.IndirectCalls++
-				fr.pc++
-				stack = append(stack, nf)
 			}
-			m.noteDepth(len(stack))
+			fn = m.prog.Funcs[clo.Fn]
+			r = m.call(fn, r, in, clo.Env, tail)
+			code, pc = fn.Code, 0
 			continue
 
 		case OpRet:
-			vals := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				vals[i] = r[a]
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) == 0 {
+			f := &m.frames[len(m.frames)-1]
+			if len(m.frames) == 1 || f.retBlock < 0 {
+				vals := make([]Value, len(in.Args))
+				for i, a := range in.Args {
+					vals[i] = r[a]
+				}
 				return vals, nil
 			}
-			caller := stack[len(stack)-1]
-			if fr.retBlock < 0 {
-				return vals, nil
-			}
-			if len(vals) != len(fr.rets) {
+			if len(in.Args) != len(f.rets) {
 				return nil, fmt.Errorf("vm: %s returned %d values, caller expects %d",
-					fr.fn.Name, len(vals), len(fr.rets))
+					fn.Name, len(in.Args), len(f.rets))
 			}
-			for i, reg := range fr.rets {
-				caller.regs[reg] = vals[i]
+			caller := &m.frames[len(m.frames)-2]
+			fn, code = caller.fn, caller.fn.Code
+			cr := m.regs[caller.base : caller.base+fn.NumRegs : caller.base+fn.NumRegs]
+			for i, reg := range f.rets {
+				cr[reg] = r[in.Args[i]]
 			}
-			caller.pc = caller.fn.Blocks[fr.retBlock].Start
+			pc = fn.Blocks[f.retBlock].Start
+			m.pop()
+			r = cr
 			continue
 
 		case OpClosureNew:
@@ -478,7 +523,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 		case OpArrayNew:
 			n := r[in.B].I
 			if n < 0 {
-				return nil, fmt.Errorf("vm: %s: negative array size %d", fr.fn.Name, n)
+				return nil, fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
 			}
 			m.Counters.ArrayAllocs++
 			m.Counters.HeapWords += n
@@ -490,7 +535,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 				if p, pok := r[in.B].Ref.(Ptr); pok && p.Arr != nil {
 					arr = p.Arr
 				} else {
-					return nil, fmt.Errorf("vm: %s: len of non-array", fr.fn.Name)
+					return nil, fmt.Errorf("vm: %s: len of non-array", fn.Name)
 				}
 			}
 			r[in.A] = Value{I: int64(len(arr.Elems))}
@@ -503,7 +548,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 				if p, ok := r[in.B].Ref.(Ptr); ok && p.Arr != nil {
 					arr = p.Arr
 				} else {
-					return nil, fmt.Errorf("vm: %s: lea into non-array", fr.fn.Name)
+					return nil, fmt.Errorf("vm: %s: lea into non-array", fn.Name)
 				}
 			}
 			r[in.A] = Value{Ref: Ptr{Arr: arr, Idx: int(r[in.C].I)}}
@@ -518,10 +563,10 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 		case OpPtrLoad:
 			p, ok := r[in.B].Ref.(Ptr)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: load through non-pointer", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: load through non-pointer", fn.Name)
 			}
 			if err := p.check(); err != nil {
-				return nil, fmt.Errorf("vm: %s: load: %w", fr.fn.Name, err)
+				return nil, fmt.Errorf("vm: %s: load: %w", fn.Name, err)
 			}
 			m.Counters.Loads++
 			r[in.A] = p.load()
@@ -529,10 +574,10 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 		case OpPtrStore:
 			p, ok := r[in.A].Ref.(Ptr)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: store through non-pointer", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: store through non-pointer", fn.Name)
 			}
 			if err := p.check(); err != nil {
-				return nil, fmt.Errorf("vm: %s: store: %w", fr.fn.Name, err)
+				return nil, fmt.Errorf("vm: %s: store: %w", fn.Name, err)
 			}
 			m.Counters.Stores++
 			p.store(r[in.B])
@@ -549,14 +594,14 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 		case OpTupleGet:
 			tup, ok := r[in.B].Ref.([]Value)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: tuple.get on non-tuple", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: tuple.get on non-tuple", fn.Name)
 			}
 			r[in.A] = tup[in.Imm]
 
 		case OpTupleSet:
 			tup, ok := r[in.B].Ref.([]Value)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: tuple.set on non-tuple", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: tuple.set on non-tuple", fn.Name)
 			}
 			nv := make([]Value, len(tup))
 			copy(nv, tup)
@@ -579,45 +624,63 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			return vals, nil
 
 		default:
-			return nil, fmt.Errorf("vm: %s: bad opcode %v", fr.fn.Name, in.Op)
+			return nil, fmt.Errorf("vm: %s: bad opcode %v", fn.Name, in.Op)
 		}
-		fr.pc++
+		pc++
 	}
 }
 
 // jump transfers control within the current frame, performing a parallel
-// copy of Args into the target block's param registers.
-func (m *VM) jump(fr *frame, block int, args []int, buf *[]Value) {
-	b := &fr.fn.Blocks[block]
-	tmp := *buf
-	tmp = tmp[:0]
-	for _, a := range args {
-		tmp = append(tmp, fr.regs[a])
+// copy of Args into the target block's param registers. It returns the
+// block's first pc.
+func (m *VM) jump(fn *Func, r []Value, block int, args []int) int {
+	b := &fn.Blocks[block]
+	tmp := m.stage(len(args))
+	for i, a := range args {
+		tmp[i] = r[a]
 	}
-	*buf = tmp
 	for i, p := range b.ParamRegs {
-		fr.regs[p] = tmp[i]
+		r[p] = tmp[i]
 	}
-	fr.pc = b.Start
+	return b.Start
 }
 
-func (m *VM) newFrame(callee *Func, caller *frame, in *Instr, env []Value) *frame {
-	nf := &frame{
-		fn:       callee,
-		regs:     make([]Value, callee.NumRegs),
-		rets:     in.Rets,
-		retBlock: in.C,
+// stage returns m.tmp resliced to n values.
+func (m *VM) stage(n int) []Value {
+	if n > len(m.tmp) {
+		m.tmp = make([]Value, max(n, 2*len(m.tmp)))
 	}
-	n := 0
-	for _, a := range in.Args {
-		nf.regs[callee.ParamRegs[n]] = caller.regs[a]
-		n++
+	return m.tmp[:n]
+}
+
+// call pushes a frame for callee, passing in's arguments from the caller's
+// registers r followed by env, and returns the callee's registers. A tail
+// call first releases the caller's frame, so the callee reuses its
+// registers and tail-call loops run in constant space.
+func (m *VM) call(callee *Func, r []Value, in *Instr, env []Value, tail bool) []Value {
+	rets, retBlock := in.Rets, in.C
+	if tail {
+		tmp := m.stage(len(in.Args))
+		for i, a := range in.Args {
+			tmp[i] = r[a]
+		}
+		caller := &m.frames[len(m.frames)-1]
+		rets, retBlock = caller.rets, caller.retBlock
+		m.pop()
 	}
-	for _, v := range env {
-		nf.regs[callee.ParamRegs[n]] = v
-		n++
+	nr := m.push(callee, rets, retBlock)
+	m.noteDepth(len(m.frames))
+	for i, a := range in.Args {
+		if tail {
+			nr[callee.ParamRegs[i]] = m.tmp[i]
+		} else {
+			nr[callee.ParamRegs[i]] = r[a]
+		}
 	}
-	return nf
+	for i, v := range env {
+		nr[callee.ParamRegs[len(in.Args)+i]] = v
+	}
+	return nr
 }
 
 func (m *VM) noteDepth(d int) {

@@ -37,9 +37,10 @@ type instr struct {
 
 // fnBody is a pre-decoded function body.
 type fnBody struct {
-	typeIdx int
-	nLocals int // declared locals beyond parameters
-	code    []instr
+	nParams  int
+	nResults int
+	nLocals  int // declared locals beyond parameters
+	code     []instr
 }
 
 // rtCtrl is a runtime control-stack entry.
@@ -60,12 +61,25 @@ type Instance struct {
 	table   []int32 // function index per slot, -1 when uninitialized
 	hosts   []*HostFunc
 
+	// sigs holds each function's canonical type id and typeIDs each type
+	// index's: the smallest index of an equal type, so call_indirect
+	// checks a signature with one integer compare.
+	sigs    []int32
+	typeIDs []int32
+
 	// Fuel is the remaining instruction budget; execution returns ErrFuel
 	// when it runs out. NewInstance seeds an effectively unlimited budget.
 	Fuel int64
 
-	stack  []uint64
-	frames int
+	// Execution state shared by all frames, reset by Invoke. Live values
+	// are stack[:sp], live locals are locals[:nlocals], and ctrl holds
+	// the labels of every active frame, innermost last.
+	stack   []uint64
+	sp      int
+	locals  []uint64
+	nlocals int
+	ctrl    []rtCtrl
+	frames  int
 }
 
 const maxFrames = 20000
@@ -75,6 +89,16 @@ const maxFrames = 20000
 // The module must have been validated.
 func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 	in := &Instance{m: m, Fuel: 1 << 62}
+	for i, t := range m.Types {
+		id := i
+		for j := range i {
+			if m.Types[j].Equal(t) {
+				id = j
+				break
+			}
+		}
+		in.typeIDs = append(in.typeIDs, int32(id))
+	}
 	for i := range m.Imports {
 		im := &m.Imports[i]
 		h, ok := hosts[im.Module+"."+im.Name]
@@ -86,16 +110,20 @@ func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 		}
 		hc := h
 		in.hosts = append(in.hosts, &hc)
+		in.sigs = append(in.sigs, in.typeIDs[im.TypeIdx])
 	}
 	for i := range m.Funcs {
 		body, err := predecode(m.Funcs[i].Code)
 		if err != nil {
 			return nil, fmt.Errorf("wasm: function %d: %w", len(m.Imports)+i, err)
 		}
+		sig := m.Types[m.Funcs[i].TypeIdx]
+		in.sigs = append(in.sigs, in.typeIDs[m.Funcs[i].TypeIdx])
 		in.bodies = append(in.bodies, fnBody{
-			typeIdx: m.Funcs[i].TypeIdx,
-			nLocals: len(m.Funcs[i].Locals),
-			code:    body,
+			nParams:  len(sig.Params),
+			nResults: len(sig.Results),
+			nLocals:  len(m.Funcs[i].Locals),
+			code:     body,
 		})
 	}
 	for _, g := range m.Globals {
@@ -257,14 +285,6 @@ func predecode(code []byte) ([]instr, error) {
 	return out, nil
 }
 
-type frame struct {
-	fi     int // index into bodies
-	locals []uint64
-	pc     int
-	base   int
-	ctrl   []rtCtrl
-}
-
 // Invoke calls an exported function by name.
 func (in *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	var fi = -1
@@ -284,17 +304,29 @@ func (in *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	if len(args) != len(sig.Params) {
 		return nil, fmt.Errorf("wasm: %q takes %d arguments, got %d", name, len(sig.Params), len(args))
 	}
-	in.stack = append(in.stack[:0], args...)
+	// A trap leaves the execution state wherever it stopped, so every
+	// invocation starts from scratch.
+	in.sp, in.nlocals, in.ctrl, in.frames = 0, 0, in.ctrl[:0], 0
+	copy(in.grow(0, len(args)), args)
+	in.sp = len(args)
 	if err := in.call(fi); err != nil {
 		return nil, err
 	}
-	res := append([]uint64(nil), in.stack...)
-	in.stack = in.stack[:0]
-	return res, nil
+	return append([]uint64(nil), in.stack[:in.sp]...), nil
 }
 
 // Memory exposes the instance's linear memory (nil if none).
 func (in *Instance) Memory() []byte { return in.mem }
+
+// grow makes room for n values above sp on the value stack and returns it.
+func (in *Instance) grow(sp, n int) []uint64 {
+	if sp+n > len(in.stack) {
+		st := make([]uint64, max(2*len(in.stack), sp+n, 256))
+		copy(st, in.stack[:sp])
+		in.stack = st
+	}
+	return in.stack
+}
 
 // call invokes function index fi taking its arguments from the top of
 // the value stack and leaving its results there.
@@ -302,442 +334,417 @@ func (in *Instance) call(fi int) error {
 	if fi < len(in.hosts) {
 		return in.callHost(fi)
 	}
-	f, err := in.pushFrame(fi)
-	if err != nil {
-		return err
+	if in.frames >= maxFrames {
+		return trapf("call stack exhausted")
 	}
-	return in.run(f)
+	in.frames++
+	err := in.run(&in.bodies[fi-len(in.hosts)])
+	in.frames--
+	return err
 }
 
 func (in *Instance) callHost(fi int) error {
 	h := in.hosts[fi]
 	n := len(h.Type.Params)
-	if len(in.stack) < n {
+	if in.sp < n {
 		return trapf("host call underflow")
 	}
-	args := in.stack[len(in.stack)-n:]
-	res, err := h.Fn(append([]uint64(nil), args...))
+	res, err := h.Fn(append([]uint64(nil), in.stack[in.sp-n:in.sp]...))
 	if err != nil {
 		return err
 	}
-	in.stack = in.stack[:len(in.stack)-n]
-	in.stack = append(in.stack, res...)
+	in.sp -= n
+	copy(in.grow(in.sp, len(res))[in.sp:], res)
+	in.sp += len(res)
 	return nil
 }
 
-func (in *Instance) pushFrame(fi int) (*frame, error) {
-	if in.frames >= maxFrames {
-		return nil, trapf("call stack exhausted")
-	}
-	in.frames++
-	body := &in.bodies[fi-len(in.hosts)]
-	sig := in.m.Types[body.typeIdx]
-	n := len(sig.Params)
-	if len(in.stack) < n {
-		return nil, trapf("call underflow")
-	}
-	locals := make([]uint64, n+body.nLocals)
-	copy(locals, in.stack[len(in.stack)-n:])
-	in.stack = in.stack[:len(in.stack)-n]
-	return &frame{fi: fi, locals: locals, base: len(in.stack)}, nil
-}
-
-func (in *Instance) popFrame(f *frame, arity int) {
-	in.frames--
-	top := in.stack[len(in.stack)-arity:]
-	res := append([]uint64(nil), top...)
-	in.stack = append(in.stack[:f.base], res...)
-}
-
-func (in *Instance) push(v uint64) { in.stack = append(in.stack, v) }
-
-func (in *Instance) pop() uint64 {
-	v := in.stack[len(in.stack)-1]
-	in.stack = in.stack[:len(in.stack)-1]
-	return v
-}
-
-// branch transfers control to label depth d within frame f.
-func (in *Instance) branch(f *frame, d int) {
-	e := f.ctrl[len(f.ctrl)-1-d]
+// branch transfers control to label depth d of the control stack cs,
+// moving the label's results down to its entry height. It returns the new
+// pc, stack pointer and control stack.
+func branch(st []uint64, sp int, cs []rtCtrl, d int) (int, int, []rtCtrl) {
+	e := &cs[len(cs)-1-d]
 	if e.isLoop {
-		in.stack = in.stack[:f.base+int(e.height)]
-		f.ctrl = f.ctrl[:len(f.ctrl)-d]
-		f.pc = int(e.start)
-		return
+		return int(e.start), int(e.height), cs[:len(cs)-d]
 	}
 	ar := int(e.arity)
-	vals := append([]uint64(nil), in.stack[len(in.stack)-ar:]...)
-	in.stack = append(in.stack[:f.base+int(e.height)], vals...)
-	f.ctrl = f.ctrl[:len(f.ctrl)-1-d]
-	f.pc = int(e.cont)
+	copy(st[e.height:], st[sp-ar:sp])
+	return int(e.cont), int(e.height) + ar, cs[:len(cs)-1-d]
 }
 
-// run executes frame f to completion.
-func (in *Instance) run(f *frame) error {
-	body := &in.bodies[f.fi-len(in.hosts)]
+// run executes one call of body. Its arguments are the top values of the
+// value stack; on return its results replace them. The frame lives on the
+// Go stack: its locals are a slice of the shared locals arena and its
+// labels the part of the shared control stack above cb. The value stack
+// and control stack are held in local variables and written back to the
+// instance around calls and on return.
+func (in *Instance) run(body *fnBody) error {
 	code := body.code
-	resultArity := len(in.m.Types[body.typeIdx].Results)
-	for {
-		if f.pc >= len(code) {
-			in.popFrame(f, resultArity)
-			return nil
-		}
+	st, sp := in.stack, in.sp
+	if sp < body.nParams {
+		return trapf("call underflow")
+	}
+	base := sp - body.nParams
+	lb, nl := in.nlocals, body.nParams+body.nLocals
+	if lb+nl > len(in.locals) {
+		l := make([]uint64, max(2*len(in.locals), lb+nl, 256))
+		copy(l, in.locals[:lb])
+		in.locals = l
+	}
+	in.nlocals = lb + nl
+	loc := in.locals[lb : lb+nl : lb+nl]
+	copy(loc, st[base:sp])
+	clear(loc[body.nParams:])
+	sp = base
+	cs := in.ctrl
+	cb := len(cs)
+	pc := 0
+loop:
+	for pc < len(code) {
 		if in.Fuel <= 0 {
 			return ErrFuel
 		}
 		in.Fuel--
-		ins := &code[f.pc]
-		f.pc++
+		ins := &code[pc]
+		pc++
 		switch ins.op {
 		case OpUnreachable:
 			return trapf("unreachable executed")
 		case OpNop:
 		case OpBlock:
-			f.ctrl = append(f.ctrl, rtCtrl{
-				cont: ins.x + 1, arity: int8(ins.imm),
-				height: int32(len(in.stack) - f.base),
-			})
+			cs = append(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
 		case OpLoop:
-			f.ctrl = append(f.ctrl, rtCtrl{
-				isLoop: true, start: int32(f.pc), cont: ins.x + 1,
-				arity: int8(ins.imm), height: int32(len(in.stack) - f.base),
+			cs = append(cs, rtCtrl{
+				isLoop: true, start: int32(pc), cont: ins.x + 1,
+				arity: int8(ins.imm), height: int32(sp),
 			})
 		case OpIf:
-			cond := in.pop()
-			if uint32(cond) != 0 {
-				f.ctrl = append(f.ctrl, rtCtrl{
-					cont: ins.x + 1, arity: int8(ins.imm),
-					height: int32(len(in.stack) - f.base),
-				})
+			sp--
+			if uint32(st[sp]) != 0 {
+				cs = append(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
 			} else if ins.y >= 0 {
-				f.ctrl = append(f.ctrl, rtCtrl{
-					cont: ins.x + 1, arity: int8(ins.imm),
-					height: int32(len(in.stack) - f.base),
-				})
-				f.pc = int(ins.y) + 1
+				cs = append(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+				pc = int(ins.y) + 1
 			} else {
-				f.pc = int(ins.x) + 1
+				pc = int(ins.x) + 1
 			}
 		case OpElse:
 			// True arm finished: jump to the matching end, which pops.
-			f.pc = int(ins.x)
+			pc = int(ins.x)
 		case OpEnd:
-			if len(f.ctrl) == 0 {
-				in.popFrame(f, resultArity)
-				return nil
+			if len(cs) == cb {
+				break loop
 			}
-			f.ctrl = f.ctrl[:len(f.ctrl)-1]
+			cs = cs[:len(cs)-1]
 		case OpBr:
-			if int(ins.imm) >= len(f.ctrl) {
-				in.popFrame(f, resultArity)
-				return nil
+			if int(ins.imm) >= len(cs)-cb {
+				break loop
 			}
-			in.branch(f, int(ins.imm))
+			pc, sp, cs = branch(st, sp, cs, int(ins.imm))
 		case OpBrIf:
-			if uint32(in.pop()) != 0 {
-				if int(ins.imm) >= len(f.ctrl) {
-					in.popFrame(f, resultArity)
-					return nil
+			sp--
+			if uint32(st[sp]) != 0 {
+				if int(ins.imm) >= len(cs)-cb {
+					break loop
 				}
-				in.branch(f, int(ins.imm))
+				pc, sp, cs = branch(st, sp, cs, int(ins.imm))
 			}
 		case OpReturn:
-			in.popFrame(f, resultArity)
-			return nil
-		case OpCall:
-			if err := in.call(int(ins.imm)); err != nil {
+			break loop
+		case OpCall, OpCallIndirect:
+			fi := int(ins.imm)
+			if ins.op == OpCallIndirect {
+				sp--
+				idx := uint32(st[sp])
+				if int(idx) >= len(in.table) {
+					return trapf("undefined element")
+				}
+				target := in.table[idx]
+				if target < 0 {
+					return trapf("uninitialized element")
+				}
+				if in.sigs[target] != in.typeIDs[fi] {
+					return trapf("indirect call type mismatch")
+				}
+				fi = int(target)
+			}
+			in.sp, in.ctrl = sp, cs
+			if err := in.call(fi); err != nil {
 				return err
 			}
-		case OpCallIndirect:
-			idx := uint32(in.pop())
-			if int(idx) >= len(in.table) {
-				return trapf("undefined element")
-			}
-			target := in.table[idx]
-			if target < 0 {
-				return trapf("uninitialized element")
-			}
-			want := in.m.Types[ins.imm]
-			got, err := in.m.TypeOfFunc(int(target))
-			if err != nil {
-				return err
-			}
-			if !got.Equal(want) {
-				return trapf("indirect call type mismatch")
-			}
-			if err := in.call(int(target)); err != nil {
-				return err
-			}
+			// The callee may have grown any of the shared stacks.
+			st, sp, cs = in.stack, in.sp, in.ctrl
+			loc = in.locals[lb : lb+nl : lb+nl]
 		case OpDrop:
-			in.pop()
+			sp--
 		case OpSelect:
-			c := uint32(in.pop())
-			v2 := in.pop()
-			v1 := in.pop()
-			if c != 0 {
-				in.push(v1)
-			} else {
-				in.push(v2)
+			sp -= 2
+			if uint32(st[sp+1]) == 0 {
+				st[sp-1] = st[sp]
 			}
 		case OpLocalGet:
-			in.push(f.locals[ins.imm])
+			if sp == len(st) {
+				st = in.grow(sp, 1)
+			}
+			st[sp] = loc[ins.imm]
+			sp++
 		case OpLocalSet:
-			f.locals[ins.imm] = in.pop()
+			sp--
+			loc[ins.imm] = st[sp]
 		case OpLocalTee:
-			f.locals[ins.imm] = in.stack[len(in.stack)-1]
+			loc[ins.imm] = st[sp-1]
 		case OpGlobalGet:
-			in.push(in.globals[ins.imm])
+			if sp == len(st) {
+				st = in.grow(sp, 1)
+			}
+			st[sp] = in.globals[ins.imm]
+			sp++
 		case OpGlobalSet:
-			in.globals[ins.imm] = in.pop()
+			sp--
+			in.globals[ins.imm] = st[sp]
 		case OpI32Load:
-			a, err := in.effAddr(ins, 4)
+			a, err := in.effAddr(st[sp-1], ins, 4)
 			if err != nil {
 				return err
 			}
-			in.push(uint64(binary.LittleEndian.Uint32(in.mem[a:])))
-		case OpI64Load:
-			a, err := in.effAddr(ins, 8)
+			st[sp-1] = uint64(binary.LittleEndian.Uint32(in.mem[a:]))
+		case OpI64Load, OpF64Load:
+			a, err := in.effAddr(st[sp-1], ins, 8)
 			if err != nil {
 				return err
 			}
-			in.push(binary.LittleEndian.Uint64(in.mem[a:]))
-		case OpF64Load:
-			a, err := in.effAddr(ins, 8)
-			if err != nil {
-				return err
-			}
-			in.push(binary.LittleEndian.Uint64(in.mem[a:]))
+			st[sp-1] = binary.LittleEndian.Uint64(in.mem[a:])
 		case OpI32Store:
-			v := in.pop()
-			a, err := in.effAddr(ins, 4)
+			sp -= 2
+			a, err := in.effAddr(st[sp], ins, 4)
 			if err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint32(in.mem[a:], uint32(v))
+			binary.LittleEndian.PutUint32(in.mem[a:], uint32(st[sp+1]))
 		case OpI64Store, OpF64Store:
-			v := in.pop()
-			a, err := in.effAddr(ins, 8)
+			sp -= 2
+			a, err := in.effAddr(st[sp], ins, 8)
 			if err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint64(in.mem[a:], v)
+			binary.LittleEndian.PutUint64(in.mem[a:], st[sp+1])
 		case OpMemSize:
-			in.push(uint64(len(in.mem) / PageSize))
+			if sp == len(st) {
+				st = in.grow(sp, 1)
+			}
+			st[sp] = uint64(len(in.mem) / PageSize)
+			sp++
 		case OpMemGrow:
-			delta := uint32(in.pop())
+			delta := uint32(st[sp-1])
 			cur := len(in.mem) / PageSize
 			limit := 1 << 16
 			if in.m.MemMax > 0 {
 				limit = in.m.MemMax
 			}
 			if int(delta) > limit-cur {
-				in.push(uint64(uint32(0xFFFFFFFF)))
+				st[sp-1] = uint64(uint32(0xFFFFFFFF))
 			} else {
 				in.mem = append(in.mem, make([]byte, int(delta)*PageSize)...)
-				in.push(uint64(uint32(cur)))
+				st[sp-1] = uint64(uint32(cur))
 			}
-		case OpI32Const:
-			in.push(uint64(uint32(ins.imm)))
-		case OpI64Const:
-			in.push(uint64(ins.imm))
-		case OpF64Const:
-			in.push(uint64(ins.imm))
+		case OpI32Const, OpI64Const, OpF64Const:
+			// Predecoding left i32 constants sign-extended in imm.
+			v := uint64(ins.imm)
+			if ins.op == OpI32Const {
+				v = uint64(uint32(ins.imm))
+			}
+			if sp == len(st) {
+				st = in.grow(sp, 1)
+			}
+			st[sp] = v
+			sp++
+
+		case OpI32Eqz:
+			st[sp-1] = b2i(uint32(st[sp-1]) == 0)
+		case OpI32Eq:
+			sp--
+			st[sp-1] = b2i(uint32(st[sp-1]) == uint32(st[sp]))
+		case OpI32Ne:
+			sp--
+			st[sp-1] = b2i(uint32(st[sp-1]) != uint32(st[sp]))
+		case OpI32Add:
+			sp--
+			st[sp-1] = uint64(uint32(st[sp-1]) + uint32(st[sp]))
+		case OpI32Sub:
+			sp--
+			st[sp-1] = uint64(uint32(st[sp-1]) - uint32(st[sp]))
+		case OpI32And:
+			sp--
+			st[sp-1] = uint64(uint32(st[sp-1]) & uint32(st[sp]))
+		case OpI32Or:
+			sp--
+			st[sp-1] = uint64(uint32(st[sp-1]) | uint32(st[sp]))
+		case OpI64Eqz:
+			st[sp-1] = b2i(st[sp-1] == 0)
+		case OpI64Eq:
+			sp--
+			st[sp-1] = b2i(st[sp-1] == st[sp])
+		case OpI64Ne:
+			sp--
+			st[sp-1] = b2i(st[sp-1] != st[sp])
+		case OpI64LtS:
+			sp--
+			st[sp-1] = b2i(int64(st[sp-1]) < int64(st[sp]))
+		case OpI64LtU:
+			sp--
+			st[sp-1] = b2i(st[sp-1] < st[sp])
+		case OpI64GtS:
+			sp--
+			st[sp-1] = b2i(int64(st[sp-1]) > int64(st[sp]))
+		case OpI64GtU:
+			sp--
+			st[sp-1] = b2i(st[sp-1] > st[sp])
+		case OpI64LeS:
+			sp--
+			st[sp-1] = b2i(int64(st[sp-1]) <= int64(st[sp]))
+		case OpI64LeU:
+			sp--
+			st[sp-1] = b2i(st[sp-1] <= st[sp])
+		case OpI64GeS:
+			sp--
+			st[sp-1] = b2i(int64(st[sp-1]) >= int64(st[sp]))
+		case OpI64GeU:
+			sp--
+			st[sp-1] = b2i(st[sp-1] >= st[sp])
+		case OpF64Eq:
+			sp--
+			st[sp-1] = b2i(f64(st[sp-1]) == f64(st[sp]))
+		case OpF64Ne:
+			sp--
+			st[sp-1] = b2i(f64(st[sp-1]) != f64(st[sp]))
+		case OpF64Lt:
+			sp--
+			st[sp-1] = b2i(f64(st[sp-1]) < f64(st[sp]))
+		case OpF64Gt:
+			sp--
+			st[sp-1] = b2i(f64(st[sp-1]) > f64(st[sp]))
+		case OpF64Le:
+			sp--
+			st[sp-1] = b2i(f64(st[sp-1]) <= f64(st[sp]))
+		case OpF64Ge:
+			sp--
+			st[sp-1] = b2i(f64(st[sp-1]) >= f64(st[sp]))
+		case OpI64Add:
+			sp--
+			st[sp-1] += st[sp]
+		case OpI64Sub:
+			sp--
+			st[sp-1] -= st[sp]
+		case OpI64Mul:
+			sp--
+			st[sp-1] *= st[sp]
+		case OpI64DivS:
+			sp--
+			b, c := int64(st[sp-1]), int64(st[sp])
+			if c == 0 {
+				return trapf("integer divide by zero")
+			}
+			if b == math.MinInt64 && c == -1 {
+				return trapf("integer overflow")
+			}
+			st[sp-1] = uint64(b / c)
+		case OpI64DivU:
+			sp--
+			if st[sp] == 0 {
+				return trapf("integer divide by zero")
+			}
+			st[sp-1] /= st[sp]
+		case OpI64RemS:
+			sp--
+			b, c := int64(st[sp-1]), int64(st[sp])
+			if c == 0 {
+				return trapf("integer divide by zero")
+			}
+			if c == -1 {
+				st[sp-1] = 0
+			} else {
+				st[sp-1] = uint64(b % c)
+			}
+		case OpI64RemU:
+			sp--
+			if st[sp] == 0 {
+				return trapf("integer divide by zero")
+			}
+			st[sp-1] %= st[sp]
+		case OpI64And:
+			sp--
+			st[sp-1] &= st[sp]
+		case OpI64Or:
+			sp--
+			st[sp-1] |= st[sp]
+		case OpI64Xor:
+			sp--
+			st[sp-1] ^= st[sp]
+		case OpI64Shl:
+			sp--
+			st[sp-1] <<= st[sp] & 63
+		case OpI64ShrS:
+			sp--
+			st[sp-1] = uint64(int64(st[sp-1]) >> (st[sp] & 63))
+		case OpI64ShrU:
+			sp--
+			st[sp-1] >>= st[sp] & 63
+		case OpF64Abs:
+			st[sp-1] &^= 1 << 63
+		case OpF64Neg:
+			st[sp-1] ^= 1 << 63
+		case OpF64Sqrt:
+			st[sp-1] = math.Float64bits(math.Sqrt(f64(st[sp-1])))
+		case OpF64Add:
+			sp--
+			st[sp-1] = math.Float64bits(f64(st[sp-1]) + f64(st[sp]))
+		case OpF64Sub:
+			sp--
+			st[sp-1] = math.Float64bits(f64(st[sp-1]) - f64(st[sp]))
+		case OpF64Mul:
+			sp--
+			st[sp-1] = math.Float64bits(f64(st[sp-1]) * f64(st[sp]))
+		case OpF64Div:
+			sp--
+			st[sp-1] = math.Float64bits(f64(st[sp-1]) / f64(st[sp]))
+		case OpI32WrapI64, OpI64ExtendI32U:
+			st[sp-1] = uint64(uint32(st[sp-1]))
+		case OpI64ExtendI32S:
+			st[sp-1] = uint64(int64(int32(uint32(st[sp-1]))))
+		case OpF32DemoteF64:
+			st[sp-1] = uint64(math.Float32bits(float32(f64(st[sp-1]))))
+		case OpF64ConvertI64S:
+			st[sp-1] = math.Float64bits(float64(int64(st[sp-1])))
+		case OpF64ConvertI64U:
+			st[sp-1] = math.Float64bits(float64(st[sp-1]))
+		case OpF64PromoteF32:
+			st[sp-1] = math.Float64bits(float64(math.Float32frombits(uint32(st[sp-1]))))
+		case OpI64ReinterpretF64, OpF64ReinterpretI64:
+			// Bit pattern is the representation: no-op.
 		default:
-			if err := in.simple(ins.op); err != nil {
-				return err
-			}
+			return trapf("unimplemented opcode 0x%02x", ins.op)
 		}
 	}
+	ar := body.nResults
+	copy(st[base:], st[sp-ar:sp])
+	in.sp, in.ctrl, in.nlocals = base+ar, cs[:cb], lb
+	return nil
 }
 
-func (in *Instance) effAddr(ins *instr, size uint64) (uint64, error) {
-	base := uint32(in.pop())
-	a := uint64(base) + uint64(ins.imm)
+// effAddr bounds-checks a size-byte access at base plus ins's offset.
+func (in *Instance) effAddr(base uint64, ins *instr, size uint64) (uint64, error) {
+	a := uint64(uint32(base)) + uint64(ins.imm)
 	if a+size > uint64(len(in.mem)) {
 		return 0, trapf("out of bounds memory access")
 	}
 	return a, nil
 }
 
+func f64(v uint64) float64 { return math.Float64frombits(v) }
+
 func b2i(b bool) uint64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// simple executes a context-free value instruction.
-func (in *Instance) simple(op byte) error {
-	switch op {
-	case OpI32Eqz:
-		in.push(b2i(uint32(in.pop()) == 0))
-	case OpI32Eq:
-		c, b := uint32(in.pop()), uint32(in.pop())
-		in.push(b2i(b == c))
-	case OpI32Ne:
-		c, b := uint32(in.pop()), uint32(in.pop())
-		in.push(b2i(b != c))
-	case OpI32Add:
-		c, b := uint32(in.pop()), uint32(in.pop())
-		in.push(uint64(b + c))
-	case OpI32Sub:
-		c, b := uint32(in.pop()), uint32(in.pop())
-		in.push(uint64(b - c))
-	case OpI32And:
-		c, b := uint32(in.pop()), uint32(in.pop())
-		in.push(uint64(b & c))
-	case OpI32Or:
-		c, b := uint32(in.pop()), uint32(in.pop())
-		in.push(uint64(b | c))
-	case OpI64Eqz:
-		in.push(b2i(in.pop() == 0))
-	case OpI64Eq:
-		c, b := in.pop(), in.pop()
-		in.push(b2i(b == c))
-	case OpI64Ne:
-		c, b := in.pop(), in.pop()
-		in.push(b2i(b != c))
-	case OpI64LtS:
-		c, b := int64(in.pop()), int64(in.pop())
-		in.push(b2i(b < c))
-	case OpI64LtU:
-		c, b := in.pop(), in.pop()
-		in.push(b2i(b < c))
-	case OpI64GtS:
-		c, b := int64(in.pop()), int64(in.pop())
-		in.push(b2i(b > c))
-	case OpI64GtU:
-		c, b := in.pop(), in.pop()
-		in.push(b2i(b > c))
-	case OpI64LeS:
-		c, b := int64(in.pop()), int64(in.pop())
-		in.push(b2i(b <= c))
-	case OpI64LeU:
-		c, b := in.pop(), in.pop()
-		in.push(b2i(b <= c))
-	case OpI64GeS:
-		c, b := int64(in.pop()), int64(in.pop())
-		in.push(b2i(b >= c))
-	case OpI64GeU:
-		c, b := in.pop(), in.pop()
-		in.push(b2i(b >= c))
-	case OpF64Eq, OpF64Ne, OpF64Lt, OpF64Gt, OpF64Le, OpF64Ge:
-		c := math.Float64frombits(in.pop())
-		b := math.Float64frombits(in.pop())
-		var r bool
-		switch op {
-		case OpF64Eq:
-			r = b == c
-		case OpF64Ne:
-			r = b != c
-		case OpF64Lt:
-			r = b < c
-		case OpF64Gt:
-			r = b > c
-		case OpF64Le:
-			r = b <= c
-		case OpF64Ge:
-			r = b >= c
-		}
-		in.push(b2i(r))
-	case OpI64Add:
-		c, b := in.pop(), in.pop()
-		in.push(b + c)
-	case OpI64Sub:
-		c, b := in.pop(), in.pop()
-		in.push(b - c)
-	case OpI64Mul:
-		c, b := in.pop(), in.pop()
-		in.push(b * c)
-	case OpI64DivS:
-		c, b := int64(in.pop()), int64(in.pop())
-		if c == 0 {
-			return trapf("integer divide by zero")
-		}
-		if b == math.MinInt64 && c == -1 {
-			return trapf("integer overflow")
-		}
-		in.push(uint64(b / c))
-	case OpI64DivU:
-		c, b := in.pop(), in.pop()
-		if c == 0 {
-			return trapf("integer divide by zero")
-		}
-		in.push(b / c)
-	case OpI64RemS:
-		c, b := int64(in.pop()), int64(in.pop())
-		if c == 0 {
-			return trapf("integer divide by zero")
-		}
-		if c == -1 {
-			in.push(0)
-		} else {
-			in.push(uint64(b % c))
-		}
-	case OpI64RemU:
-		c, b := in.pop(), in.pop()
-		if c == 0 {
-			return trapf("integer divide by zero")
-		}
-		in.push(b % c)
-	case OpI64And:
-		c, b := in.pop(), in.pop()
-		in.push(b & c)
-	case OpI64Or:
-		c, b := in.pop(), in.pop()
-		in.push(b | c)
-	case OpI64Xor:
-		c, b := in.pop(), in.pop()
-		in.push(b ^ c)
-	case OpI64Shl:
-		c, b := in.pop(), in.pop()
-		in.push(b << (c & 63))
-	case OpI64ShrS:
-		c, b := in.pop(), in.pop()
-		in.push(uint64(int64(b) >> (c & 63)))
-	case OpI64ShrU:
-		c, b := in.pop(), in.pop()
-		in.push(b >> (c & 63))
-	case OpF64Abs:
-		in.push(math.Float64bits(math.Abs(math.Float64frombits(in.pop()))))
-	case OpF64Neg:
-		in.push(in.pop() ^ (1 << 63))
-	case OpF64Sqrt:
-		in.push(math.Float64bits(math.Sqrt(math.Float64frombits(in.pop()))))
-	case OpF64Add, OpF64Sub, OpF64Mul, OpF64Div:
-		c := math.Float64frombits(in.pop())
-		b := math.Float64frombits(in.pop())
-		var r float64
-		switch op {
-		case OpF64Add:
-			r = b + c
-		case OpF64Sub:
-			r = b - c
-		case OpF64Mul:
-			r = b * c
-		case OpF64Div:
-			r = b / c
-		}
-		in.push(math.Float64bits(r))
-	case OpI32WrapI64:
-		in.push(uint64(uint32(in.pop())))
-	case OpI64ExtendI32S:
-		in.push(uint64(int64(int32(uint32(in.pop())))))
-	case OpI64ExtendI32U:
-		in.push(uint64(uint32(in.pop())))
-	case OpF32DemoteF64:
-		in.push(uint64(math.Float32bits(float32(math.Float64frombits(in.pop())))))
-	case OpF64ConvertI64S:
-		in.push(math.Float64bits(float64(int64(in.pop()))))
-	case OpF64ConvertI64U:
-		in.push(math.Float64bits(float64(in.pop())))
-	case OpF64PromoteF32:
-		in.push(math.Float64bits(float64(math.Float32frombits(uint32(in.pop())))))
-	case OpI64ReinterpretF64, OpF64ReinterpretI64:
-		// Bit pattern is the representation: no-op.
-	default:
-		return trapf("unimplemented opcode 0x%02x", op)
-	}
-	return nil
 }
