@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci fuzz-smoke fuzz crashers loadtest modules wasm chaos bench bench-diff bench-full bench-passes tables
+.PHONY: all build test race vet fmt ci fuzz-smoke fuzz crashers loadtest modules wasm chaos bench bench-diff bench-full bench-passes tables perfbench-check
 
 all: build test
 
@@ -27,7 +27,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt vet build race modules wasm fuzz-smoke fuzz crashers loadtest chaos bench bench-diff
+ci: fmt vet build race modules wasm fuzz-smoke fuzz crashers loadtest chaos bench bench-diff perfbench-check
+
+# perfbench-check vets and tests the benchmark in perfbench/. It is a
+# separate Go module, so `go build ./...` and `go test ./...` at the root
+# never compile it; this target catches driver API changes that break it.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # modules compiles and runs the shipped three-module example (a imports b,
 # b imports and re-exports c) through the separate-compilation CLI path in

@@ -17,6 +17,7 @@ import (
 	"thorin/internal/bench"
 	"thorin/internal/driver"
 	"thorin/internal/impala"
+	"thorin/internal/pm"
 	"thorin/internal/ssa"
 	"thorin/internal/transform"
 	"thorin/internal/vm"
@@ -47,7 +48,7 @@ func compileArm(b *testing.B, src string, p bench.Pipeline) *vm.Program {
 		}
 		return prog
 	default:
-		res, err := driver.Compile(src, p.Options(), analysis.ScheduleSmart)
+		res, err := driver.CompileSpec(src, p.Spec(), analysis.ScheduleSmart, driver.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func compileArm(b *testing.B, src string, p bench.Pipeline) *vm.Program {
 // execArm runs a compiled program once and returns the counters.
 func execArm(b *testing.B, prog *vm.Program, n int64) vm.Counters {
 	b.Helper()
-	_, c, err := driver.Exec(prog, nil, n)
+	_, c, err := driver.ExecSteps(prog, nil, 0, n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,8 +203,7 @@ func BenchmarkTable3SSA(b *testing.B) {
 					phis += f.NumPhis()
 				}
 			}
-			res, err := driver.Compile(p.Imperative,
-				transform.Options{Mem2Reg: true}, analysis.ScheduleSmart)
+			res, err := driver.CompileSpec(p.Imperative, transform.O1, analysis.ScheduleSmart, driver.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func BenchmarkTable4Compile(b *testing.B) {
 		src := bench.GenChain(depth)
 		b.Run(fmt.Sprintf("thorin/depth%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := driver.Compile(src, transform.OptAll(), analysis.ScheduleSmart); err != nil {
+				if _, err := driver.CompileSpec(src, transform.O2, analysis.ScheduleSmart, driver.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -246,7 +246,7 @@ func BenchmarkPassTimings(b *testing.B) {
 			var res *driver.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = driver.Compile(p.Functional, transform.OptAll(), analysis.ScheduleSmart)
+				res, err = driver.CompileSpec(p.Functional, transform.O2, analysis.ScheduleSmart, driver.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -295,7 +295,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		n := sizeOf(p)
 		for _, m := range modes {
 			b.Run(fmt.Sprintf("%s/%s", name, m.name), func(b *testing.B) {
-				res, err := driver.Compile(p.Imperative, transform.OptAll(), m.mode)
+				res, err := driver.CompileSpec(p.Imperative, transform.O2, m.mode, driver.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -316,15 +316,14 @@ func BenchmarkAblationMem2Reg(b *testing.B) {
 	for _, name := range []string{"mapreduce", "mandelbrot", "qsort"} {
 		p := bench.Find(name)
 		n := sizeOf(p)
-		for _, with := range []bool{true, false} {
-			opts := transform.OptAll()
-			opts.Mem2Reg = with
-			label := "with"
-			if !with {
-				label = "without"
-			}
-			b.Run(fmt.Sprintf("%s/%s", name, label), func(b *testing.B) {
-				res, err := driver.Compile(p.Imperative, opts, analysis.ScheduleSmart)
+		withoutMem2Reg, _, err := pm.StripPass(transform.O2, "mem2reg")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []struct{ label, spec string }{{"with", transform.O2}, {"without", withoutMem2Reg}} {
+			spec := arm.spec
+			b.Run(fmt.Sprintf("%s/%s", name, arm.label), func(b *testing.B) {
+				res, err := driver.CompileSpec(p.Imperative, spec, analysis.ScheduleSmart, driver.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -40,6 +40,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,15 +48,13 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"thorin/internal/analysis"
 	"thorin/internal/backend"
 	"thorin/internal/driver"
 	"thorin/internal/ir"
-	"thorin/internal/link"
-	"thorin/internal/pm"
 	"thorin/internal/server"
-	"thorin/internal/transform"
 	"thorin/internal/vm"
 	"thorin/internal/wasm"
 )
@@ -65,63 +64,85 @@ import (
 // detect a silently-weaker build. -allow-degraded opts out.
 const exitDegraded = 3
 
-func main() {
-	var (
-		emit        = flag.String("emit", "", "dump: thorin | ssa | bytecode | wat | dot | cfg | pass-report | pass-report-json")
-		targetName  = flag.String("target", "vm", "code generation target: vm (bytecode) | wasm (WebAssembly module)")
-		pipeline    = flag.String("pipeline", "thorin", "pipeline: thorin | ssa")
-		optLevel    = flag.Int("O", 2, "optimization level for the thorin pipeline: 0, 1 (no mangling), 2")
-		passes      = flag.String("passes", "", "explicit pass-pipeline spec, e.g. \"cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure\" (overrides -O)")
-		verifyEach  = flag.Bool("verify-each", false, "run ir.Verify after every pass and fail naming the offending pass")
-		jobs        = flag.Int("jobs", runtime.GOMAXPROCS(0), "worker count for the parallel analysis phase of scope-level passes (output is identical at every value)")
-		incremental = flag.String("incremental", "on", "journal-driven incremental re-running: on | off (output is identical either way; off re-runs every pass)")
-		linkMode    = flag.String("link", "trampoline", "cross-module resolution for multi-module compiles: trampoline (forwarding stubs) | mangle (whole-program specialization across module boundaries)")
-		run         = flag.Bool("run", false, "execute main with the trailing integer arguments")
-		stats       = flag.Bool("stats", false, "print compilation and execution statistics")
-		schedule    = flag.String("schedule", "smart", "primop schedule: early | late | smart")
-		budgetSpec  = flag.String("budget", "", "compilation budget, e.g. \"iters=8,nodes=200000,time=30s\" (any subset of keys)")
-		onFailure   = flag.String("on-failure", "fail", "pass-failure policy: fail (abort with a crash bundle) | degrade (strip the faulting pass and finish unoptimized)")
-		crashDir    = flag.String("crash-dir", ".thorin-crash", "directory for crash reproduction bundles (empty disables)")
-		replay      = flag.String("replay", "", "re-run the compilation recorded in a crash bundle directory and exit")
-		serverAddr  = flag.String("server", "", "compile on a thorind daemon at this address instead of in-process (host:port or http://host:port)")
-		retries     = flag.Int("retries", 3, "with -server: how many times to retry a shed (429), draining (503) or unreachable daemon, under capped exponential backoff")
-		retryBudget = flag.Duration("retry-budget", 0, "with -server: total wall-clock bound across all retry attempts and backoff sleeps (0 = no bound)")
-		deadline    = flag.Duration("deadline", 0, "with -server: per-request compile deadline enforced by the daemon, including queue time (0 = none)")
-		allowDegr   = flag.Bool("allow-degraded", false, "exit 0 instead of 3 when the compile finished via graceful degradation")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
-	)
-	flag.Parse()
+// flags are thorinc's command-line options.
+type flags struct {
+	emit, target, pipeline, passes, incremental, link, schedule string
+	budget, onFailure, crashDir, replay, server                 string
+	cpuProfile, memProfile                                      string
+	opt, jobs, retries                                          int
+	verifyEach, run, stats, allowDegraded                       bool
+	retryBudget, deadline                                       time.Duration
+}
 
-	startProfiles(*cpuProfile, *memProfile)
-	defer stopProfiles()
+// newFlags registers thorinc's options on fs.
+func newFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.StringVar(&f.emit, "emit", "", "dump: thorin | ssa | bytecode | wat | dot | cfg | pass-report | pass-report-json")
+	fs.StringVar(&f.target, "target", "vm", "code generation target: vm (bytecode) | wasm (WebAssembly module)")
+	fs.StringVar(&f.pipeline, "pipeline", "thorin", "pipeline: thorin | ssa")
+	fs.IntVar(&f.opt, "O", 2, "optimization level for the thorin pipeline: 0, 1 (no mangling), 2")
+	fs.StringVar(&f.passes, "passes", "", "explicit pass-pipeline spec, e.g. \"cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure\" (overrides -O)")
+	fs.BoolVar(&f.verifyEach, "verify-each", false, "run ir.Verify after every pass and fail naming the offending pass")
+	fs.IntVar(&f.jobs, "jobs", runtime.GOMAXPROCS(0), "worker count for the parallel analysis phase of scope-level passes (output is identical at every value)")
+	fs.StringVar(&f.incremental, "incremental", "on", "journal-driven incremental re-running: on | off (output is identical either way; off re-runs every pass)")
+	fs.StringVar(&f.link, "link", "trampoline", "cross-module resolution for multi-module compiles: trampoline (forwarding stubs) | mangle (whole-program specialization across module boundaries)")
+	fs.BoolVar(&f.run, "run", false, "execute main with the trailing integer arguments")
+	fs.BoolVar(&f.stats, "stats", false, "print compilation and execution statistics")
+	fs.StringVar(&f.schedule, "schedule", "smart", "primop schedule: early | late | smart")
+	fs.StringVar(&f.budget, "budget", "", "compilation budget, e.g. \"iters=8,nodes=200000,time=30s\" (any subset of keys)")
+	fs.StringVar(&f.onFailure, "on-failure", "fail", "pass-failure policy: fail (abort with a crash bundle) | degrade (strip the faulting pass and finish unoptimized)")
+	fs.StringVar(&f.crashDir, "crash-dir", ".thorin-crash", "directory for crash reproduction bundles (empty disables)")
+	fs.StringVar(&f.replay, "replay", "", "re-run the compilation recorded in a crash bundle directory and exit")
+	fs.StringVar(&f.server, "server", "", "compile on a thorind daemon at this address instead of in-process (host:port or http://host:port)")
+	fs.IntVar(&f.retries, "retries", 3, "with -server: how many times to retry a shed (429), draining (503) or unreachable daemon, under capped exponential backoff")
+	fs.DurationVar(&f.retryBudget, "retry-budget", 0, "with -server: total wall-clock bound across all retry attempts and backoff sleeps (0 = no bound)")
+	fs.DurationVar(&f.deadline, "deadline", 0, "compile deadline; with -server the daemon enforces it, including queue time (0 = none)")
+	fs.BoolVar(&f.allowDegraded, "allow-degraded", false, "exit 0 instead of 3 when the compile finished via graceful degradation")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
+	return f
+}
 
-	disableIncremental := false
-	switch *incremental {
+// request is the compile request the flags describe, still without its
+// sources. thorinc compiles exactly this request, in process or on a
+// daemon, and driver.Request.Resolve interprets it in both cases.
+func (f *flags) request() (*driver.Request, error) {
+	req := &driver.Request{
+		Link:       f.link,
+		Spec:       f.passes,
+		Opt:        &f.opt,
+		Schedule:   f.schedule,
+		Target:     f.target,
+		Jobs:       f.jobs,
+		OnFailure:  f.onFailure,
+		Budget:     f.budget,
+		DeadlineMs: f.deadline.Milliseconds(),
+	}
+	switch f.incremental {
 	case "on":
 	case "off":
-		disableIncremental = true
+		req.DisableIncremental = true
 	default:
-		fatal(fmt.Errorf("bad -incremental %q (want on or off)", *incremental))
+		return nil, fmt.Errorf("bad -incremental %q (want on or off)", f.incremental)
 	}
+	return req, nil
+}
 
-	budget := pm.Budget{}
-	if *budgetSpec != "" {
-		b, err := pm.ParseBudget(*budgetSpec)
-		if err != nil {
-			fatal(err)
-		}
-		budget = b
-	}
+func main() {
+	f := newFlags(flag.CommandLine)
+	flag.Parse()
 
-	if *replay != "" {
-		res, err := driver.Replay(*replay)
+	startProfiles(f.cpuProfile, f.memProfile)
+	defer stopProfiles()
+
+	if f.replay != "" {
+		res, err := driver.Replay(f.replay)
 		if err != nil {
 			fatal(fmt.Errorf("replay: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "thorinc: replay of %s succeeded — the recorded failure no longer reproduces\n", *replay)
-		if *run {
-			runProgram(res.Target, res.Program, res.Wasm, replayArgs(), *emit, true, *stats)
+		fmt.Fprintf(os.Stderr, "thorinc: replay of %s succeeded — the recorded failure no longer reproduces\n", f.replay)
+		if f.run {
+			runProgram(res.Target, res.Program, res.Wasm, programArgs(flag.Args()), f.emit, true, f.stats)
 		}
 		return
 	}
@@ -142,8 +163,8 @@ func main() {
 		os.Exit(2)
 	}
 	sources := make([]string, len(srcFiles))
-	for i, f := range srcFiles {
-		b, err := os.ReadFile(f)
+	for i, file := range srcFiles {
+		b, err := os.ReadFile(file)
 		if err != nil {
 			fatal(err)
 		}
@@ -151,36 +172,29 @@ func main() {
 	}
 	src := sources[0]
 
-	var args []int64
-	for _, a := range rest {
-		v, err := strconv.ParseInt(a, 10, 64)
-		if err != nil {
-			// flag.Parse stops at the first positional, so a flag given
-			// after the source file lands here looking like a bad program
-			// argument. Name the actual mistake instead.
-			if strings.HasPrefix(a, "-") {
-				fmt.Fprintf(os.Stderr, "thorinc: flag %q after the source file: flags must precede the source file\n", a)
-				stopProfiles()
-				os.Exit(2)
-			}
-			fatal(fmt.Errorf("bad argument %q: %w", a, err))
-		}
-		args = append(args, v)
-	}
+	args := programArgs(rest)
 
-	mode := analysis.ScheduleSmart
-	switch *schedule {
-	case "early":
-		mode = analysis.ScheduleEarly
-	case "late":
-		mode = analysis.ScheduleLate
-	}
-
-	target, err := backend.ParseTarget(*targetName)
+	// Several source files — or a single one opening with a module
+	// declaration — select the separate-compilation path: each module is
+	// compiled into its own world and the set is linked (see internal/link).
+	moduleCompile := len(srcFiles) > 1 || isModuleSource(src)
+	req, err := f.request()
 	if err != nil {
 		fatal(err)
 	}
-	switch *emit {
+	if moduleCompile {
+		req.Sources = sources
+	} else {
+		req.Source = src
+	}
+	rr, err := req.Resolve(f.crashDir)
+	if err != nil {
+		fatal(err)
+	}
+	rr.Config.VerifyEach = f.verifyEach
+	target := rr.Config.Target
+
+	switch f.emit {
 	case "bytecode":
 		if target != backend.VM {
 			fatal(fmt.Errorf("-emit=bytecode needs -target=vm (the %s target has no bytecode)", target))
@@ -190,140 +204,81 @@ func main() {
 			fatal(fmt.Errorf("-emit=wat needs -target=wasm"))
 		}
 	}
-	if *pipeline == "ssa" && target != backend.VM {
+	if f.pipeline == "ssa" && target != backend.VM {
 		fatal(fmt.Errorf("-pipeline=ssa only targets the vm"))
 	}
-
-	opts := transform.OptAll()
-	switch *optLevel {
-	case 0:
-		opts = transform.OptNone()
-	case 1:
-		opts = transform.Options{Mem2Reg: true}
-	}
-	spec := transform.SpecFor(opts)
-	if *passes != "" {
-		spec = *passes
-	}
-
-	lm, err := link.ParseMode(*linkMode)
-	if err != nil {
-		fatal(err)
-	}
-	// Several source files — or a single one opening with a module
-	// declaration — select the separate-compilation path: each module is
-	// compiled into its own world and the set is linked (see internal/link).
-	moduleCompile := len(srcFiles) > 1 || isModuleSource(src)
 	if moduleCompile {
-		for _, f := range srcFiles {
-			if strings.HasSuffix(f, ".thorin") {
-				fatal(fmt.Errorf("textual IR (%s) cannot join a multi-module compile", f))
+		for _, file := range srcFiles {
+			if strings.HasSuffix(file, ".thorin") {
+				fatal(fmt.Errorf("textual IR (%s) cannot join a multi-module compile", file))
 			}
 		}
-		if *pipeline == "ssa" {
+		if f.pipeline == "ssa" {
 			fatal(fmt.Errorf("-pipeline=ssa does not support multi-module compiles"))
 		}
 	}
+	ctx, cancel := rr.WithDeadline(context.Background())
+	defer cancel()
 
 	// Files ending in .thorin contain textual IR (the Print format) and
 	// bypass the frontend.
 	if strings.HasSuffix(srcFiles[0], ".thorin") {
-		if *serverAddr != "" {
+		if f.server != "" {
 			fatal(fmt.Errorf("-server only compiles Impala sources (the daemon's frontend is the cache key's hash domain), not textual IR"))
 		}
 		w, err := ir.ParseWorld(src)
 		if err != nil {
 			fatal(err)
 		}
-		pl, err := pm.Parse(spec)
+		cfg := rr.Config
+		cfg.Ctx = ctx
+		res, err := driver.CompileWorld(w, rr.Spec, rr.Mode, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		ctx := pm.NewContext(w)
-		ctx.VerifyEach = *verifyEach
-		ctx.Budget = budget
-		if *jobs > 0 {
-			ctx.Jobs = *jobs
-		}
-		if disableIncremental {
-			ctx.Incremental = false
-		}
-		rep, err := pl.Run(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		emitReport(rep, transform.PipelineStats(ctx), *emit)
-		if *emit == "thorin" {
-			ir.Print(os.Stdout, w)
-		}
-		be, err := backend.Lookup(target)
-		if err != nil {
-			fatal(err)
-		}
-		out, err := be.Compile(w, "main", backend.Config{Mode: mode})
-		if err != nil {
-			fatal(err)
-		}
-		runProgram(target, out.VM, out.Wasm, args, *emit, *run, *stats)
+		emitWorld(res, f.emit)
+		runProgram(target, res.Program, res.Wasm, args, f.emit, f.run, f.stats)
 		return
 	}
 
 	var prog *vm.Program
 	var wasmMod []byte
 	degraded := false
-	switch *pipeline {
+	switch f.pipeline {
 	case "ssa":
 		p, mod, err := driver.CompileSSA(src)
 		if err != nil {
 			fatal(err)
 		}
 		prog = p
-		if *emit == "ssa" {
-			for _, f := range mod.Funcs {
-				fmt.Print(f.String())
+		if f.emit == "ssa" {
+			for _, fn := range mod.Funcs {
+				fmt.Print(fn.String())
 			}
 		}
-		if *stats {
+		if f.stats {
 			phis, instrs := 0, 0
-			for _, f := range mod.Funcs {
-				phis += f.NumPhis()
-				instrs += f.NumInstrs()
+			for _, fn := range mod.Funcs {
+				phis += fn.NumPhis()
+				instrs += fn.NumInstrs()
 			}
 			fmt.Fprintf(os.Stderr, "ssa: %d functions, %d instructions, %d φs\n",
 				len(mod.Funcs), instrs, phis)
 		}
 	default:
-		if *serverAddr != "" {
-			switch *emit {
+		if f.server != "" {
+			switch f.emit {
 			// bytecode and wat dumps render the artifact payload itself, so
 			// they work on remote compiles; IR dumps need the World, which
 			// never leaves the daemon.
 			case "", "bytecode", "wat":
 			default:
-				fatal(fmt.Errorf("-emit=%s is not available with -server (the daemon ships compiled artifacts, not IR)", *emit))
-			}
-			req := &driver.Request{
-				Source:             src,
-				Spec:               spec,
-				Schedule:           *schedule,
-				Target:             *targetName,
-				Jobs:               *jobs,
-				OnFailure:          *onFailure,
-				Budget:             *budgetSpec,
-				DisableIncremental: disableIncremental,
-			}
-			if moduleCompile {
-				req.Source = ""
-				req.Sources = sources
-				req.Link = *linkMode
-			}
-			if *deadline > 0 {
-				req.DeadlineMs = deadline.Milliseconds()
+				fatal(fmt.Errorf("-emit=%s is not available with -server (the daemon ships compiled artifacts, not IR)", f.emit))
 			}
 			c := &server.Client{
-				Addr:        *serverAddr,
-				Retries:     *retries,
-				RetryBudget: *retryBudget,
+				Addr:        f.server,
+				Retries:     f.retries,
+				RetryBudget: f.retryBudget,
 			}
 			resp, art, err := c.Compile(req)
 			if err != nil {
@@ -336,38 +291,15 @@ func main() {
 			}
 			prog = art.Program
 			wasmMod = art.Wasm
-			if *stats {
+			if f.stats {
 				m := art.IRStats
 				fmt.Fprintf(os.Stderr,
 					"thorin (remote %s): cache %s, key %s…, %d continuations, %d primops, %d higher-order\n",
-					*serverAddr, resp.Cache, resp.Key[:12], m.Continuations, m.PrimOps, m.HigherOrder)
+					f.server, resp.Cache, resp.Key[:12], m.Continuations, m.PrimOps, m.HigherOrder)
 			}
 			break
 		}
-		policy := driver.FailFast
-		switch *onFailure {
-		case "fail":
-		case "degrade":
-			policy = driver.Degrade
-		default:
-			fatal(fmt.Errorf("bad -on-failure %q (want fail or degrade)", *onFailure))
-		}
-		cfg := driver.Config{
-			VerifyEach:         *verifyEach,
-			Jobs:               *jobs,
-			OnPassFailure:      policy,
-			Budget:             budget,
-			CrashDir:           *crashDir,
-			DisableIncremental: disableIncremental,
-			Target:             target,
-		}
-		var res *driver.Result
-		var err error
-		if moduleCompile {
-			res, err = driver.CompileModules(sources, spec, mode, lm, cfg)
-		} else {
-			res, err = driver.CompileSpec(src, spec, mode, cfg)
-		}
+		res, err := driver.Compile(ctx, rr)
 		if err != nil {
 			fatal(err)
 		}
@@ -379,26 +311,10 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr)
 		}
-		emitReport(res.Report, res.Stats, *emit)
-		if *emit == "thorin" {
-			ir.Print(os.Stdout, res.World)
-		}
-		if *emit == "dot" || *emit == "cfg" {
-			for _, c := range res.World.Externs() {
-				if c.IsIntrinsic() || !c.HasBody() {
-					continue
-				}
-				s := analysis.NewScope(c)
-				if *emit == "dot" {
-					analysis.WriteScopeDot(os.Stdout, s)
-				} else {
-					analysis.WriteCFGDot(os.Stdout, s)
-				}
-			}
-		}
+		emitWorld(res, f.emit)
 		prog = res.Program
 		wasmMod = res.Wasm
-		if *stats {
+		if f.stats {
 			m, st := res.IRStats, res.Stats
 			fmt.Fprintf(os.Stderr,
 				"thorin: %d continuations, %d primops, %d higher-order; cff-spec=%d m2r-slots=%d m2r-φparams=%d closures=%d\n",
@@ -413,12 +329,12 @@ func main() {
 		}
 	}
 
-	runProgram(target, prog, wasmMod, args, *emit, *run, *stats)
+	runProgram(target, prog, wasmMod, args, f.emit, f.run, f.stats)
 
 	// A degraded compile produced a valid but weaker-than-requested
 	// program; all output above still happened, and the distinct exit
 	// status lets scripts and CI detect it. -allow-degraded opts out.
-	if degraded && !*allowDegr {
+	if degraded && !f.allowDegraded {
 		fmt.Fprintln(os.Stderr, "thorinc: exit 3: compile finished via graceful degradation (-allow-degraded accepts it)")
 		stopProfiles()
 		os.Exit(exitDegraded)
@@ -432,16 +348,14 @@ func isModuleSource(src string) bool {
 	return len(f) > 0 && f[0] == "module"
 }
 
-// emitReport prints the pass-manager instrumentation when requested.
-// Multi-module compiles carry no whole-program report (each module ran its
-// own pipeline), so rep may be nil.
-func emitReport(rep *pm.Report, st transform.Stats, emit string) {
-	if rep == nil {
-		return
-	}
+// emitWorld prints the requested dumps of a compiled world: the
+// pass-manager report (for a multi-module compile it covers the post-link
+// pipeline only), the optimized IR, or per-function scope and CFG graphs.
+func emitWorld(res *driver.Result, emit string) {
+	st := res.Stats
 	switch emit {
 	case "pass-report":
-		rep.WriteText(os.Stdout)
+		res.Report.WriteText(os.Stdout)
 		// The mem2reg rewrites column counts promotions; break the slots it
 		// could NOT promote down by reason, and show the memory-dependence
 		// work of the other passes next to it.
@@ -454,8 +368,22 @@ func emitReport(rep *pm.Report, st transform.Stats, emit string) {
 				st.EffectSplit.SplitChains, st.EffectSplit.Threads, st.Cleanup.DeadStores)
 		}
 	case "pass-report-json":
-		if err := rep.WriteJSON(os.Stdout); err != nil {
+		if err := res.Report.WriteJSON(os.Stdout); err != nil {
 			fatal(err)
+		}
+	case "thorin":
+		ir.Print(os.Stdout, res.World)
+	case "dot", "cfg":
+		for _, c := range res.World.Externs() {
+			if c.IsIntrinsic() || !c.HasBody() {
+				continue
+			}
+			s := analysis.NewScope(c)
+			if emit == "dot" {
+				analysis.WriteScopeDot(os.Stdout, s)
+			} else {
+				analysis.WriteCFGDot(os.Stdout, s)
+			}
 		}
 	}
 }
@@ -505,13 +433,20 @@ func runProgram(target backend.Target, prog *vm.Program, mod []byte, args []int6
 	}
 }
 
-// replayArgs parses every positional argument as an i64; replay mode has
-// no source-file positional, the bundle supplies the input.
-func replayArgs() []int64 {
+// programArgs parses the integer arguments passed to main by -run.
+func programArgs(rest []string) []int64 {
 	var args []int64
-	for _, a := range flag.Args() {
+	for _, a := range rest {
 		v, err := strconv.ParseInt(a, 10, 64)
 		if err != nil {
+			// flag.Parse stops at the first positional, so a flag given
+			// after the source file lands here looking like a bad program
+			// argument. Name the actual mistake instead.
+			if strings.HasPrefix(a, "-") {
+				fmt.Fprintf(os.Stderr, "thorinc: flag %q after the source file: flags must precede the source file\n", a)
+				stopProfiles()
+				os.Exit(2)
+			}
 			fatal(fmt.Errorf("bad argument %q: %w", a, err))
 		}
 		args = append(args, v)

@@ -1,0 +1,99 @@
+package main
+
+import (
+	"encoding/json"
+	"flag"
+	"io"
+	"testing"
+	"time"
+
+	"thorin/internal/driver"
+)
+
+// TestFlagsResolveLikeDaemonRequests: a thorinc flag set and the daemon
+// request a client would send for it resolve to the same spec, schedule,
+// target, link mode, failure policy, budget and deadline, because both go
+// through driver.Request.Resolve.
+func TestFlagsResolveLikeDaemonRequests(t *testing.T) {
+	const src = "fn main(n: i64) -> i64 { n }"
+	cases := []struct {
+		flags []string
+		wire  string
+	}{
+		{nil, `{}`},
+		{[]string{"-O", "0"}, `{"opt": 0}`},
+		{[]string{"-O", "1", "-schedule", "early"}, `{"opt": 1, "schedule": "early"}`},
+		{[]string{"-O", "0", "-passes", "cleanup,fix(cff),cleanup,closure"}, `{"spec": "cleanup,fix(cff),cleanup,closure"}`},
+		{[]string{"-target=wasm", "-schedule=late"}, `{"target": "wasm", "schedule": "late"}`},
+		{[]string{"-link=mangle"}, `{"link": "mangle"}`},
+		{[]string{"-on-failure=degrade", "-budget", "iters=8,nodes=200000,time=30s"},
+			`{"on_failure": "degrade", "budget": "iters=8,nodes=200000,time=30s"}`},
+		{[]string{"-deadline", "250ms", "-incremental=off"}, `{"deadline_ms": 250, "disable_incremental": true}`},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("thorinc", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := newFlags(fs)
+		if err := fs.Parse(tc.flags); err != nil {
+			t.Fatal(err)
+		}
+		cliReq, err := f.request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cliReq.Source = src
+		cli, err := cliReq.Resolve("")
+		if err != nil {
+			t.Fatalf("%v: %v", tc.flags, err)
+		}
+		var wireReq driver.Request
+		if err := json.Unmarshal([]byte(tc.wire), &wireReq); err != nil {
+			t.Fatal(err)
+		}
+		wireReq.Source = src
+		wire, err := wireReq.Resolve("")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.wire, err)
+		}
+
+		// -jobs defaults to GOMAXPROCS and the daemon to its own default;
+		// neither changes the output, so jobs is not compared.
+		cli.Config.Jobs, wire.Config.Jobs = 0, 0
+		// A time= budget becomes an absolute deadline at resolution.
+		if d := cli.Config.Budget.Deadline.Sub(wire.Config.Budget.Deadline); d < -time.Second || d > time.Second {
+			t.Errorf("%v: budget deadlines %v apart", tc.flags, d)
+		}
+		cli.Config.Budget.Deadline, wire.Config.Budget.Deadline = time.Time{}, time.Time{}
+		if cli.Spec != wire.Spec || cli.Mode != wire.Mode || cli.Link != wire.Link ||
+			cli.Config != wire.Config || cli.Deadline != wire.Deadline {
+			t.Errorf("%v resolves to\n  %+v\nbut daemon request %s resolves to\n  %+v", tc.flags, cli, tc.wire, wire)
+		}
+	}
+}
+
+// TestFlagsRejectBadValues: flag values the daemon would reject fail in
+// process too, instead of falling back to a default.
+func TestFlagsRejectBadValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-O", "3"},
+		{"-schedule", "sideways"},
+		{"-target", "jvm"},
+		{"-link", "glue"},
+		{"-on-failure", "shrug"},
+		{"-budget", "nodes=-3"},
+	} {
+		fs := flag.NewFlagSet("thorinc", flag.ContinueOnError)
+		f := newFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		req, err := f.request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Source = "fn main(n: i64) -> i64 { n }"
+		if _, err := req.Resolve(""); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 
+	"thorin/internal/analysis"
 	"thorin/internal/driver"
 	"thorin/internal/transform"
 )
@@ -42,16 +43,20 @@ func main() {
 	fmt.Printf("%-22s %14s %12s %12s %10s\n",
 		"configuration", "instructions", "closures", "icalls", "result")
 
-	run := func(label string, opts transform.Options) {
-		got, c, err := driver.Run(src, opts, nil, n)
+	run := func(label, spec string) {
+		res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{})
+		if err != nil {
+			panic(err)
+		}
+		got, c, err := driver.ExecSteps(res.Program, nil, 0, n)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-22s %14d %12d %12d %10d\n",
 			label, c.Instructions, c.ClosureAllocs, c.IndirectCalls, got)
 	}
-	run("thorin -O2 (mangled)", transform.OptAll())
-	run("thorin -O0 (closures)", transform.OptNone())
+	run("thorin -O2 (mangled)", transform.O2)
+	run("thorin -O0 (closures)", transform.O0)
 
 	got, c, err := driver.RunSSA(src, nil, n)
 	if err != nil {

@@ -48,7 +48,10 @@ func main() {
 
 	// Lambda mangling converts the program to control-flow form: the
 	// higher-order parameter of apply disappears.
-	stats := transform.Optimize(w, transform.OptAll())
+	stats, _, err := transform.RunPipeline(w, transform.O2)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("=== optimizer: %d call(s) specialized to control-flow form ===\n\n",
 		stats.CFF.Specialized)
 

@@ -7,10 +7,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
+	"thorin/internal/analysis"
 	"thorin/internal/driver"
 	"thorin/internal/transform"
+	"thorin/internal/vm"
 )
 
 const src = `
@@ -89,17 +92,24 @@ fn main(w: i64) -> i64 {
 
 func main() {
 	const width = 72
-	got, c, err := driver.Run(src, transform.OptAll(), os.Stdout, width)
-	if err != nil {
-		panic(err)
-	}
+	got, c := render(transform.O2, os.Stdout, width)
 	fmt.Printf("\nchecksum %d — rendered with %d VM instructions, %d closures, %d indirect calls\n",
 		got, c.Instructions, c.ClosureAllocs, c.IndirectCalls)
 
-	_, c0, err := driver.Run(src, transform.OptNone(), nil, width)
+	_, c0 := render(transform.O0, nil, width)
+	fmt.Printf("the same scene without lambda mangling: %d instructions, %d closures, %d indirect calls\n",
+		c0.Instructions, c0.ClosureAllocs, c0.IndirectCalls)
+}
+
+// render compiles the scene under spec and runs it, printing to out.
+func render(spec string, out io.Writer, width int64) (int64, vm.Counters) {
+	res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("the same scene without lambda mangling: %d instructions, %d closures, %d indirect calls\n",
-		c0.Instructions, c0.ClosureAllocs, c0.IndirectCalls)
+	got, c, err := driver.ExecSteps(res.Program, out, 0, width)
+	if err != nil {
+		panic(err)
+	}
+	return got, c
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"sort"
 
 	"thorin/internal/ir"
@@ -23,6 +24,24 @@ const (
 	// needlessly (the sea-of-nodes heuristic).
 	ScheduleSmart
 )
+
+var modeNames = [...]string{ScheduleEarly: "early", ScheduleLate: "late", ScheduleSmart: "smart"}
+
+// String returns the mode's canonical name: early, late or smart.
+func (m Mode) String() string { return modeNames[m] }
+
+// ParseMode resolves a schedule name; "" selects the smart default.
+func ParseMode(name string) (Mode, error) {
+	if name == "" {
+		return ScheduleSmart, nil
+	}
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("bad schedule %q (want early, late or smart)", name)
+}
 
 // HoistRegionLoads gates the region-pure load motion of ScheduleSmart:
 // loads from provably read-only, non-escaped alias regions are scheduled

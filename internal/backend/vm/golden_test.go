@@ -67,7 +67,7 @@ func TestGoldenDisasm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			transform.Optimize(w, transform.OptAll())
+			optimize(t, w, transform.O2)
 			if err := ir.Verify(w); err != nil {
 				t.Fatalf("verify: %v", err)
 			}

@@ -9,10 +9,10 @@ import (
 	"thorin/internal/vm"
 )
 
-// compileAndRun optimizes w with opts, compiles it, and runs main.
-func compileAndRun(t *testing.T, w *ir.World, opts transform.Options, args ...vm.Value) ([]vm.Value, *vm.VM) {
+// compileAndRun optimizes w with spec, compiles it, and runs main.
+func compileAndRun(t *testing.T, w *ir.World, spec string, args ...vm.Value) ([]vm.Value, *vm.VM) {
 	t.Helper()
-	transform.Optimize(w, opts)
+	optimize(t, w, spec)
 	if err := ir.Verify(w); err != nil {
 		t.Fatalf("verify after optimize: %v", err)
 	}
@@ -27,6 +27,14 @@ func compileAndRun(t *testing.T, w *ir.World, opts transform.Options, args ...vm
 		t.Fatalf("run: %v", err)
 	}
 	return res, m
+}
+
+// optimize runs a pipeline spec over w, failing the test on an error.
+func optimize(t *testing.T, w *ir.World, spec string) {
+	t.Helper()
+	if _, _, err := transform.RunPipeline(w, spec); err != nil {
+		t.Fatalf("optimize: %v", err)
+	}
 }
 
 // buildMain wraps body(mem, n, ret) as main(mem, n, ret: fn(mem,i64)).
@@ -46,7 +54,7 @@ func TestCompileStraightLine(t *testing.T) {
 	v := w.Arith(ir.OpAdd, w.Arith(ir.OpMul, x, x), w.LitI64(1))
 	main.Jump(main.Param(2), main.Param(0), v)
 
-	res, _ := compileAndRun(t, w, transform.OptAll(), vm.Value{I: 6})
+	res, _ := compileAndRun(t, w, transform.O2, vm.Value{I: 6})
 	if res[0].I != 37 {
 		t.Fatalf("6*6+1 = %d, want 37", res[0].I)
 	}
@@ -65,7 +73,7 @@ func TestCompileBranch(t *testing.T) {
 	elseB.Jump(main.Param(2), elseB.Param(0), x)
 	_ = i64
 
-	res, _ := compileAndRun(t, w, transform.OptAll(), vm.Value{I: -42})
+	res, _ := compileAndRun(t, w, transform.O2, vm.Value{I: -42})
 	if res[0].I != 42 {
 		t.Fatalf("abs(-42) = %d, want 42", res[0].I)
 	}
@@ -86,7 +94,7 @@ func TestCompileLoop(t *testing.T) {
 	body.Jump(head, body.Param(0), w.Arith(ir.OpAdd, i, w.LitI64(1)), w.Arith(ir.OpAdd, acc, i))
 	done.Jump(main.Param(2), done.Param(0), acc)
 
-	res, m := compileAndRun(t, w, transform.OptAll(), vm.Value{I: 100})
+	res, m := compileAndRun(t, w, transform.O2, vm.Value{I: 100})
 	if res[0].I != 4950 {
 		t.Fatalf("sum(100) = %d, want 4950", res[0].I)
 	}
@@ -121,7 +129,7 @@ func TestCompileRecursion(t *testing.T) {
 	fib := buildFib(w)
 	main.Jump(fib, main.Param(0), main.Param(1), main.Param(2))
 
-	res, m := compileAndRun(t, w, transform.OptAll(), vm.Value{I: 20})
+	res, m := compileAndRun(t, w, transform.O2, vm.Value{I: 20})
 	if res[0].I != 6765 {
 		t.Fatalf("fib(20) = %d, want 6765", res[0].I)
 	}
@@ -149,7 +157,7 @@ func TestCompileHigherOrderOptimized(t *testing.T) {
 
 	main.Jump(apply, main.Param(0), sq, main.Param(1), main.Param(2))
 
-	res, m := compileAndRun(t, w, transform.OptAll(), vm.Value{I: 9})
+	res, m := compileAndRun(t, w, transform.O2, vm.Value{I: 9})
 	if res[0].I != 81 {
 		t.Fatalf("sq(9) = %d, want 81", res[0].I)
 	}
@@ -159,7 +167,7 @@ func TestCompileHigherOrderOptimized(t *testing.T) {
 }
 
 func TestCompileHigherOrderUnoptimized(t *testing.T) {
-	// Same program with OptNone: the call must go through a closure.
+	// Same program at -O0: the call must go through a closure.
 	w, main := newMainWorld()
 	i64 := w.PrimType(ir.PrimI64)
 	mem := w.MemType()
@@ -174,7 +182,7 @@ func TestCompileHigherOrderUnoptimized(t *testing.T) {
 
 	main.Jump(apply, main.Param(0), sq, main.Param(1), main.Param(2))
 
-	res, m := compileAndRun(t, w, transform.OptNone(), vm.Value{I: 9})
+	res, m := compileAndRun(t, w, transform.O0, vm.Value{I: 9})
 	if res[0].I != 81 {
 		t.Fatalf("sq(9) = %d, want 81", res[0].I)
 	}
@@ -200,7 +208,7 @@ func TestCompileCapturingClosure(t *testing.T) {
 
 	main.Jump(apply, main.Param(0), addn, w.LitI64(100), main.Param(2))
 
-	res, _ := compileAndRun(t, w, transform.OptNone(), vm.Value{I: 7})
+	res, _ := compileAndRun(t, w, transform.O0, vm.Value{I: 7})
 	if res[0].I != 107 {
 		t.Fatalf("addn(100) = %d, want 107", res[0].I)
 	}
@@ -229,7 +237,7 @@ func TestCompileMemory(t *testing.T) {
 	ld := w.Load(done.Param(0), w.Lea(arr, last))
 	done.Jump(main.Param(2), w.ExtractAt(ld, 0), w.ExtractAt(ld, 1))
 
-	res, m := compileAndRun(t, w, transform.OptAll(), vm.Value{I: 10})
+	res, m := compileAndRun(t, w, transform.O2, vm.Value{I: 10})
 	if res[0].I != 81 {
 		t.Fatalf("arr[9] = %d, want 81", res[0].I)
 	}
@@ -239,8 +247,8 @@ func TestCompileMemory(t *testing.T) {
 }
 
 func TestCompileSlotMem2Reg(t *testing.T) {
-	// A slot-based loop: with OptAll the slot is promoted (no loads or
-	// stores at runtime); with OptNone it is not.
+	// A slot-based loop: at -O2 the slot is promoted (no loads or stores
+	// at runtime); at -O0 it is not.
 	build := func() *ir.World {
 		w := ir.NewWorld()
 		i64 := w.PrimType(ir.PrimI64)
@@ -269,8 +277,8 @@ func TestCompileSlotMem2Reg(t *testing.T) {
 		return w
 	}
 
-	resOpt, mOpt := compileAndRun(t, build(), transform.OptAll(), vm.Value{I: 50})
-	resNo, mNo := compileAndRun(t, build(), transform.OptNone(), vm.Value{I: 50})
+	resOpt, mOpt := compileAndRun(t, build(), transform.O2, vm.Value{I: 50})
+	resNo, mNo := compileAndRun(t, build(), transform.O0, vm.Value{I: 50})
 	if resOpt[0].I != 1225 || resNo[0].I != 1225 {
 		t.Fatalf("sum(50) = %d / %d, want 1225", resOpt[0].I, resNo[0].I)
 	}
@@ -289,7 +297,7 @@ func TestCompilePrint(t *testing.T) {
 	main.Jump(w.PrintI64(), main.Param(0), main.Param(1), k)
 	k.Jump(main.Param(2), k.Param(0), w.LitI64(0))
 
-	transform.Optimize(w, transform.OptAll())
+	optimize(t, w, transform.O2)
 	prog, err := Compile(w, "main", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +324,7 @@ func TestScheduleModesProduceSameResults(t *testing.T) {
 		w, main := newMainWorld()
 		fib := buildFib(w)
 		main.Jump(fib, main.Param(0), main.Param(1), main.Param(2))
-		transform.Optimize(w, transform.OptAll())
+		optimize(t, w, transform.O2)
 		prog, err := Compile(w, "main", Config{Mode: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
@@ -372,7 +380,7 @@ func TestLoopPeeling(t *testing.T) {
 		t.Error("peeled copy must re-enter the original loop")
 	}
 	// Semantics preserved.
-	res, _ := compileAndRun(t, w, transform.Options{}, vm.Value{I: 100})
+	res, _ := compileAndRun(t, w, transform.O0, vm.Value{I: 100})
 	if res[0].I != 4950 {
 		t.Fatalf("peeled sum(100) = %d, want 4950", res[0].I)
 	}
@@ -405,7 +413,7 @@ func TestLoopUnrolling(t *testing.T) {
 		}
 		// Semantics preserved for sizes that do and do not divide evenly.
 		for _, n := range []int64{0, 1, 7, 100} {
-			res, _ := compileAndRun(t, w, transform.Options{}, vm.Value{I: n})
+			res, _ := compileAndRun(t, w, transform.O0, vm.Value{I: n})
 			want := n * (n - 1) / 2
 			if res[0].I != want {
 				t.Fatalf("factor %d: unrolled sum(%d) = %d, want %d", factor, n, res[0].I, want)

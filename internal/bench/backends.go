@@ -93,7 +93,7 @@ func measureBackendArm(res *driver.Result, target backend.Target, n int64) (Back
 			return arm, err
 		}
 		arm.PayloadBytes = len(js)
-		got, counters, err := driver.Exec(out.VM, io.Discard, n)
+		got, counters, err := driver.ExecSteps(out.VM, io.Discard, 0, n)
 		if err != nil {
 			return arm, fmt.Errorf("%s: execute: %w", target, err)
 		}
@@ -138,7 +138,7 @@ func MeasureBackends(fast bool) (BackendsReport, error) {
 		Note: "vm vs wasm backend from the shared lowering: emission time, payload size, dynamic instructions; checksums must agree (differential gate)",
 		Fast: fast,
 	}
-	spec := transform.SpecFor(transform.OptAll())
+	spec := transform.O2
 	for i := range Suite {
 		p := &Suite[i]
 		n := backendsN(p, fast)

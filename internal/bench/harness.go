@@ -45,17 +45,17 @@ func (p Pipeline) String() string {
 	return "?"
 }
 
-// Options returns the optimizer options of a Thorin pipeline.
-func (p Pipeline) Options() transform.Options {
+// Spec returns the pass-manager spec of a Thorin pipeline.
+func (p Pipeline) Spec() string {
 	switch p {
 	case ThorinOpt:
-		return transform.OptAll()
+		return transform.O2
 	case ThorinNoMangle:
-		// Single-use inlining is itself an instance of lambda mangling, so
-		// the no-mangling arm disables it too: only slot promotion runs.
-		return transform.Options{Mem2Reg: true}
+		// -O1: only slot promotion runs; single-use inlining is itself an
+		// instance of lambda mangling, so it is off too.
+		return transform.O1
 	default:
-		return transform.OptNone()
+		return transform.O0
 	}
 }
 
@@ -93,10 +93,10 @@ func Run(src string, p Pipeline, n int64) (RunResult, error) {
 			out.SSAPhis += f.NumPhis()
 			out.SSAInstrs += f.NumInstrs()
 		}
-		out.Checksum, out.Counters, err = driver.Exec(prog, nil, n)
+		out.Checksum, out.Counters, err = driver.ExecSteps(prog, nil, 0, n)
 		return out, err
 	default:
-		res, err := driver.Compile(src, p.Options(), analysis.ScheduleSmart)
+		res, err := driver.CompileSpec(src, p.Spec(), analysis.ScheduleSmart, driver.Config{})
 		if err != nil {
 			return out, err
 		}
@@ -104,7 +104,7 @@ func Run(src string, p Pipeline, n int64) (RunResult, error) {
 		out.IR = res.IRStats
 		out.Report = res.Report
 		out.Mem2RegPhis = res.Stats.Mem2Reg.PhiParams
-		out.Checksum, out.Counters, err = driver.Exec(res.Program, nil, n)
+		out.Checksum, out.Counters, err = driver.ExecSteps(res.Program, nil, 0, n)
 		return out, err
 	}
 }

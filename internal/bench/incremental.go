@@ -38,12 +38,12 @@ func perturb(w *ir.World) {
 	c.Jump(c)
 }
 
-// optimizeRounds runs the canonical OptAll pipeline incRounds times over w
-// on one reused context (explicitly controlling incremental re-running;
-// transform.Optimize would inherit the THORIN_INCREMENTAL environment
+// optimizeRounds runs the -O2 pipeline incRounds times over w on one
+// reused context (explicitly controlling incremental re-running;
+// transform.RunPipeline would inherit the THORIN_INCREMENTAL environment
 // default instead), perturbing the world before each re-round.
 func optimizeRounds(w *ir.World, incremental bool) ([]*pm.Report, error) {
-	pl, err := pm.Parse(transform.SpecFor(transform.OptAll()))
+	pl, err := pm.Parse(transform.O2)
 	if err != nil {
 		return nil, err
 	}

@@ -175,7 +175,7 @@ func measureMemoryArm(name, src, spec string, regionBits bool, arg int64) (Memor
 	arm.DeadStores = res.Stats.Cleanup.DeadStores
 	arm.HoistedLoads = countHoisted(res)
 
-	got, counters, err := driver.Exec(res.Program, io.Discard, arg)
+	got, counters, err := driver.ExecSteps(res.Program, io.Discard, 0, arg)
 	if err != nil {
 		return arm, fmt.Errorf("%s: execute: %w", name, err)
 	}
@@ -229,7 +229,7 @@ func MeasureMemory(fast bool) (MemoryReport, error) {
 		Fast: fast, Iters: iters,
 	}
 
-	before, err := measureMemoryArm("before/linear-mem", src, transform.SpecFor(transform.OptAll()), false, arg)
+	before, err := measureMemoryArm("before/linear-mem", src, transform.O2, false, arg)
 	if err != nil {
 		return rep, err
 	}

@@ -91,7 +91,9 @@ func benchOptimize(srcs []string) func(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				transform.Optimize(w, transform.OptAll())
+				if _, _, err := transform.RunPipeline(w, transform.O2); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
@@ -106,7 +108,9 @@ func benchScope(src string) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		transform.Optimize(w, transform.OptAll())
+		if _, _, err := transform.RunPipeline(w, transform.O2); err != nil {
+			b.Fatal(err)
+		}
 		conts := w.Continuations()
 		b.ReportAllocs()
 		b.ResetTimer()

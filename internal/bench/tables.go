@@ -9,6 +9,7 @@ import (
 	"thorin/internal/analysis"
 	"thorin/internal/driver"
 	"thorin/internal/impala"
+	"thorin/internal/pm"
 	"thorin/internal/transform"
 )
 
@@ -183,7 +184,7 @@ func TablePasses(w io.Writer) error {
 	header := false
 	for i := range Suite {
 		p := &Suite[i]
-		res, err := driver.Compile(p.Functional, transform.OptAll(), analysis.ScheduleSmart)
+		res, err := driver.CompileSpec(p.Functional, transform.O2, analysis.ScheduleSmart, driver.Config{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
@@ -213,7 +214,7 @@ func Table4(w io.Writer) error {
 	for _, depth := range []int{25, 50, 100, 200, 400} {
 		src := GenChain(depth)
 		start := time.Now()
-		res, err := driver.Compile(src, transform.OptAll(), analysis.ScheduleSmart)
+		res, err := driver.CompileSpec(src, transform.O2, analysis.ScheduleSmart, driver.Config{})
 		if err != nil {
 			return fmt.Errorf("depth %d: %w", depth, err)
 		}
@@ -244,7 +245,7 @@ func TableJobs(w io.Writer) error {
 	fmt.Fprintf(w, "%8s | %12s %12s | %8s %8s\n",
 		"jobs", "compile", "par-phase", "speedup", "par-spd")
 	src := GenManyFns(jobsTableFns)
-	spec := transform.SpecFor(transform.Options{Mem2Reg: true})
+	spec := transform.O1
 	var baseTotal, basePar time.Duration
 	for _, jobs := range []int{1, 2, 4, 8} {
 		total, par, err := compileJobs(src, spec, jobs)
@@ -328,11 +329,11 @@ func AblationSchedule(w io.Writer, sizes Sizes) error {
 		n := sizes.of(p)
 		var cells [3]int64
 		for mi, mode := range []analysis.Mode{analysis.ScheduleEarly, analysis.ScheduleLate, analysis.ScheduleSmart} {
-			res, err := driver.Compile(p.Imperative, transform.OptAll(), mode)
+			res, err := driver.CompileSpec(p.Imperative, transform.O2, mode, driver.Config{})
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
-			_, c, err := driver.Exec(res.Program, nil, n)
+			_, c, err := driver.ExecSteps(res.Program, nil, 0, n)
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
@@ -346,21 +347,22 @@ func AblationSchedule(w io.Writer, sizes Sizes) error {
 // AblationMem2Reg prints runtime memory traffic with and without slot
 // promotion (imperative variants).
 func AblationMem2Reg(w io.Writer, sizes Sizes) error {
+	withoutMem2Reg, _, err := pm.StripPass(transform.O2, "mem2reg")
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "Ablation: mem2reg (imperative variants, loads+stores executed)\n")
 	fmt.Fprintf(w, "%-14s %8s | %12s %12s\n", "benchmark", "n", "with", "without")
 	for i := range Suite {
 		p := &Suite[i]
 		n := sizes.of(p)
-		withOpts := transform.OptAll()
-		withoutOpts := withOpts
-		withoutOpts.Mem2Reg = false
 		var cells [2]int64
-		for oi, opts := range []transform.Options{withOpts, withoutOpts} {
-			res, err := driver.Compile(p.Imperative, opts, analysis.ScheduleSmart)
+		for oi, spec := range []string{transform.O2, withoutMem2Reg} {
+			res, err := driver.CompileSpec(p.Imperative, spec, analysis.ScheduleSmart, driver.Config{})
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
-			_, c, err := driver.Exec(res.Program, nil, n)
+			_, c, err := driver.ExecSteps(res.Program, nil, 0, n)
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}

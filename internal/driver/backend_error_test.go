@@ -28,14 +28,15 @@ func (failingBackend) Compile(w *ir.World, mainName string, cfg backend.Config) 
 // TestBackendErrorCrashBundle: a backend failure is routed into a crash
 // bundle exactly like a pass failure — the bundle's pass field names the
 // emitter ("backend:<target>"), the returned error chain carries both the
-// bundle path and the typed *backend.Error.
+// bundle path and the typed *backend.Error — and the bundle records its
+// target and schedule, so replaying it reproduces the same failure.
 func TestBackendErrorCrashBundle(t *testing.T) {
 	restore := backend.Override(failingBackend{})
 	defer restore()
 
 	dir := t.TempDir()
 	src := "fn main(n: i64) -> i64 { n + 1 }"
-	_, err := CompileSpec(src, transform.SpecFor(transform.OptNone()), analysis.ScheduleSmart, Config{
+	_, err := CompileSpec(src, transform.O0, analysis.ScheduleLate, Config{
 		Target:   backend.Wasm,
 		CrashDir: dir,
 	})
@@ -59,21 +60,45 @@ func TestBackendErrorCrashBundle(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	var man struct {
-		Pass  string `json:"pass"`
-		Error string `json:"error"`
-	}
+	var man crashManifest
 	if jerr := json.Unmarshal(js, &man); jerr != nil {
 		t.Fatal(jerr)
 	}
 	if man.Pass != "backend:wasm" {
 		t.Errorf("bundle pass = %q, want backend:wasm", man.Pass)
 	}
+	if man.Target != "wasm" || man.Schedule != "late" {
+		t.Errorf("bundle records target %q schedule %q, want wasm and late", man.Target, man.Schedule)
+	}
 	if !strings.Contains(man.Error, "injected emission failure") {
 		t.Errorf("bundle error %q does not record the cause", man.Error)
 	}
 	if _, serr := os.Stat(filepath.Join(bundle, "input.imp")); serr != nil {
 		t.Errorf("bundle is missing the source: %v", serr)
+	}
+
+	if _, rerr := Replay(bundle); !errors.As(rerr, &berr) || berr.Target != backend.Wasm {
+		t.Errorf("replay did not reproduce the wasm backend failure: %v", rerr)
+	}
+}
+
+// TestReplayDefaultsForOldBundles: a bundle written before target and
+// schedule were recorded replays on the vm with the smart schedule.
+func TestReplayDefaultsForOldBundles(t *testing.T) {
+	bundle := t.TempDir()
+	man := `{"spec": "cleanup,cleanup,closure", "jobs": 1, "pass": "x", "error": "y"}`
+	if err := os.WriteFile(filepath.Join(bundle, "repro.json"), []byte(man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(bundle, "input.imp"), []byte("fn main(n: i64) -> i64 { n }"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Target != backend.VM || res.Program == nil {
+		t.Errorf("old bundle replayed for target %q, want vm", res.Target)
 	}
 }
 
@@ -83,7 +108,7 @@ func TestBackendPanicContained(t *testing.T) {
 	restore := backend.Override(panickingBackend{})
 	defer restore()
 
-	_, err := CompileSpec("fn main(n: i64) -> i64 { n }", transform.SpecFor(transform.OptNone()),
+	_, err := CompileSpec("fn main(n: i64) -> i64 { n }", transform.O0,
 		analysis.ScheduleSmart, Config{Target: backend.Wasm})
 	var berr *backend.Error
 	if !errors.As(err, &berr) {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/impala"
 	"thorin/internal/ir"
 	"thorin/internal/pm"
@@ -18,7 +19,8 @@ import (
 // A crash bundle is a self-contained reproduction of one pass failure:
 //
 //	<dir>/crash-<hash>/
-//	  repro.json    pipeline spec, jobs level, budget, failing pass, error
+//	  repro.json    pipeline spec, target, schedule, jobs level, budget,
+//	                failing pass, error
 //	  input.imp     the Impala source that was being compiled
 //	  input.thorin  frontend IR before the pipeline ran (best effort)
 //
@@ -69,9 +71,13 @@ func CrashBundle(err error) (string, bool) {
 	return "", false
 }
 
-// crashManifest is the serialized form of repro.json.
+// crashManifest is the serialized form of repro.json. Bundles written
+// before target and schedule were recorded lack them and replay with the
+// defaults, vm and smart.
 type crashManifest struct {
 	Spec             string `json:"spec"`
+	Target           string `json:"target,omitempty"`
+	Schedule         string `json:"schedule,omitempty"`
 	Jobs             int    `json:"jobs"`
 	VerifyEach       bool   `json:"verify_each,omitempty"`
 	MaxFixpointIters int    `json:"max_fixpoint_iters,omitempty"`
@@ -82,14 +88,19 @@ type crashManifest struct {
 
 // WriteCrashBundle writes a reproduction bundle for a pass failure and
 // returns the bundle directory.
-func WriteCrashBundle(dir, src, spec string, cfg Config, pass string, failure error) (string, error) {
+func WriteCrashBundle(dir, src, spec string, mode analysis.Mode, cfg Config, pass string, failure error) (string, error) {
 	sum := sha256.Sum256([]byte(src + "\x00" + spec))
 	bundle := filepath.Join(dir, fmt.Sprintf("crash-%x", sum[:6]))
 	if err := os.MkdirAll(bundle, 0o755); err != nil {
 		return "", err
 	}
+	// Record the canonical target name, so "" and "vm" write the same
+	// bundle.
+	target, _ := backend.ParseTarget(string(cfg.Target))
 	man := crashManifest{
 		Spec:             spec,
+		Target:           string(target),
+		Schedule:         mode.String(),
 		Jobs:             cfg.Jobs,
 		VerifyEach:       cfg.VerifyEach,
 		MaxFixpointIters: cfg.Budget.MaxFixpointIters,
@@ -120,8 +131,9 @@ func WriteCrashBundle(dir, src, spec string, cfg Config, pass string, failure er
 }
 
 // Replay re-runs the compilation recorded in a crash bundle with the same
-// spec, jobs level and budget, failing fast. The expected outcome is the
-// original error; a nil error means the bug no longer reproduces.
+// spec, target, schedule, jobs level and budget, failing fast. The
+// expected outcome is the original error; a nil error means the bug no
+// longer reproduces.
 func Replay(bundle string) (*Result, error) {
 	js, err := os.ReadFile(filepath.Join(bundle, "repro.json"))
 	if err != nil {
@@ -135,7 +147,16 @@ func Replay(bundle string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("driver: replay: %w", err)
 	}
+	mode, err := analysis.ParseMode(man.Schedule)
+	if err != nil {
+		return nil, fmt.Errorf("driver: replay: %w", err)
+	}
+	target, err := backend.ParseTarget(man.Target)
+	if err != nil {
+		return nil, fmt.Errorf("driver: replay: %w", err)
+	}
 	cfg := Config{
+		Target:     target,
 		VerifyEach: man.VerifyEach,
 		Jobs:       man.Jobs,
 		Budget: pm.Budget{
@@ -146,5 +167,5 @@ func Replay(bundle string) (*Result, error) {
 		// write a second bundle for the same crash.
 		OnPassFailure: FailFast,
 	}
-	return CompileSpec(string(src), man.Spec, analysis.ScheduleSmart, cfg)
+	return CompileSpec(string(src), man.Spec, mode, cfg)
 }

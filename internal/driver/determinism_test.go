@@ -66,7 +66,7 @@ func printedIR(t *testing.T, src, spec string, jobs int, disableIncremental bool
 func TestDeterministicIRAcrossJobsAndRuns(t *testing.T) {
 	for name, src := range determinismCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, spec := range []string{transform.SpecFor(transform.OptAll()), effectSplitDetSpec} {
+			for _, spec := range []string{transform.O2, effectSplitDetSpec} {
 				ref := printedIR(t, src, spec, 1, false)
 				if ref == "" {
 					t.Fatal("empty printed IR")

@@ -10,16 +10,25 @@ import (
 	"thorin/internal/vm"
 )
 
-// runVerified is Run with the pass manager's verify-each debug mode on:
-// ir.Verify runs after every pass, so a pass that corrupts the IR fails the
-// differential suite by name instead of as a downstream miscompile.
-func runVerified(src string, opts transform.Options, out io.Writer, args ...int64) (int64, vm.Counters, error) {
-	res, err := CompileSpec(src, transform.SpecFor(opts), analysis.ScheduleSmart,
-		Config{VerifyEach: true})
+// runSpec compiles src under spec and runs main with i64 arguments on the
+// VM under the default step budget.
+func runSpec(src, spec string, out io.Writer, args ...int64) (int64, vm.Counters, error) {
+	return runConfig(src, spec, Config{}, out, args...)
+}
+
+// runVerified is runSpec with the pass manager's verify-each debug mode
+// on: ir.Verify runs after every pass, so a pass that corrupts the IR fails
+// the differential suite by name instead of as a downstream miscompile.
+func runVerified(src, spec string, out io.Writer, args ...int64) (int64, vm.Counters, error) {
+	return runConfig(src, spec, Config{VerifyEach: true}, out, args...)
+}
+
+func runConfig(src, spec string, cfg Config, out io.Writer, args ...int64) (int64, vm.Counters, error) {
+	res, err := CompileSpec(src, spec, analysis.ScheduleSmart, cfg)
 	if err != nil {
 		return 0, vm.Counters{}, err
 	}
-	return Exec(res.Program, out, args...)
+	return ExecSteps(res.Program, out, 0, args...)
 }
 
 // differentialPrograms exercise every language feature; all three pipelines
@@ -157,11 +166,11 @@ func TestDifferentialPipelines(t *testing.T) {
 	for _, tc := range differentialPrograms {
 		t.Run(tc.name, func(t *testing.T) {
 			var outOpt, outNo, outSSA strings.Builder
-			gotOpt, _, err := runVerified(tc.src, transform.OptAll(), &outOpt, tc.args...)
+			gotOpt, _, err := runVerified(tc.src, transform.O2, &outOpt, tc.args...)
 			if err != nil {
 				t.Fatalf("thorin-opt: %v", err)
 			}
-			gotNo, _, err := runVerified(tc.src, transform.OptNone(), &outNo, tc.args...)
+			gotNo, _, err := runVerified(tc.src, transform.O0, &outNo, tc.args...)
 			if err != nil {
 				t.Fatalf("thorin-noopt: %v", err)
 			}
@@ -203,7 +212,7 @@ fn main(n: i64) -> i64 {
 	fold(xs, 0, |a: i64, b: i64| a + b)
 }`
 	const n = 10000
-	_, cOpt, err := runVerified(src, transform.OptAll(), nil, n)
+	_, cOpt, err := runVerified(src, transform.O2, nil, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +255,8 @@ fn main(n: i64) -> i64 {
 		name string
 		run  func() (int64, error)
 	}{
-		{"thorin-opt", func() (int64, error) { v, _, err := runVerified(src, transform.OptAll(), nil, 7); return v, err }},
-		{"thorin-noopt", func() (int64, error) { v, _, err := runVerified(src, transform.OptNone(), nil, 7); return v, err }},
+		{"thorin-opt", func() (int64, error) { v, _, err := runVerified(src, transform.O2, nil, 7); return v, err }},
+		{"thorin-noopt", func() (int64, error) { v, _, err := runVerified(src, transform.O0, nil, 7); return v, err }},
 		{"ssa", func() (int64, error) { v, _, err := RunSSA(src, nil, 7); return v, err }},
 	} {
 		got, err := arm.run()

@@ -126,13 +126,6 @@ type IRStats struct {
 	HigherOrder   int // continuations violating control-flow form
 }
 
-// Compile runs the full pipeline over src. Options map to their canonical
-// pass-manager spec (transform.SpecFor), so this is CompileSpec with the
-// default configuration.
-func Compile(src string, opts transform.Options, mode analysis.Mode) (*Result, error) {
-	return CompileSpec(src, transform.SpecFor(opts), mode, Config{})
-}
-
 // CompileSpec runs the frontend, an explicit pass-manager pipeline spec
 // (e.g. "cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure")
 // and the backend over src. Pass failures (panics included) are handled
@@ -162,7 +155,7 @@ func CompileSpec(src, spec string, mode analysis.Mode, cfg Config) (*Result, err
 		// A failed bundle write (read-only dir, full disk) must not mask
 		// the pass failure it was meant to record: both errors are
 		// reported, the original one first.
-		if p, werr := WriteCrashBundle(cfg.CrashDir, src, spec, cfg, pass, err); werr == nil {
+		if p, werr := WriteCrashBundle(cfg.CrashDir, src, spec, mode, cfg, pass, err); werr == nil {
 			bundle = p
 		} else {
 			bundleErr = werr
@@ -230,26 +223,16 @@ func compileOnce(src, spec string, mode analysis.Mode, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	pl, err := pm.Parse(spec)
+	return CompileWorld(w, spec, mode, cfg)
+}
+
+// CompileWorld runs spec over an already-built world (frontend output, a
+// linked program or parsed textual IR) and finishes it with the backend,
+// failing fast.
+func CompileWorld(w *ir.World, spec string, mode analysis.Mode, cfg Config) (*Result, error) {
+	ctx, rep, err := runPipeline(w, spec, cfg)
 	if err != nil {
 		return nil, err
-	}
-	ctx := pm.NewContext(w)
-	ctx.VerifyEach = cfg.VerifyEach
-	ctx.Budget = cfg.Budget
-	ctx.Ctx = cfg.Ctx
-	if cfg.Jobs > 0 {
-		ctx.Jobs = cfg.Jobs
-	}
-	if cfg.DisableIncremental {
-		ctx.Incremental = false
-	}
-	rep, err := pl.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := ir.Verify(w); err != nil {
-		return nil, fmt.Errorf("driver: optimizer produced invalid IR: %w", err)
 	}
 	out, target, err := compileBackend(w, mode, cfg.Target)
 	if err != nil {
@@ -265,6 +248,35 @@ func compileOnce(src, spec string, mode analysis.Mode, cfg Config) (*Result, err
 		Report:  rep,
 		Spec:    spec,
 	}, nil
+}
+
+// runPipeline parses spec, runs it over w under cfg and verifies the
+// result. It is the one place a pass-manager context is built from a
+// Config, so every compile path honours cfg.Ctx, the budget and the
+// incremental and jobs knobs alike.
+func runPipeline(w *ir.World, spec string, cfg Config) (*pm.Context, *pm.Report, error) {
+	pl, err := pm.Parse(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := pm.NewContext(w)
+	ctx.VerifyEach = cfg.VerifyEach
+	ctx.Budget = cfg.Budget
+	ctx.Ctx = cfg.Ctx
+	if cfg.Jobs > 0 {
+		ctx.Jobs = cfg.Jobs
+	}
+	if cfg.DisableIncremental {
+		ctx.Incremental = false
+	}
+	rep, err := pl.Run(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ir.Verify(w); err != nil {
+		return nil, nil, fmt.Errorf("driver: optimizer produced invalid IR: %w", err)
+	}
+	return ctx, rep, nil
 }
 
 // compileFrontend runs the Impala frontend under panic containment:
@@ -313,16 +325,6 @@ func MeasureIR(w *ir.World) IRStats {
 	return st
 }
 
-// Run compiles src and executes main with the given i64 arguments,
-// returning the first result value and the VM counters.
-func Run(src string, opts transform.Options, out io.Writer, args ...int64) (int64, vm.Counters, error) {
-	res, err := Compile(src, opts, analysis.ScheduleSmart)
-	if err != nil {
-		return 0, vm.Counters{}, err
-	}
-	return Exec(res.Program, out, args...)
-}
-
 // CompileSSA runs the baseline classical SSA pipeline over src.
 func CompileSSA(src string) (*vm.Program, *ssa.Module, error) {
 	prog, err := impala.Parse(src)
@@ -341,12 +343,6 @@ func RunSSA(src string, out io.Writer, args ...int64) (int64, vm.Counters, error
 	if err != nil {
 		return 0, vm.Counters{}, err
 	}
-	return Exec(prog, out, args...)
-}
-
-// Exec runs a compiled program's main with i64 arguments under the
-// default step budget.
-func Exec(prog *vm.Program, out io.Writer, args ...int64) (int64, vm.Counters, error) {
 	return ExecSteps(prog, out, 0, args...)
 }
 

@@ -14,14 +14,14 @@ import (
 // requires identical results.
 func runBoth(t *testing.T, src string, want int64, args ...int64) {
 	t.Helper()
-	got, _, err := Run(src, transform.OptAll(), nil, args...)
+	got, _, err := runSpec(src, transform.O2, nil, args...)
 	if err != nil {
 		t.Fatalf("opt run: %v", err)
 	}
 	if got != want {
 		t.Errorf("opt: got %d, want %d", got, want)
 	}
-	got, _, err = Run(src, transform.OptNone(), nil, args...)
+	got, _, err = runSpec(src, transform.O0, nil, args...)
 	if err != nil {
 		t.Fatalf("noopt run: %v", err)
 	}
@@ -170,11 +170,11 @@ fn main(n: i64) -> i64 {
 
 	// The optimized build must eliminate every closure; the unoptimized
 	// build must pay for them on every element.
-	_, cOpt, err := Run(src, transform.OptAll(), nil, 1000)
+	_, cOpt, err := runSpec(src, transform.O2, nil, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cNo, err := Run(src, transform.OptNone(), nil, 1000)
+	_, cNo, err := runSpec(src, transform.O0, nil, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ fn main(n: i64) -> i64 {
 
 func TestPrintOutput(t *testing.T) {
 	var sb strings.Builder
-	_, _, err := Run(`
+	_, _, err := runSpec(`
 fn main() -> i64 {
 	print(7);
 	print(2.5);
@@ -211,7 +211,7 @@ fn main() -> i64 {
 	print_char('i');
 	print_char('\n');
 	0
-}`, transform.OptAll(), &sb)
+}`, transform.O2, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOptimizedIRIsCFF(t *testing.T) {
 	src := `
 fn apply(f: fn(i64) -> i64, x: i64) -> i64 { f(x) }
 fn main(n: i64) -> i64 { apply(|v: i64| v + 1, n) }`
-	res, err := Compile(src, transform.OptAll(), analysis.ScheduleSmart)
+	res, err := CompileSpec(src, transform.O2, analysis.ScheduleSmart, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ fn main(n: i64) -> i64 { apply(|v: i64| v + 1, n) }`
 		t.Errorf("optimized world must be in CFF, %d higher-order conts remain",
 			res.IRStats.HigherOrder)
 	}
-	noopt, err := Compile(src, transform.OptNone(), analysis.ScheduleSmart)
+	noopt, err := CompileSpec(src, transform.O0, analysis.ScheduleSmart, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestMem2RegPromotesLocals(t *testing.T) {
 		while i < n { s = s + i; i = i + 1; }
 		s
 	}`
-	got, c, err := Run(src, transform.OptAll(), nil, 1000)
+	got, c, err := runSpec(src, transform.O2, nil, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestMem2RegPromotesLocals(t *testing.T) {
 
 func TestFloatComputation(t *testing.T) {
 	var sb strings.Builder
-	_, _, err := Run(`
+	_, _, err := runSpec(`
 fn norm(x: f64, y: f64) -> f64 { x * x + y * y }
 fn main() -> i64 {
 	let mut acc = 0.0;
@@ -286,7 +286,7 @@ fn main() -> i64 {
 	}
 	print(acc);
 	acc as i64
-}`, transform.OptAll(), &sb)
+}`, transform.O2, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +298,11 @@ fn main() -> i64 {
 
 func TestDeterministicCounters(t *testing.T) {
 	src := `fn main(n: i64) -> i64 { let mut s = 0; for i in 0 .. n { s = s + i; } s }`
-	_, c1, err := Run(src, transform.OptAll(), nil, 500)
+	_, c1, err := runSpec(src, transform.O2, nil, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c2, err := Run(src, transform.OptAll(), nil, 500)
+	_, c2, err := runSpec(src, transform.O2, nil, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ fn main(n: i64) -> i64 {
 	let r = if n % 2 == 0 { step(n) } else { step(n + 1) };
 	r + 1
 }`
-	got, c, err := Run(src, transform.OptAll(), nil, 7)
+	got, c, err := runSpec(src, transform.O2, nil, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestIRTextRoundTripExecutes(t *testing.T) {
 	src := `
 fn fib(n: i64) -> i64 { if n < 2 { n } else { fib(n-1) + fib(n-2) } }
 fn main(n: i64) -> i64 { fib(n) }`
-	res, err := Compile(src, transform.OptAll(), analysis.ScheduleSmart)
+	res, err := CompileSpec(src, transform.O2, analysis.ScheduleSmart, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +355,11 @@ fn main(n: i64) -> i64 { fib(n) }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Exec(res.Program, nil, 17)
+	want, _, err := ExecSteps(res.Program, nil, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Exec(prog2, nil, 17)
+	got, _, err := ExecSteps(prog2, nil, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,13 +56,13 @@ func diffArms(src string, arg int64) (string, error) {
 		jobs   int
 		target backend.Target
 	}{
-		{"O0/jobs=1", transform.SpecFor(transform.OptNone()), 1, backend.VM},
-		{"O2/jobs=1", transform.SpecFor(transform.OptAll()), 1, backend.VM},
-		{"O2/jobs=4", transform.SpecFor(transform.OptAll()), 4, backend.VM},
+		{"O0/jobs=1", transform.O0, 1, backend.VM},
+		{"O2/jobs=1", transform.O2, 1, backend.VM},
+		{"O2/jobs=4", transform.O2, 4, backend.VM},
 		{"O2+effectsplit/jobs=1", effectSplitSpec, 1, backend.VM},
 		{"O2+effectsplit/jobs=4", effectSplitSpec, 4, backend.VM},
-		{"O0/wasm", transform.SpecFor(transform.OptNone()), 1, backend.Wasm},
-		{"O2/wasm", transform.SpecFor(transform.OptAll()), 1, backend.Wasm},
+		{"O0/wasm", transform.O0, 1, backend.Wasm},
+		{"O2/wasm", transform.O2, 1, backend.Wasm},
 	} {
 		res, err := CompileSpec(src, arm.spec, analysis.ScheduleSmart, Config{
 			VerifyEach: true,

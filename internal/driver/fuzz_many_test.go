@@ -34,8 +34,8 @@ func TestFuzzExtended(t *testing.T) {
 		if err != nil && !refTrap {
 			t.Fatalf("seed %d interp: %v\n%s", seed, err, src)
 		}
-		for _, opts := range []transform.Options{transform.OptAll(), transform.OptNone()} {
-			got, _, err := Run(src, opts, nil, arg)
+		for _, spec := range []string{transform.O2, transform.O0} {
+			got, _, err := runSpec(src, spec, nil, arg)
 			if refTrap {
 				if err == nil || !strings.Contains(err.Error(), "by zero") {
 					t.Fatalf("seed %d: got (%d, %v), reference trapped on division by zero\n%s",

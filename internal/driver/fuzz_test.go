@@ -43,11 +43,11 @@ func TestFuzzDifferential(t *testing.T) {
 			run  func() (int64, error)
 		}{
 			{"thorin-opt", func() (int64, error) {
-				v, _, err := Run(src, transform.OptAll(), nil, arg)
+				v, _, err := runSpec(src, transform.O2, nil, arg)
 				return v, err
 			}},
 			{"thorin-noopt", func() (int64, error) {
-				v, _, err := Run(src, transform.OptNone(), nil, arg)
+				v, _, err := runSpec(src, transform.O0, nil, arg)
 				return v, err
 			}},
 			{"ssa", func() (int64, error) {

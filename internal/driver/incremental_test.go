@@ -14,7 +14,7 @@ import (
 )
 
 func TestIncrementalCompileSkipsNoopRuns(t *testing.T) {
-	spec := transform.SpecFor(transform.OptAll())
+	spec := transform.O2
 	totalSkips := 0
 	for name, src := range determinismCorpus(t) {
 		res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{})

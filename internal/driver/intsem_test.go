@@ -46,15 +46,15 @@ func TestFolderVMIntegerAgreement(t *testing.T) {
 			}
 			runtimeSrc := fmt.Sprintf("fn main(x: i64, y: i64) -> i64 { x %s y }", tc.op)
 			foldedSrc := fmt.Sprintf("fn main() -> i64 { %s %s %s }", lit(tc.a), tc.op, lit(tc.b))
-			for _, opts := range []transform.Options{transform.OptNone(), transform.OptAll()} {
-				got, _, err := Run(runtimeSrc, opts, nil, tc.a, tc.b)
+			for _, spec := range []string{transform.O0, transform.O2} {
+				got, _, err := runSpec(runtimeSrc, spec, nil, tc.a, tc.b)
 				if err != nil {
 					t.Fatalf("vm arm: %v", err)
 				}
 				if got != tc.want {
 					t.Errorf("vm arm: got %d, want %d", got, tc.want)
 				}
-				got, _, err = Run(foldedSrc, opts, nil)
+				got, _, err = runSpec(foldedSrc, spec, nil)
 				if err != nil {
 					t.Fatalf("folded arm: %v", err)
 				}
@@ -71,7 +71,7 @@ func TestFolderVMIntegerAgreement(t *testing.T) {
 func TestDivisionByZeroErrors(t *testing.T) {
 	for _, op := range []string{"/", "%"} {
 		src := fmt.Sprintf("fn main(x: i64, y: i64) -> i64 { x %s y }", op)
-		if _, _, err := Run(src, transform.OptNone(), nil, 1, 0); err == nil {
+		if _, _, err := runSpec(src, transform.O0, nil, 1, 0); err == nil {
 			t.Errorf("x %s 0 must fail at runtime", op)
 		}
 	}
@@ -99,8 +99,8 @@ func TestConstDivisionByZeroTraps(t *testing.T) {
 			t.Errorf("interp: 10 %s 0 must error", op)
 		}
 
-		for _, opts := range []transform.Options{transform.OptNone(), transform.OptAll()} {
-			if got, _, err := Run(src, opts, nil); err == nil {
+		for _, spec := range []string{transform.O0, transform.O2} {
+			if got, _, err := runSpec(src, spec, nil); err == nil {
 				t.Errorf("vm: 10 %s 0 returned %d, must trap", op, got)
 			} else if !strings.Contains(err.Error(), "by zero") {
 				t.Errorf("vm: 10 %s 0 failed with %v, want a division-by-zero trap", op, err)
@@ -143,8 +143,8 @@ func TestMinInt64Literal(t *testing.T) {
 			if ref.I != tc.want {
 				t.Fatalf("interp: got %d, want %d", ref.I, tc.want)
 			}
-			for _, opts := range []transform.Options{transform.OptNone(), transform.OptAll()} {
-				got, _, err := Run(tc.src, opts, nil, tc.args...)
+			for _, spec := range []string{transform.O0, transform.O2} {
+				got, _, err := runSpec(tc.src, spec, nil, tc.args...)
 				if err != nil {
 					t.Fatalf("vm: %v", err)
 				}

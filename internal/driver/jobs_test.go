@@ -55,7 +55,7 @@ func compileAt(t *testing.T, src, spec string, jobs int, n int64) jobsArm {
 }
 
 func TestParallelJobsIdentical(t *testing.T) {
-	spec := transform.SpecFor(transform.OptAll())
+	spec := transform.O2
 	for _, prog := range bench.Suite {
 		n := jobsN[prog.Name]
 		if n == 0 {
@@ -90,7 +90,7 @@ func TestParallelJobsIdentical(t *testing.T) {
 // actually has enough independent top-level scopes to matter.
 func TestParallelJobsIdenticalManyFns(t *testing.T) {
 	src := bench.GenManyFns(24)
-	spec := transform.SpecFor(transform.Options{Mem2Reg: true})
+	spec := transform.O1
 	ref := compileAt(t, src, spec, 1, 50)
 	for _, jobs := range []int{2, 4, 8} {
 		got := compileAt(t, src, spec, jobs, 50)

@@ -11,7 +11,6 @@ import (
 	"thorin/internal/ir"
 	"thorin/internal/link"
 	"thorin/internal/pm"
-	"thorin/internal/transform"
 )
 
 // ModuleUnit is one parsed and checked module source, with its link
@@ -89,7 +88,7 @@ func CompileModuleUnit(u *ModuleUnit, spec string, cfg Config) (*link.Module, er
 	if err != nil {
 		return nil, err
 	}
-	if _, err := runPipeline(w, ModuleSpec(spec), cfg); err != nil {
+	if _, _, err := runPipeline(w, ModuleSpec(spec), cfg); err != nil {
 		return nil, fmt.Errorf("module %q: %w", u.Name(), err)
 	}
 	return &link.Module{World: w, Info: info}, nil
@@ -106,55 +105,21 @@ func emitModule(prog *impala.Program) (w *ir.World, info *impala.ModuleInfo, err
 	return impala.EmitModule(prog)
 }
 
-// runPipeline parses and runs a pass-manager spec over w under cfg.
-func runPipeline(w *ir.World, spec string, cfg Config) (*pm.Context, error) {
-	pl, err := pm.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	ctx := pm.NewContext(w)
-	ctx.VerifyEach = cfg.VerifyEach
-	ctx.Budget = cfg.Budget
-	if cfg.Jobs > 0 {
-		ctx.Jobs = cfg.Jobs
-	}
-	if cfg.DisableIncremental {
-		ctx.Incremental = false
-	}
-	if _, err := pl.Run(ctx); err != nil {
-		return nil, err
-	}
-	if err := ir.Verify(w); err != nil {
-		return nil, fmt.Errorf("driver: optimizer produced invalid IR: %w", err)
-	}
-	return ctx, nil
-}
-
 // LinkCompiled stitches per-module worlds, runs the post-link pipeline and
 // the backend. spec is the whole-program spec the compilation was
-// requested with (Result.Spec reports it).
+// requested with (Result.Spec reports it); Result.Report covers the
+// post-link pipeline only.
 func LinkCompiled(mods []*link.Module, spec string, linkMode link.Mode, mode analysis.Mode, cfg Config) (*Result, error) {
 	w, err := link.Link(mods, linkMode)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := runPipeline(w, PostLinkSpec(spec, linkMode), cfg)
+	res, err := CompileWorld(w, PostLinkSpec(spec, linkMode), mode, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out, target, err := compileBackend(w, mode, cfg.Target)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		World:   w,
-		Target:  target,
-		Program: out.VM,
-		Wasm:    out.Wasm,
-		Stats:   transform.PipelineStats(ctx),
-		IRStats: MeasureIR(w),
-		Spec:    spec,
-	}, nil
+	res.Spec = spec
+	return res, nil
 }
 
 // CompileModules compiles a set of module sources separately, links them,

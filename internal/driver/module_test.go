@@ -2,6 +2,8 @@ package driver_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"thorin/internal/driver"
 	"thorin/internal/ir"
 	"thorin/internal/link"
+	"thorin/internal/pm"
 	"thorin/internal/transform"
 )
 
@@ -22,7 +25,7 @@ const (
 
 func modSet() []string { return []string{modSrcA, modSrcB, modSrcC} }
 
-func fullSpec() string { return transform.SpecFor(transform.OptAll()) }
+func fullSpec() string { return transform.O2 }
 
 // TestCompileModulesExec: the three-module program (a imports from b,
 // which re-exports c's add) compiles separately, links, and runs correctly
@@ -34,7 +37,7 @@ func TestCompileModulesExec(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var out bytes.Buffer
-		v, _, err := driver.Exec(res.Program, &out, 5)
+		v, _, err := driver.ExecSteps(res.Program, &out, 0, 5)
 		if err != nil {
 			t.Fatalf("%s: exec: %v", mode, err)
 		}
@@ -122,7 +125,7 @@ func TestModuleExampleFromDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		v, _, err := driver.Exec(res.Program, nil, 4)
+		v, _, err := driver.ExecSteps(res.Program, nil, 0, 4)
 		if err != nil || v != 34 {
 			t.Fatalf("%s: main(4) = %d err=%v, want 34", mode, v, err)
 		}
@@ -162,7 +165,7 @@ func TestModuleArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := driver.Exec(res.Program, nil, 5)
+	v, _, err := driver.ExecSteps(res.Program, nil, 0, 5)
 	if err != nil || v != 11 {
 		t.Fatalf("round-tripped modules: main(5) = %d err=%v, want 11", v, err)
 	}
@@ -171,7 +174,7 @@ func TestModuleArtifactRoundTrip(t *testing.T) {
 // TestModuleArtifactRejectsWholeProgram: the two artifact kinds must not
 // decode as each other (the cache holds both under one key space).
 func TestModuleArtifactRejectsWholeProgram(t *testing.T) {
-	res, err := driver.Compile("fn main(n: i64) -> i64 { n }", transform.OptAll(), analysis.ScheduleSmart)
+	res, err := driver.CompileSpec("fn main(n: i64) -> i64 { n }", transform.O2, analysis.ScheduleSmart, driver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,25 +187,50 @@ func TestModuleArtifactRejectsWholeProgram(t *testing.T) {
 	}
 }
 
+// compileRequest resolves req and compiles it under ctx.
+func compileRequest(ctx context.Context, req *driver.Request) (*driver.Result, error) {
+	r, err := req.Resolve("")
+	if err != nil {
+		return nil, err
+	}
+	return driver.Compile(ctx, r)
+}
+
 // TestCompileRequestSources: the wire request compiles module sets, and
 // malformed combinations fail with clear errors.
 func TestCompileRequestSources(t *testing.T) {
-	res, err := driver.CompileRequest(&driver.Request{Sources: modSet()}, "")
+	ctx := context.Background()
+	res, err := compileRequest(ctx, &driver.Request{Sources: modSet()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := driver.Exec(res.Program, nil, 5)
+	v, _, err := driver.ExecSteps(res.Program, nil, 0, 5)
 	if err != nil || v != 11 {
 		t.Fatalf("main(5) = %d err=%v, want 11", v, err)
 	}
-	if _, err := driver.CompileRequest(&driver.Request{Source: "fn main(n: i64) -> i64 { n }", Sources: modSet()}, ""); err == nil || !strings.Contains(err.Error(), "both source and sources") {
+	if _, err := compileRequest(ctx, &driver.Request{Source: "fn main(n: i64) -> i64 { n }", Sources: modSet()}); err == nil || !strings.Contains(err.Error(), "both source and sources") {
 		t.Fatalf("source+sources: %v", err)
 	}
-	if _, err := driver.CompileRequest(&driver.Request{Sources: modSet(), Link: "bogus"}, ""); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+	if _, err := compileRequest(ctx, &driver.Request{Sources: modSet(), Link: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
 		t.Fatalf("bad link mode: %v", err)
 	}
-	if _, err := driver.CompileRequest(&driver.Request{}, ""); err == nil || !strings.Contains(err.Error(), "no source") {
+	if _, err := compileRequest(ctx, &driver.Request{}); err == nil || !strings.Contains(err.Error(), "no source") {
 		t.Fatalf("empty request: %v", err)
+	}
+}
+
+// TestCompileModulesCanceled: module compiles observe Config.Ctx like
+// single-source ones — a canceled context stops the first module pipeline
+// at its first pass boundary instead of compiling and linking the set.
+func TestCompileModulesCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := driver.CompileModules(modSet(), fullSpec(), analysis.ScheduleSmart, link.Trampoline, driver.Config{Ctx: ctx})
+	if !errors.Is(err, pm.ErrCanceled) {
+		t.Fatalf("CompileModules under a canceled context: err = %v, want pm.ErrCanceled", err)
+	}
+	if _, err := compileRequest(ctx, &driver.Request{Sources: modSet()}); !errors.Is(err, pm.ErrCanceled) {
+		t.Fatalf("module request under a canceled context: err = %v, want pm.ErrCanceled", err)
 	}
 }
 

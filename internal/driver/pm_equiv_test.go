@@ -26,6 +26,7 @@ import (
 	"thorin/internal/driver"
 	"thorin/internal/impala"
 	"thorin/internal/ir"
+	"thorin/internal/pm"
 	"thorin/internal/transform"
 	"thorin/internal/vm"
 )
@@ -45,7 +46,7 @@ var fixpointWins = map[string]bool{
 }
 
 // compileLegacy runs the frozen hardcoded pipeline.
-func compileLegacy(src string, opts transform.Options) (*vm.Program, driver.IRStats, error) {
+func compileLegacy(src string, opts transform.LegacyOptions) (*vm.Program, driver.IRStats, error) {
 	w, err := impala.Compile(src)
 	if err != nil {
 		return nil, driver.IRStats{}, err
@@ -64,7 +65,7 @@ func compileLegacy(src string, opts transform.Options) (*vm.Program, driver.IRSt
 func execOut(t *testing.T, prog *vm.Program, n int64) (int64, string, vm.Counters) {
 	t.Helper()
 	var out bytes.Buffer
-	v, c, err := driver.Exec(prog, &out, n)
+	v, c, err := driver.ExecSteps(prog, &out, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +74,13 @@ func execOut(t *testing.T, prog *vm.Program, n int64) (int64, string, vm.Counter
 
 func TestPipelineEquivalence(t *testing.T) {
 	levels := []struct {
-		name string
-		opts transform.Options
+		name, spec string
+		opts       transform.LegacyOptions
 	}{
-		{"O2", transform.OptAll()},
-		{"O1", transform.Options{Mem2Reg: true}},
-		{"O0", transform.OptNone()},
-		{"mangle-only", transform.OptMangleOnly()},
+		{"O2", transform.O2, transform.LegacyOptions{Mangle: true, Mem2Reg: true, PartialEval: true, InlineOnce: true, Contify: true}},
+		{"O1", transform.O1, transform.LegacyOptions{Mem2Reg: true}},
+		{"O0", transform.O0, transform.LegacyOptions{}},
+		{"mangle-only", mangleOnlySpec, transform.LegacyOptions{Mangle: true, Mem2Reg: true}},
 	}
 	for i := range bench.Suite {
 		p := &bench.Suite[i]
@@ -94,7 +95,7 @@ func TestPipelineEquivalence(t *testing.T) {
 		for _, v := range variants {
 			for _, lvl := range levels {
 				t.Run(p.Name+"/"+v.name+"/"+lvl.name, func(t *testing.T) {
-					res, err := driver.CompileSpec(v.src, transform.SpecFor(lvl.opts),
+					res, err := driver.CompileSpec(v.src, lvl.spec,
 						analysis.ScheduleSmart, driver.Config{VerifyEach: true})
 					if err != nil {
 						t.Fatal(err)
@@ -134,21 +135,33 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestCanonicalSpecs pins the Options → spec mapping.
+// mangleOnlySpec isolates lambda mangling for the equivalence sweep: CFF
+// conversion plus slot promotion, nothing else.
+const mangleOnlySpec = "cleanup,fix(cff,mem2reg),cleanup,closure"
+
+// TestCanonicalSpecs pins the named -O specs byte for byte (they enter
+// every cache key and crash bundle), and the -O2-without-mem2reg spec the
+// mem2reg ablation derives with pm.StripPass.
 func TestCanonicalSpecs(t *testing.T) {
 	cases := []struct {
-		opts transform.Options
-		want string
+		level int
+		want  string
 	}{
-		{transform.OptAll(), "cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure"},
-		{transform.OptNone(), "cleanup,cleanup,closure"},
-		{transform.Options{Mem2Reg: true}, "cleanup,fix(mem2reg),cleanup,closure"},
-		{transform.OptMangleOnly(), "cleanup,fix(cff,mem2reg),cleanup,closure"},
+		{2, "cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure"},
+		{0, "cleanup,cleanup,closure"},
+		{1, "cleanup,fix(mem2reg),cleanup,closure"},
 	}
 	for _, tc := range cases {
-		if got := transform.SpecFor(tc.opts); got != tc.want {
-			t.Errorf("SpecFor(%+v) = %q, want %q", tc.opts, got, tc.want)
+		if got, err := transform.OptSpec(tc.level); err != nil || got != tc.want {
+			t.Errorf("OptSpec(%d) = %q, %v; want %q", tc.level, got, err, tc.want)
 		}
+	}
+	if _, err := transform.OptSpec(3); err == nil {
+		t.Error("OptSpec(3) accepted")
+	}
+	const want = "cleanup,pe,fix(cff,contify,inline-once),cleanup,closure"
+	if got, found, err := pm.StripPass(transform.O2, "mem2reg"); err != nil || !found || got != want {
+		t.Errorf("O2 without mem2reg = %q (found=%v, err=%v), want %q", got, found, err, want)
 	}
 }
 
@@ -180,7 +193,7 @@ func TestFixpointSecondIterationIsNoop(t *testing.T) {
 		}
 		srcs["examples/"+strings.TrimSuffix(filepath.Base(m), ".imp")] = string(src)
 	}
-	spec := transform.SpecFor(transform.OptAll())
+	spec := transform.O2
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{})

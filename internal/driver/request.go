@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -23,8 +24,8 @@ const Version = "thorin-go/8"
 // Request is the wire-shaped form of one compilation: everything a client
 // can ask for, expressed in plain strings and integers so it serializes to
 // JSON and can be hashed into a stable cache key. The compile server and
-// `thorinc -server` both speak this type; Resolve turns it into the
-// concrete spec/mode/Config triple CompileSpec consumes.
+// thorinc (in process and with -server) both speak this type; Resolve
+// turns it into the concrete inputs Compile consumes.
 type Request struct {
 	// Source is the Impala program text. Exactly one of Source and Sources
 	// must be set.
@@ -38,7 +39,8 @@ type Request struct {
 	// (default) or "mangle". Ignored for single-source requests.
 	Link string `json:"link,omitempty"`
 	// Spec is an explicit pass-pipeline spec. When empty, Opt selects the
-	// canonical spec (transform.SpecFor), mirroring thorinc's -passes/-O.
+	// named spec of an -O level (transform.OptSpec), mirroring thorinc's
+	// -passes/-O.
 	Spec string `json:"spec,omitempty"`
 	// Opt is the optimization level (0, 1, 2) used when Spec is empty.
 	// The zero value means -O2, the thorinc default, so the empty Request
@@ -73,7 +75,7 @@ type Request struct {
 }
 
 // ResolvedSpec returns the pipeline spec the request will compile with:
-// the explicit Spec if given, else the canonical spec for Opt.
+// the explicit Spec if given, else the named spec for Opt.
 func (r *Request) ResolvedSpec() (string, error) {
 	if r.Spec != "" {
 		return r.Spec, nil
@@ -82,55 +84,60 @@ func (r *Request) ResolvedSpec() (string, error) {
 	if r.Opt != nil {
 		opt = *r.Opt
 	}
-	switch opt {
-	case 0:
-		return transform.SpecFor(transform.OptNone()), nil
-	case 1:
-		return transform.SpecFor(transform.Options{Mem2Reg: true}), nil
-	case 2:
-		return transform.SpecFor(transform.OptAll()), nil
-	}
-	return "", fmt.Errorf("driver: bad opt level %d (want 0, 1 or 2)", opt)
+	return transform.OptSpec(opt)
 }
 
-// ResolvedLinkMode returns the link mode for a multi-source request.
-func (r *Request) ResolvedLinkMode() (link.Mode, error) {
-	if r.Link == "" {
-		return link.Trampoline, nil
-	}
-	return link.ParseMode(r.Link)
+// Resolved is a checked Request in the form the compiler consumes. Every
+// field is canonical, so two requests that resolve equal compile to the
+// same program.
+type Resolved struct {
+	// Source and Sources are the request's; exactly one is set.
+	Source  string
+	Sources []string
+	// Spec is the whole-program pipeline spec.
+	Spec string
+	// Mode is the primop schedule; Mode.String() is its canonical name.
+	Mode analysis.Mode
+	// Link is the cross-module resolution mode (used for Sources only).
+	Link link.Mode
+	// Config carries target, jobs, failure policy, budget, crash directory
+	// and the incremental switch. Compile supplies Config.Ctx.
+	Config Config
+	// Deadline is the request's deadline_ms (0 = none); WithDeadline
+	// applies it.
+	Deadline time.Duration
 }
 
-// ResolvedSchedule returns the schedule mode and its canonical name.
-func (r *Request) ResolvedSchedule() (analysis.Mode, string, error) {
-	switch r.Schedule {
-	case "", "smart":
-		return analysis.ScheduleSmart, "smart", nil
-	case "early":
-		return analysis.ScheduleEarly, "early", nil
-	case "late":
-		return analysis.ScheduleLate, "late", nil
-	}
-	return 0, "", fmt.Errorf("driver: bad schedule %q (want early, late or smart)", r.Schedule)
-}
-
-// ResolvedTarget returns the backend target the request compiles for and
-// its canonical name ("" resolves to the VM default).
-func (r *Request) ResolvedTarget() (backend.Target, string, error) {
-	t, err := backend.ParseTarget(r.Target)
-	if err != nil {
-		return "", "", err
-	}
-	return t, string(t), nil
-}
-
-// Config resolves the request's policy knobs into a driver Config.
+// Resolve checks the request and resolves every knob exactly once. It is
+// the single interpretation of the wire strings: thorinc builds a Request
+// from its flags and resolves it here whether it compiles in process or on
+// a daemon, and the daemon resolves what it receives the same way.
 // crashDir is supplied by the caller (the daemon owns the bundle
 // directory, not the client).
-func (r *Request) Config(crashDir string) (Config, error) {
-	target, _, err := r.ResolvedTarget()
+func (r *Request) Resolve(crashDir string) (*Resolved, error) {
+	if r.Source == "" && len(r.Sources) == 0 {
+		return nil, errors.New("driver: request has no source")
+	}
+	if r.Source != "" && len(r.Sources) > 0 {
+		return nil, errors.New("driver: request has both source and sources")
+	}
+	spec, err := r.ResolvedSpec()
 	if err != nil {
-		return Config{}, err
+		return nil, err
+	}
+	mode, err := analysis.ParseMode(r.Schedule)
+	if err != nil {
+		return nil, err
+	}
+	target, err := backend.ParseTarget(r.Target)
+	if err != nil {
+		return nil, err
+	}
+	linkMode := link.Trampoline
+	if r.Link != "" {
+		if linkMode, err = link.ParseMode(r.Link); err != nil {
+			return nil, err
+		}
 	}
 	cfg := Config{
 		Jobs:               r.Jobs,
@@ -144,62 +151,44 @@ func (r *Request) Config(crashDir string) (Config, error) {
 	case "degrade":
 		cfg.OnPassFailure = Degrade
 	default:
-		return Config{}, fmt.Errorf("driver: bad on_failure %q (want fail or degrade)", r.OnFailure)
+		return nil, fmt.Errorf("driver: bad on_failure %q (want fail or degrade)", r.OnFailure)
 	}
 	if r.Budget != "" {
-		b, err := pm.ParseBudget(r.Budget)
-		if err != nil {
-			return Config{}, err
-		}
-		cfg.Budget = b
-	}
-	return cfg, nil
-}
-
-// CompileRequest runs one wire-shaped request through the full pipeline.
-// It is CompileSpec with the request's knobs resolved; pass failures are
-// handled per the request's on_failure policy and, with crashDir set, leave
-// a reproduction bundle exactly like a thorinc run would.
-func CompileRequest(req *Request, crashDir string) (*Result, error) {
-	return CompileRequestCtx(context.Background(), req, crashDir)
-}
-
-// CompileRequestCtx is CompileRequest under a caller context: the compile
-// observes ctx (and the request's own deadline_ms, whichever is tighter)
-// cooperatively, stopping at the next pass boundary with pm.ErrCanceled or
-// pm.ErrDeadline. The compile server passes the HTTP request context here,
-// which is how a disconnected client's compile frees its workers.
-func CompileRequestCtx(ctx context.Context, req *Request, crashDir string) (*Result, error) {
-	if req.Source == "" && len(req.Sources) == 0 {
-		return nil, fmt.Errorf("driver: request has no source")
-	}
-	if req.Source != "" && len(req.Sources) > 0 {
-		return nil, fmt.Errorf("driver: request has both source and sources")
-	}
-	spec, err := req.ResolvedSpec()
-	if err != nil {
-		return nil, err
-	}
-	mode, _, err := req.ResolvedSchedule()
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := req.Config(crashDir)
-	if err != nil {
-		return nil, err
-	}
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
-	}
-	cfg.Ctx = ctx
-	if len(req.Sources) > 0 {
-		linkMode, err := req.ResolvedLinkMode()
-		if err != nil {
+		if cfg.Budget, err = pm.ParseBudget(r.Budget); err != nil {
 			return nil, err
 		}
-		return CompileModules(req.Sources, spec, mode, linkMode, cfg)
 	}
-	return CompileSpec(req.Source, spec, mode, cfg)
+	return &Resolved{
+		Source:   r.Source,
+		Sources:  r.Sources,
+		Spec:     spec,
+		Mode:     mode,
+		Link:     linkMode,
+		Config:   cfg,
+		Deadline: time.Duration(r.DeadlineMs) * time.Millisecond,
+	}, nil
+}
+
+// WithDeadline returns parent bounded by the request's deadline, if it has
+// one. The daemon applies it before admission, so time spent queueing for
+// a compile slot counts against the deadline.
+func (r *Resolved) WithDeadline(parent context.Context) (context.Context, context.CancelFunc) {
+	if r.Deadline > 0 {
+		return context.WithTimeout(parent, r.Deadline)
+	}
+	return context.WithCancel(parent)
+}
+
+// Compile runs a resolved request: a single source through CompileSpec, a
+// module set through CompileModules. The compile observes ctx
+// cooperatively, stopping at the next pass boundary with pm.ErrCanceled
+// or pm.ErrDeadline; pass failures are handled per the request's failure
+// policy and, with a crash directory, leave a reproduction bundle.
+func Compile(ctx context.Context, r *Resolved) (*Result, error) {
+	cfg := r.Config
+	cfg.Ctx = ctx
+	if len(r.Sources) > 0 {
+		return CompileModules(r.Sources, r.Spec, r.Mode, r.Link, cfg)
+	}
+	return CompileSpec(r.Source, r.Spec, r.Mode, cfg)
 }

@@ -2,8 +2,10 @@ package driver
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"thorin/internal/analysis"
 	"thorin/internal/transform"
 )
 
@@ -14,34 +16,38 @@ fn main(n: i64) -> i64 { fib(n) }
 
 func intp(n int) *int { return &n }
 
+// compileRequest resolves req and compiles it without a deadline.
+func compileRequest(req *Request) (*Result, error) {
+	r, err := req.Resolve("")
+	if err != nil {
+		return nil, err
+	}
+	return Compile(context.Background(), r)
+}
+
 // TestRequestDefaults: the zero request compiles like a plain
 // `thorinc file.imp` — full -O2 spec, smart schedule, fail-fast.
 func TestRequestDefaults(t *testing.T) {
 	req := &Request{Source: requestSrc}
-	spec, err := req.ResolvedSpec()
+	r, err := req.Resolve("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := transform.SpecFor(transform.OptAll()); spec != want {
-		t.Errorf("default spec %q, want %q", spec, want)
+	if r.Spec != transform.O2 {
+		t.Errorf("default spec %q, want %q", r.Spec, transform.O2)
 	}
-	_, name, err := req.ResolvedSchedule()
-	if err != nil || name != "smart" {
-		t.Errorf("default schedule %q err=%v, want smart", name, err)
+	if r.Mode != analysis.ScheduleSmart {
+		t.Errorf("default schedule %v, want smart", r.Mode)
 	}
-	cfg, err := req.Config("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.OnPassFailure != FailFast {
+	if r.Config.OnPassFailure != FailFast {
 		t.Error("default policy is not FailFast")
 	}
 
-	res, err := CompileRequest(req, "")
+	res, err := Compile(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Exec(res.Program, nil, 10)
+	got, _, err := ExecSteps(res.Program, nil, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +59,19 @@ func TestRequestDefaults(t *testing.T) {
 // TestRequestValidation: malformed knobs are rejected with errors, not
 // silently defaulted.
 func TestRequestValidation(t *testing.T) {
-	if _, err := CompileRequest(&Request{}, ""); err == nil {
-		t.Error("empty source accepted")
-	}
-	if _, err := (&Request{Opt: intp(7)}).ResolvedSpec(); err == nil {
-		t.Error("opt level 7 accepted")
-	}
-	if _, _, err := (&Request{Schedule: "sideways"}).ResolvedSchedule(); err == nil {
-		t.Error("bad schedule accepted")
-	}
-	if _, err := (&Request{OnFailure: "shrug"}).Config(""); err == nil {
-		t.Error("bad on_failure accepted")
-	}
-	if _, err := (&Request{Budget: "nodes=-3"}).Config(""); err == nil {
-		t.Error("bad budget accepted")
+	for _, bad := range []Request{
+		{},
+		{Source: requestSrc, Sources: []string{requestSrc}},
+		{Source: requestSrc, Opt: intp(7)},
+		{Source: requestSrc, Schedule: "sideways"},
+		{Source: requestSrc, Target: "jvm"},
+		{Source: requestSrc, Link: "glue"},
+		{Source: requestSrc, OnFailure: "shrug"},
+		{Source: requestSrc, Budget: "nodes=-3"},
+	} {
+		if _, err := bad.Resolve(""); err == nil {
+			t.Errorf("request %+v accepted", bad)
+		}
 	}
 }
 
@@ -74,7 +79,7 @@ func TestRequestValidation(t *testing.T) {
 // and version mismatches are rejected.
 func TestArtifactRoundTrip(t *testing.T) {
 	req := &Request{Source: requestSrc, Opt: intp(2)}
-	res, err := CompileRequest(req, "")
+	res, err := compileRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Exec(back.Program, nil, 12)
+	got, _, err := ExecSteps(back.Program, nil, 0, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +118,7 @@ func TestArtifactDeterministic(t *testing.T) {
 		{Source: requestSrc, Jobs: 4, DisableIncremental: true},
 	} {
 		req := cfg
-		res, err := CompileRequest(&req, "")
+		res, err := compileRequest(&req)
 		if err != nil {
 			t.Fatal(err)
 		}

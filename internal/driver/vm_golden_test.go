@@ -79,8 +79,8 @@ func vmGoldenPrograms(t *testing.T) map[string]func(spec string) ([]byte, error)
 
 func TestVMGoldenArtifacts(t *testing.T) {
 	specs := map[string]string{
-		"O0": transform.SpecFor(transform.OptNone()),
-		"O2": transform.SpecFor(transform.OptAll()),
+		"O0": transform.O0,
+		"O2": transform.O2,
 	}
 	got := map[string]string{}
 	for name, compile := range vmGoldenPrograms(t) {

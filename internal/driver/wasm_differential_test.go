@@ -51,7 +51,7 @@ func diffTargets(t *testing.T, name, src, spec string, jobs int, args ...int64) 
 		return true
 	}
 	var vout, wout bytes.Buffer
-	vret, _, verr := Exec(vmRes.Program, &vout, args...)
+	vret, _, verr := ExecSteps(vmRes.Program, &vout, 0, args...)
 	wret, werr := ExecWasm(wRes.Wasm, &wout, 0, args...)
 	if (verr == nil) != (werr == nil) {
 		t.Errorf("%s: trap disagreement: vm=%v wasm=%v", name, verr, werr)
@@ -74,8 +74,8 @@ func diffTargets(t *testing.T, name, src, spec string, jobs int, args ...int64) 
 // arguments in TestCrashers (fuzz_compile_test.go's diffArms).
 func TestWasmDifferentialExamples(t *testing.T) {
 	specs := map[string]string{
-		"O0": transform.SpecFor(transform.OptNone()),
-		"O2": transform.SpecFor(transform.OptAll()),
+		"O0": transform.O0,
+		"O2": transform.O2,
 	}
 	for _, p := range examplePaths(t) {
 		srcBytes, err := os.ReadFile(p)
@@ -139,8 +139,8 @@ fn main(n: i64) -> i64 {
 func TestWasmRegressions(t *testing.T) {
 	for _, tc := range wasmRegressions {
 		for sname, spec := range map[string]string{
-			"O0": transform.SpecFor(transform.OptNone()),
-			"O2": transform.SpecFor(transform.OptAll()),
+			"O0": transform.O0,
+			"O2": transform.O2,
 		} {
 			for _, arg := range tc.args {
 				name := fmt.Sprintf("%s/%s/n=%d", tc.name, sname, arg)
@@ -163,8 +163,8 @@ func TestWasmModulesValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range []string{
-			transform.SpecFor(transform.OptNone()),
-			transform.SpecFor(transform.OptAll()),
+			transform.O0,
+			transform.O2,
 		} {
 			res, err := CompileSpec(string(src), spec, analysis.ScheduleSmart, Config{Target: backend.Wasm})
 			if err != nil {
@@ -213,24 +213,18 @@ fn main(n: i64) -> i64 { square(n) + cube(n) }
 
 func checkLinked(t *testing.T, name string, sources []string) {
 	t.Helper()
-	spec := transform.SpecFor(transform.OptAll())
 	for _, lm := range []string{"trampoline", "mangle"} {
-		req := &Request{Sources: sources, Link: lm}
-		linkMode, err := req.ResolvedLinkMode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		vmRes, err := CompileModules(sources, spec, analysis.ScheduleSmart, linkMode, Config{})
+		vmRes, err := compileRequest(&Request{Sources: sources, Link: lm})
 		if err != nil {
 			t.Fatalf("%s/%s: vm link: %v", name, lm, err)
 		}
-		wRes, err := CompileModules(sources, spec, analysis.ScheduleSmart, linkMode, Config{Target: backend.Wasm})
+		wRes, err := compileRequest(&Request{Sources: sources, Link: lm, Target: "wasm"})
 		if err != nil {
 			t.Fatalf("%s/%s: wasm link: %v", name, lm, err)
 		}
 		for _, n := range []int64{0, 3, -5} {
 			var vout, wout bytes.Buffer
-			vret, _, verr := Exec(vmRes.Program, &vout, n)
+			vret, _, verr := ExecSteps(vmRes.Program, &vout, 0, n)
 			wret, werr := ExecWasm(wRes.Wasm, &wout, 0, n)
 			if verr != nil || werr != nil {
 				t.Fatalf("%s/%s: n=%d: vm err=%v wasm err=%v", name, lm, n, verr, werr)

@@ -60,7 +60,7 @@ func TestBackendFailure422(t *testing.T) {
 	if art.Target != "vm" || art.Program == nil {
 		t.Fatalf("vm artifact target=%q program=%v", art.Target, art.Program != nil)
 	}
-	if got, _, err := driver.Exec(art.Program, nil, 10); err != nil || got != 55 {
+	if got, _, err := driver.ExecSteps(art.Program, nil, 0, 10); err != nil || got != 55 {
 		t.Fatalf("fib(10) = %d err=%v, want 55", got, err)
 	}
 	_ = resp

@@ -7,28 +7,14 @@ import (
 	"thorin/internal/pm"
 )
 
-// keyFor derives a request's cache key exactly the way handleCompile does:
-// resolved spec, schedule name, and the effective fixpoint iteration bound
-// from the request's budget.
+// keyFor derives a request's cache key exactly the way handleCompile does.
 func keyFor(t *testing.T, r driver.Request) string {
 	t.Helper()
-	spec, err := r.ResolvedSpec()
+	rr, err := r.Resolve("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sched, err := r.ResolvedSchedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, target, err := r.ResolvedTarget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := r.Config("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return CacheKey(driver.Version, r.Source, spec, sched, target, effectiveFixIters(cfg.Budget))
+	return requestKey(rr)
 }
 
 // TestCacheKeyStability: identical (source, spec, schedule, iters) inputs

@@ -200,19 +200,25 @@ func TestQueueWaitBoundSheds(t *testing.T) {
 
 // TestDeadlineExceededAnswers504: a request whose deadline_ms expires
 // mid-pipeline stops at the next pass boundary and answers 504, counted
-// under deadline_exceeded — not errors.
+// under deadline_exceeded — not errors. A module set's per-module
+// pipelines observe the deadline the same way.
 func TestDeadlineExceededAnswers504(t *testing.T) {
-	srv, c := startServer(t, Config{})
-	_, _, err := c.Compile(&driver.Request{Source: gateSrc(0), Spec: slowSpec, DeadlineMs: 50})
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusGatewayTimeout {
-		t.Fatalf("err = %v, want HTTP 504", err)
+	for _, req := range []*driver.Request{
+		{Source: gateSrc(0), Spec: slowSpec, DeadlineMs: 50},
+		{Sources: []string{srvModA, srvModB, srvModC}, Spec: slowSpec, DeadlineMs: 50},
+	} {
+		srv, c := startServer(t, Config{})
+		_, _, err := c.Compile(req)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Status != http.StatusGatewayTimeout {
+			t.Fatalf("%d sources: err = %v, want HTTP 504", len(req.Sources), err)
+		}
+		m := srv.Metrics()
+		if m.DeadlineExceeded != 1 || m.Errors != 0 {
+			t.Errorf("%d sources: deadline_exceeded=%d errors=%d, want 1 and 0", len(req.Sources), m.DeadlineExceeded, m.Errors)
+		}
+		checkPartition(t, m)
 	}
-	m := srv.Metrics()
-	if m.DeadlineExceeded != 1 || m.Errors != 0 {
-		t.Errorf("deadline_exceeded=%d errors=%d, want 1 and 0", m.DeadlineExceeded, m.Errors)
-	}
-	checkPartition(t, m)
 }
 
 // TestClientDisconnectCancelsCompile: when the client goes away

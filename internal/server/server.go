@@ -308,48 +308,21 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
 		return
 	}
-	if req.Source == "" && len(req.Sources) == 0 {
-		s.metrics.failed()
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "request has no source"})
-		return
-	}
-	if req.Source != "" && len(req.Sources) > 0 {
-		s.metrics.failed()
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "request has both source and sources"})
-		return
-	}
-	spec, err := req.ResolvedSpec()
-	var cfg driver.Config
-	if err == nil {
-		_, _, err = req.ResolvedSchedule()
-	}
-	if err == nil {
-		_, err = req.ResolvedLinkMode()
-	}
-	if err == nil {
-		cfg, err = req.Config("")
-	}
+	rr, err := req.Resolve(s.cfg.CrashDir)
 	if err != nil {
 		s.metrics.failed()
 		s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	_, schedule, _ := req.ResolvedSchedule()
-	_, targetName, _ := req.ResolvedTarget()
-	if req.Jobs == 0 {
-		req.Jobs = s.cfg.DefaultJobs
+	if rr.Config.Jobs == 0 {
+		rr.Config.Jobs = s.cfg.DefaultJobs
 	}
 
 	// The request context ends when the client disconnects; the request's
 	// own deadline_ms tightens it further, and covers the queue wait too —
 	// deadline spent waiting for a compile slot is spent.
-	ctx := r.Context()
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
-		req.DeadlineMs = 0 // applied here; the driver must not re-apply it
-	}
+	ctx, cancel := rr.WithDeadline(r.Context())
+	defer cancel()
 
 	// Admission: take a compile slot, park briefly in the bounded queue for
 	// one, or shed. Shedding answers a fast 429 so a retrying client backs
@@ -367,15 +340,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// A multi-module request is keyed over its full sorted source set plus
-	// the link mode; per-module keys are consulted separately on a miss
-	// (see compileModules).
-	keySource := req.Source
-	if len(req.Sources) > 0 {
-		linkMode, _ := req.ResolvedLinkMode()
-		keySource = MultiSourceKeyInput(req.Sources, string(linkMode))
-	}
-	key := CacheKey(driver.Version, keySource, spec, schedule, targetName, effectiveFixIters(cfg.Budget))
+	key := requestKey(rr)
 	if data, tier := s.cache.Get(key); data != nil {
 		s.metrics.hit()
 		s.logf("compile %s: %s hit (%d bytes)", key[:12], tier, len(data))
@@ -418,10 +383,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var res *driver.Result
 	var modTiers []ModuleCacheInfo
-	if len(req.Sources) > 0 {
-		res, modTiers, err = s.compileModules(ctx, &req, spec)
+	if len(rr.Sources) > 0 {
+		res, modTiers, err = s.compileModules(ctx, rr)
 	} else {
-		res, err = driver.CompileRequestCtx(ctx, &req, s.cfg.CrashDir)
+		res, err = driver.Compile(ctx, rr)
 	}
 	if err != nil {
 		// A compile stopped by its context is an interruption, not a compile
@@ -450,7 +415,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 
-	art := driver.NewArtifact(res, res.Spec, schedule)
+	art := driver.NewArtifact(res, res.Spec, rr.Mode.String())
 	data, err := art.Encode()
 	if err != nil {
 		s.metrics.failed()
@@ -498,6 +463,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// requestKey derives a resolved request's cache key. A multi-module
+// request is keyed over its full sorted source set plus the link mode;
+// per-module keys are consulted separately on a miss (see compileModules).
+func requestKey(rr *driver.Resolved) string {
+	keySource := rr.Source
+	if len(rr.Sources) > 0 {
+		keySource = MultiSourceKeyInput(rr.Sources, string(rr.Link))
+	}
+	return CacheKey(driver.Version, keySource, rr.Spec, rr.Mode.String(), string(rr.Config.Target), effectiveFixIters(rr.Config.Budget))
+}
+
 // writeInterrupted answers a request ended by its context rather than by a
 // compile failure: a blown deadline gets 504 Gateway Timeout, a client
 // disconnect gets the 499 convention (nobody reads it; it keeps logs,
@@ -526,21 +502,10 @@ func (s *Server) writeInterrupted(w http.ResponseWriter, err error, where string
 // ctx interrupts module compiles at pass boundaries like any other
 // compile; modules already built (and cached) before the interruption stay
 // cached.
-func (s *Server) compileModules(ctx context.Context, req *driver.Request, spec string) (*driver.Result, []ModuleCacheInfo, error) {
-	schedMode, _, err := req.ResolvedSchedule()
-	if err != nil {
-		return nil, nil, err
-	}
-	linkMode, err := req.ResolvedLinkMode()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg, err := req.Config(s.cfg.CrashDir)
-	if err != nil {
-		return nil, nil, err
-	}
+func (s *Server) compileModules(ctx context.Context, rr *driver.Resolved) (*driver.Result, []ModuleCacheInfo, error) {
+	cfg := rr.Config
 	cfg.Ctx = ctx
-	units, err := driver.ParseModules(req.Sources)
+	units, err := driver.ParseModules(rr.Sources)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -555,9 +520,9 @@ func (s *Server) compileModules(ctx context.Context, req *driver.Request, spec s
 	if err != nil {
 		return nil, nil, err
 	}
-	moduleSpec := driver.ModuleSpec(spec)
+	moduleSpec := driver.ModuleSpec(rr.Spec)
 	fixIters := effectiveFixIters(cfg.Budget)
-	_, targetName, _ := req.ResolvedTarget()
+	targetName := string(cfg.Target)
 	mods := make([]*link.Module, len(units))
 	tiers := make([]ModuleCacheInfo, len(units))
 	for i, u := range units {
@@ -577,7 +542,7 @@ func (s *Server) compileModules(ctx context.Context, req *driver.Request, spec s
 		if mods[i] != nil {
 			continue
 		}
-		m, err := driver.CompileModuleUnit(u, spec, cfg)
+		m, err := driver.CompileModuleUnit(u, rr.Spec, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -596,7 +561,7 @@ func (s *Server) compileModules(ctx context.Context, req *driver.Request, spec s
 			return nil, nil, err
 		}
 	}
-	res, err := driver.LinkCompiled(mods, spec, linkMode, schedMode, cfg)
+	res, err := driver.LinkCompiled(mods, rr.Spec, rr.Link, rr.Mode, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

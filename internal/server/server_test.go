@@ -96,7 +96,7 @@ func TestCompileColdThenWarm(t *testing.T) {
 	if cold.Cache != "miss" {
 		t.Errorf("first request cache = %q, want miss", cold.Cache)
 	}
-	got, _, err := driver.Exec(coldArt.Program, nil, 10)
+	got, _, err := driver.ExecSteps(coldArt.Program, nil, 0, 10)
 	if err != nil || got != 55 {
 		t.Fatalf("cold artifact: fib(10) = %d err=%v, want 55", got, err)
 	}
@@ -114,7 +114,7 @@ func TestCompileColdThenWarm(t *testing.T) {
 	if !bytes.Equal(cold.Artifact, warm.Artifact) {
 		t.Error("cached artifact bytes differ from the compiled ones")
 	}
-	if got, _, err := driver.Exec(warmArt.Program, nil, 10); err != nil || got != 55 {
+	if got, _, err := driver.ExecSteps(warmArt.Program, nil, 0, 10); err != nil || got != 55 {
 		t.Fatalf("warm artifact: fib(10) = %d err=%v, want 55", got, err)
 	}
 
@@ -171,7 +171,7 @@ func TestPanickingRequestContained(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d after panic: %v", i, err)
 		}
-		if got, _, err := driver.Exec(art.Program, nil, 10); err != nil || got != 55 {
+		if got, _, err := driver.ExecSteps(art.Program, nil, 0, 10); err != nil || got != 55 {
 			t.Fatalf("request %d after panic: fib(10) = %d err=%v", i, got, err)
 		}
 		if i > 0 && resp.Cache != "memory" {
@@ -203,7 +203,7 @@ func TestItersBudgetDoesNotPoisonCache(t *testing.T) {
 	if capped.Cache != "miss" {
 		t.Errorf("capped compile cache = %q, want miss", capped.Cache)
 	}
-	if got, _, err := driver.Exec(cappedArt.Program, nil, 10); err != nil || got != 55 {
+	if got, _, err := driver.ExecSteps(cappedArt.Program, nil, 0, 10); err != nil || got != 55 {
 		t.Fatalf("capped artifact: fib(10) = %d err=%v, want 55", got, err)
 	}
 
@@ -219,7 +219,7 @@ func TestItersBudgetDoesNotPoisonCache(t *testing.T) {
 	if full.Cache != "miss" {
 		t.Errorf("unbudgeted compile after capped one: cache = %q, want miss (served the capped artifact?)", full.Cache)
 	}
-	if got, _, err := driver.Exec(fullArt.Program, nil, 10); err != nil || got != 55 {
+	if got, _, err := driver.ExecSteps(fullArt.Program, nil, 0, 10); err != nil || got != 55 {
 		t.Fatalf("full artifact: fib(10) = %d err=%v, want 55", got, err)
 	}
 
@@ -268,7 +268,7 @@ func TestDegradedNotCached(t *testing.T) {
 		if len(resp.FailedPasses) != 1 || resp.FailedPasses[0] != "srv-panic" {
 			t.Errorf("failed passes = %v, want [srv-panic]", resp.FailedPasses)
 		}
-		if got, _, err := driver.Exec(art.Program, nil, 10); err != nil || got != 55 {
+		if got, _, err := driver.ExecSteps(art.Program, nil, 0, 10); err != nil || got != 55 {
 			t.Fatalf("degraded program: fib(10) = %d err=%v", got, err)
 		}
 	}

@@ -1,15 +1,13 @@
 package transform
 
 import (
-	"strings"
-
 	"thorin/internal/ir"
 	"thorin/internal/pm"
 )
 
 // This file adapts the transform passes to the pass manager: every pass is
 // registered under a stable name, so pipelines can be assembled from spec
-// strings (see SpecFor for the canonical ones). The typed Stats aggregate
+// strings (see O0, O1 and O2 for the -O levels). The typed Stats aggregate
 // lives on the run context's blackboard and accumulates across fix-group
 // iterations.
 
@@ -135,36 +133,6 @@ func init() {
 		st.Closure.Lifted += s.Lifted
 		return pm.Result{Rewrites: s.Closures + s.Lifted, Saturated: s.Saturated}, err
 	}})
-}
-
-// SpecFor maps an Options value to its canonical pipeline spec. The
-// optimization passes form a single fix group iterated to a fixpoint; the
-// post-mangling Cleanup of the original hardcoded pipeline is gone — it was
-// provably redundant (LowerToCFF ends with an internal cleanup), and any
-// residual work is picked up by the next fix iteration.
-func SpecFor(o Options) string {
-	parts := []string{"cleanup"}
-	if o.PartialEval {
-		parts = append(parts, "pe")
-	}
-	var group []string
-	if o.Mangle {
-		group = append(group, "cff")
-	}
-	if o.Contify {
-		group = append(group, "contify")
-	}
-	if o.Mem2Reg {
-		group = append(group, "mem2reg")
-	}
-	if o.InlineOnce {
-		group = append(group, "inline-once")
-	}
-	if len(group) > 0 {
-		parts = append(parts, "fix("+strings.Join(group, ",")+")")
-	}
-	parts = append(parts, "cleanup", "closure")
-	return strings.Join(parts, ",")
 }
 
 // RunPipeline parses spec and runs it over w with a fresh context,

@@ -1,38 +1,41 @@
 package transform
 
-import "thorin/internal/ir"
+import (
+	"fmt"
 
-// Options selects which passes the optimizer runs. The zero value runs
-// nothing but the always-required lowering (cleanup + closure conversion).
-type Options struct {
-	// Mangle enables conversion to control-flow form via lambda mangling —
-	// the paper's headline transformation.
-	Mangle bool
-	// Mem2Reg promotes stack slots to continuation parameters (SSA
-	// construction inside the IR).
-	Mem2Reg bool
-	// PartialEval specializes calls with literal arguments.
-	PartialEval bool
-	// InlineOnce inlines continuations with a single call site.
-	InlineOnce bool
-	// Contify specializes functions whose call sites all share one return
-	// continuation, fusing them into the caller's control flow.
-	Contify bool
+	"thorin/internal/ir"
+)
+
+// The -O levels as named pass-manager specs. Each opens with cleanup and
+// closes with cleanup and closure conversion (backends need
+// closure-converted input); the optimization passes in between form a
+// single fix group iterated to a fixpoint. The post-mangling Cleanup of
+// the original hardcoded pipeline is gone — it was provably redundant
+// (LowerToCFF ends with an internal cleanup), and any residual work is
+// picked up by the next fix iteration.
+const (
+	// O0 runs only the lowering code generation needs. This is the paper's
+	// "unoptimized" arm: every higher-order call pays for a closure.
+	O0 = "cleanup,cleanup,closure"
+	// O1 promotes stack slots but does no lambda mangling. Single-use
+	// inlining is itself an instance of mangling, so it is left out too.
+	O1 = "cleanup,fix(mem2reg),cleanup,closure"
+	// O2 is the full pipeline and the default of thorinc and thorind.
+	O2 = "cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure"
+)
+
+// OptSpec returns the named spec of an -O level.
+func OptSpec(level int) (string, error) {
+	switch level {
+	case 0:
+		return O0, nil
+	case 1:
+		return O1, nil
+	case 2:
+		return O2, nil
+	}
+	return "", fmt.Errorf("bad opt level %d (want 0, 1 or 2)", level)
 }
-
-// OptAll enables every optimization.
-func OptAll() Options {
-	return Options{Mangle: true, Mem2Reg: true, PartialEval: true, InlineOnce: true, Contify: true}
-}
-
-// OptNone disables all optimizations; only the lowering required for code
-// generation (closure conversion) runs. This is the paper's "unoptimized"
-// arm: every higher-order call pays for a closure.
-func OptNone() Options { return Options{} }
-
-// OptMangleOnly enables only CFF conversion — isolates the effect of
-// lambda mangling for the ablation benchmarks.
-func OptMangleOnly() Options { return Options{Mangle: true, Mem2Reg: true} }
 
 // Stats aggregates the per-pass statistics of one optimizer run.
 type Stats struct {
@@ -46,20 +49,21 @@ type Stats struct {
 	Closure     ClosureStats
 }
 
-// Optimize runs the canonical pipeline for opts over w and lowers the
-// result so a backend can consume it (all residual first-class functions
-// become closures). It is a thin wrapper over the pass manager: the pass
-// order is SpecFor(opts), with the optimization passes iterated to a
-// fixpoint. Callers that need the per-pass instrumentation should use
-// RunPipeline (or the driver's CompileSpec) instead.
-func Optimize(w *ir.World, opts Options) Stats {
-	st, _, err := RunPipeline(w, SpecFor(opts))
-	if err != nil {
-		// Canonical specs parse by construction and the standard passes
-		// never fail, so any error here is a programming error.
-		panic("transform: canonical pipeline failed: " + err.Error())
-	}
-	return st
+// LegacyOptions selects which passes OptimizeLegacy runs. The zero value
+// runs nothing but the always-required lowering (cleanup + closure
+// conversion).
+type LegacyOptions struct {
+	// Mangle enables conversion to control-flow form via lambda mangling.
+	Mangle bool
+	// Mem2Reg promotes stack slots to continuation parameters.
+	Mem2Reg bool
+	// PartialEval specializes calls with literal arguments.
+	PartialEval bool
+	// InlineOnce inlines continuations with a single call site.
+	InlineOnce bool
+	// Contify fuses functions whose call sites all share one return
+	// continuation into the caller's control flow.
+	Contify bool
 }
 
 // must unwraps a (value, error) pair for the legacy pipeline, where every
@@ -75,7 +79,7 @@ func must[T any](v T, err error) T {
 // exactly once in the original hardcoded order (including the redundant
 // post-mangling Cleanup). It is retained as the reference arm of the
 // pipeline-equivalence tests and must not be changed.
-func OptimizeLegacy(w *ir.World, opts Options) Stats {
+func OptimizeLegacy(w *ir.World, opts LegacyOptions) Stats {
 	var st Stats
 	st.Cleanup = Cleanup(w)
 	if opts.PartialEval {

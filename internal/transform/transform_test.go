@@ -528,7 +528,7 @@ func TestOptimizePipelineEndToEnd(t *testing.T) {
 	main.SetExtern(true)
 	main.Jump(twice, main.Param(0), d, w.LitI64(5), main.Param(1))
 
-	stats := Optimize(w, OptAll())
+	stats := optimize(t, w, O2)
 	if !InCFF(w) {
 		t.Fatalf("world must be in CFF after optimization: %v", HigherOrderConts(w))
 	}
@@ -554,7 +554,7 @@ func TestOptimizePipelineEndToEnd(t *testing.T) {
 	main2.SetExtern(true)
 	main2.Jump(twice2, main2.Param(0), d2, w2.LitI64(5), main2.Param(1))
 
-	stats2 := Optimize(w2, OptNone())
+	stats2 := optimize(t, w2, O0)
 	if stats2.Closure.Closures == 0 {
 		t.Error("unoptimized lowering must introduce closures")
 	}
@@ -655,4 +655,14 @@ func buildCountLoop(w *ir.World) (*ir.Continuation, *ir.Continuation) {
 	body.Jump(head, body.Param(0), w.Arith(ir.OpAdd, i, w.LitI64(1)), w.Arith(ir.OpAdd, acc, i))
 	done.Jump(main.Param(2), done.Param(0), acc)
 	return main, head
+}
+
+// optimize runs a named spec over w, failing the test on a pipeline error.
+func optimize(t *testing.T, w *ir.World, spec string) Stats {
+	t.Helper()
+	st, _, err := RunPipeline(w, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
