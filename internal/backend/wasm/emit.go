@@ -38,14 +38,16 @@ type label struct {
 	n *analysis.Node
 }
 
-// fnEmitter emits one function body. Every SSA value gets a typed local
-// (set once where the defining primop is scheduled); literals are inlined
-// as const instructions at each use.
+// fnEmitter emits one function body. A value gets a typed local, set once
+// where its primop is scheduled, unless the sink plan emits it as an
+// expression tree at its single consumer; literals are inlined as const
+// instructions at each use.
 type fnEmitter struct {
 	g  *generator
 	f  *lower.Func
 	st *lower.Structure
 
+	sunk       map[*ir.PrimOp]bool
 	locals     map[ir.Def]int
 	localTypes []wasm.ValType
 	nParams    int
@@ -68,6 +70,7 @@ func (g *generator) emitFunc(c *ir.Continuation) error {
 		g:      g,
 		f:      f,
 		st:     lower.NewStructure(f),
+		sunk:   map[*ir.PrimOp]bool{},
 		locals: map[ir.Def]int{},
 		retT:   rts,
 	}
@@ -95,6 +98,7 @@ func (e *fnEmitter) run() error {
 			e.newLocal(p)
 		}
 	}
+	e.planSinks()
 	if err := e.emitTree(e.f.Nodes()[0]); err != nil {
 		return err
 	}
@@ -103,6 +107,84 @@ func (e *fnEmitter) run() error {
 	// arms both transferred away.
 	e.op(wasm.OpUnreachable)
 	return nil
+}
+
+// planSinks marks the primops that get no local: pure values that cannot
+// trap, with exactly one use, by a primop emitted in the same block or by
+// the block's terminator. Each is emitted where that consumer pushes it.
+// Uses by primops and blocks this function never emits do not count.
+func (e *fnEmitter) planSinks() {
+	sched := e.f.Sched
+	for _, b := range sched.Blocks {
+		for _, p := range b.PrimOps {
+			if !sinkable(p) {
+				continue
+			}
+			var user ir.Def
+			n := 0
+			p.EachUse(func(u ir.Use) bool {
+				switch ud := u.Def.(type) {
+				case *ir.PrimOp:
+					if sched.BlockOf(ud) == nil {
+						return true
+					}
+				case *ir.Continuation:
+					if sched.CFG.NodeOf(ud) == nil {
+						return true
+					}
+				}
+				user, n = u.Def, n+1
+				return n < 2
+			})
+			if n != 1 {
+				continue
+			}
+			switch ud := user.(type) {
+			case *ir.PrimOp:
+				e.sunk[p] = sched.BlockOf(ud) == b.Node && !transparent(ud)
+			case *ir.Continuation:
+				e.sunk[p] = ud == b.Node.Cont
+			}
+		}
+	}
+}
+
+// valueOp reports whether p computes a plain value onto the stack
+// (emitValue) that emitPrimOp then stores in p's local.
+func valueOp(p *ir.PrimOp) bool {
+	switch k := p.OpKind(); {
+	case k.IsArith(), k.IsCmp():
+		return true
+	case k == ir.OpExtract:
+		return !transparent(p)
+	default:
+		return k == ir.OpSelect || k == ir.OpCast || k == ir.OpLea ||
+			k == ir.OpALen || k == ir.OpGlobal
+	}
+}
+
+// sinkable reports whether p may be emitted at its consumer instead of its
+// schedule position: every value op but integer div/rem, which trap.
+// Loads, stores and allocations are no value ops, so trap and print order
+// stay as scheduled.
+func sinkable(p *ir.PrimOp) bool {
+	if k := p.OpKind(); k == ir.OpDiv || k == ir.OpRem {
+		return p.Type().(*ir.PrimType).Tag.IsFloat()
+	}
+	return valueOp(p)
+}
+
+// transparent reports whether push resolves p through its operand rather
+// than a local: extracts of effect results, bitcast, run and hlt.
+func transparent(p *ir.PrimOp) bool {
+	switch p.OpKind() {
+	case ir.OpExtract:
+		src, ok := p.Op(0).(*ir.PrimOp)
+		return ok && src.OpKind().HasMemEffect()
+	case ir.OpBitcast, ir.OpRun, ir.OpHlt:
+		return true
+	}
+	return false
 }
 
 // --- byte emission ---------------------------------------------------
@@ -170,9 +252,10 @@ func (e *fnEmitter) setLocal(d ir.Def) {
 }
 
 // push materializes d onto the stack: a local read for params and
-// scheduled primops, an inline const for literals, and transparent
-// resolution for the alias primops (extracts of effect results, bitcast,
-// run/hlt) exactly as in the VM's regOf.
+// scheduled primops, the whole expression tree for a sunk primop, an
+// inline const for literals, and transparent resolution for the alias
+// primops (extracts of effect results, bitcast, run/hlt) exactly as in
+// the VM's regOf.
 func (e *fnEmitter) push(d ir.Def) error {
 	if l, ok := e.locals[d]; ok {
 		e.op(wasm.OpLocalGet)
@@ -191,6 +274,9 @@ func (e *fnEmitter) push(d ir.Def) error {
 		return fmt.Errorf("%s: param %s of %s has no local (unscoped use?)",
 			e.f.Entry.Name(), d, d.Cont().Name())
 	case *ir.PrimOp:
+		if e.sunk[d] {
+			return e.emitValue(d)
+		}
 		switch d.OpKind() {
 		case ir.OpExtract:
 			if src, ok := d.Op(0).(*ir.PrimOp); ok && src.OpKind().HasMemEffect() {
@@ -221,6 +307,20 @@ func (e *fnEmitter) push(d ir.Def) error {
 			e.f.Entry.Name(), d.Name())
 	}
 	return fmt.Errorf("%s: cannot materialize %v", e.f.Entry.Name(), d)
+}
+
+// pushCond pushes d as the i32 truth value if and select consume. A sunk
+// comparison leaves its i32 result as is; any other value is an i64
+// wrapped down.
+func (e *fnEmitter) pushCond(d ir.Def) error {
+	if p, ok := d.(*ir.PrimOp); ok && e.sunk[p] && p.OpKind().IsCmp() {
+		return e.compare(p)
+	}
+	if err := e.push(d); err != nil {
+		return err
+	}
+	e.wrap()
+	return nil
 }
 
 func (e *fnEmitter) pushAll(args []ir.Def) error {
@@ -306,110 +406,17 @@ func (e *fnEmitter) transfer(src, target *analysis.Node) error {
 // --- primops ---------------------------------------------------------
 
 func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
-	k := p.OpKind()
-	switch {
-	case k.IsArith():
-		if err := e.push(p.Op(0)); err != nil {
+	if e.sunk[p] || transparent(p) {
+		return nil // push materializes it at its uses
+	}
+	if valueOp(p) {
+		if err := e.emitValue(p); err != nil {
 			return err
 		}
-		if err := e.push(p.Op(1)); err != nil {
-			return err
-		}
-		if pt := p.Type().(*ir.PrimType); pt.Tag.IsFloat() {
-			switch k {
-			case ir.OpRem:
-				e.call(impFmod)
-			default:
-				op, ok := arithF[k]
-				if !ok {
-					return fmt.Errorf("no instruction for %s at %s", k, p.Type())
-				}
-				e.op(op)
-			}
-		} else {
-			switch k {
-			case ir.OpDiv:
-				e.call(hlpDivI)
-			case ir.OpRem:
-				e.call(hlpRemI)
-			default:
-				op, ok := arithI[k]
-				if !ok {
-					return fmt.Errorf("no instruction for %s at %s", k, p.Type())
-				}
-				e.op(op)
-			}
-		}
-		e.setLocal(p)
-		return nil
-
-	case k.IsCmp():
-		if err := e.push(p.Op(0)); err != nil {
-			return err
-		}
-		if err := e.push(p.Op(1)); err != nil {
-			return err
-		}
-		table := cmpI
-		if pt, ok := p.Op(0).Type().(*ir.PrimType); ok && pt.Tag.IsFloat() {
-			table = cmpF
-		}
-		e.op(table[k])
-		e.boolResult()
 		e.setLocal(p)
 		return nil
 	}
-
-	switch k {
-	case ir.OpSelect:
-		if err := e.push(p.Op(1)); err != nil {
-			return err
-		}
-		if err := e.push(p.Op(2)); err != nil {
-			return err
-		}
-		if err := e.push(p.Op(0)); err != nil {
-			return err
-		}
-		e.wrap()
-		e.op(wasm.OpSelect)
-		e.setLocal(p)
-		return nil
-
-	case ir.OpCast:
-		src := p.Op(0).Type().(*ir.PrimType).Tag
-		dst := p.Type().(*ir.PrimType).Tag
-		if err := e.push(p.Op(0)); err != nil {
-			return err
-		}
-		switch {
-		case src.IsFloat() && dst.IsFloat():
-			if dst.Bits() == 32 {
-				e.op(wasm.OpF32DemoteF64, wasm.OpF64PromoteF32)
-			}
-		case src.IsFloat():
-			e.call(impF2I)
-		case dst.IsFloat():
-			e.op(wasm.OpF64ConvertI64S)
-		default:
-			switch bits := dst.Bits(); bits {
-			case 1:
-				e.i64const(0)
-				e.op(wasm.OpI64Ne)
-				e.boolResult()
-			case 8, 16, 32:
-				e.i64const(int64(64 - bits))
-				e.op(wasm.OpI64Shl)
-				e.i64const(int64(64 - bits))
-				e.op(wasm.OpI64ShrS)
-			}
-		}
-		e.setLocal(p)
-		return nil
-
-	case ir.OpBitcast, ir.OpRun, ir.OpHlt:
-		return nil // resolved transparently at each use
-
+	switch p.OpKind() {
 	case ir.OpTuple:
 		args := lower.ValArgs(p.Ops())
 		a := e.newLocal(p)
@@ -426,25 +433,6 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
 			}
 			e.store(valTypeOf(arg.Type()), 8*i)
 		}
-		return nil
-
-	case ir.OpExtract:
-		if src, ok := p.Op(0).(*ir.PrimOp); ok && src.OpKind().HasMemEffect() {
-			return nil // alias of the effect op's value, resolved at use
-		}
-		idx, ok := ir.LitValue(p.Op(1))
-		if !ok {
-			return fmt.Errorf("extract with dynamic index")
-		}
-		if idx < 0 {
-			return fmt.Errorf("extract with negative index %d", idx)
-		}
-		if err := e.push(p.Op(0)); err != nil {
-			return err
-		}
-		e.wrap()
-		e.load(valTypeOf(p.Type()), int(8*idx))
-		e.setLocal(p)
 		return nil
 
 	case ir.OpInsert:
@@ -503,7 +491,6 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
 		if err := e.push(p.Op(1)); err != nil {
 			return err
 		}
-		e.call(hlpResolve)
 		e.wrap()
 		e.load(valTypeOf(tt.ElemTypes[1]), 0)
 		e.setLocal(p)
@@ -513,7 +500,6 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
 		if err := e.push(p.Op(1)); err != nil {
 			return err
 		}
-		e.call(hlpResolve)
 		e.wrap()
 		if err := e.push(p.Op(2)); err != nil {
 			return err
@@ -524,35 +510,6 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
 	case ir.OpMemFork, ir.OpMemJoin:
 		// Effect-thread fork/join carries no runtime content, exactly as
 		// in the VM backend: the schedule already linearized the threads.
-		return nil
-
-	case ir.OpLea:
-		if err := e.push(p.Op(0)); err != nil {
-			return err
-		}
-		if err := e.push(p.Op(1)); err != nil {
-			return err
-		}
-		e.call(hlpLea)
-		e.setLocal(p)
-		return nil
-
-	case ir.OpALen:
-		if err := e.push(p.Op(0)); err != nil {
-			return err
-		}
-		e.wrap()
-		e.load(wasm.I64, 0)
-		e.setLocal(p)
-		return nil
-
-	case ir.OpGlobal:
-		addr, err := e.g.globalAddr(p)
-		if err != nil {
-			return err
-		}
-		e.i64const(addr)
-		e.setLocal(p)
 		return nil
 
 	case ir.OpClosure:
@@ -586,7 +543,149 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("cannot emit primop %s", k)
+	return fmt.Errorf("cannot emit primop %s", p.OpKind())
+}
+
+// emitValue pushes the value of a value op (see valueOp): at its schedule
+// position for a local, or at its consumer when sunk.
+func (e *fnEmitter) emitValue(p *ir.PrimOp) error {
+	k := p.OpKind()
+	switch {
+	case k.IsArith():
+		if err := e.pushAll(p.Ops()); err != nil {
+			return err
+		}
+		if pt := p.Type().(*ir.PrimType); pt.Tag.IsFloat() {
+			switch k {
+			case ir.OpRem:
+				e.call(impFmod)
+			default:
+				op, ok := arithF[k]
+				if !ok {
+					return fmt.Errorf("no instruction for %s at %s", k, p.Type())
+				}
+				e.op(op)
+			}
+		} else {
+			switch k {
+			case ir.OpDiv:
+				e.call(hlpDivI)
+			case ir.OpRem:
+				e.call(hlpRemI)
+			default:
+				op, ok := arithI[k]
+				if !ok {
+					return fmt.Errorf("no instruction for %s at %s", k, p.Type())
+				}
+				e.op(op)
+			}
+		}
+		return nil
+
+	case k.IsCmp():
+		if err := e.compare(p); err != nil {
+			return err
+		}
+		e.boolResult()
+		return nil
+	}
+
+	switch k {
+	case ir.OpSelect:
+		if err := e.push(p.Op(1)); err != nil {
+			return err
+		}
+		if err := e.push(p.Op(2)); err != nil {
+			return err
+		}
+		if err := e.pushCond(p.Op(0)); err != nil {
+			return err
+		}
+		e.op(wasm.OpSelect)
+		return nil
+
+	case ir.OpCast:
+		src := p.Op(0).Type().(*ir.PrimType).Tag
+		dst := p.Type().(*ir.PrimType).Tag
+		if err := e.push(p.Op(0)); err != nil {
+			return err
+		}
+		switch {
+		case src.IsFloat() && dst.IsFloat():
+			if dst.Bits() == 32 {
+				e.op(wasm.OpF32DemoteF64, wasm.OpF64PromoteF32)
+			}
+		case src.IsFloat():
+			e.call(impF2I)
+		case dst.IsFloat():
+			e.op(wasm.OpF64ConvertI64S)
+		default:
+			switch bits := dst.Bits(); bits {
+			case 1:
+				e.i64const(0)
+				e.op(wasm.OpI64Ne)
+				e.boolResult()
+			case 8, 16, 32:
+				e.i64const(int64(64 - bits))
+				e.op(wasm.OpI64Shl)
+				e.i64const(int64(64 - bits))
+				e.op(wasm.OpI64ShrS)
+			}
+		}
+		return nil
+
+	case ir.OpExtract:
+		idx, ok := ir.LitValue(p.Op(1))
+		if !ok {
+			return fmt.Errorf("extract with dynamic index")
+		}
+		if idx < 0 {
+			return fmt.Errorf("extract with negative index %d", idx)
+		}
+		if err := e.push(p.Op(0)); err != nil {
+			return err
+		}
+		e.wrap()
+		e.load(valTypeOf(p.Type()), int(8*idx))
+		return nil
+
+	case ir.OpLea:
+		if err := e.pushAll(p.Ops()); err != nil {
+			return err
+		}
+		e.call(hlpLea)
+		return nil
+
+	case ir.OpALen:
+		if err := e.push(p.Op(0)); err != nil {
+			return err
+		}
+		e.wrap()
+		e.load(wasm.I64, 0)
+		return nil
+
+	case ir.OpGlobal:
+		addr, err := e.g.globalAddr(p)
+		if err != nil {
+			return err
+		}
+		e.i64const(addr)
+		return nil
+	}
+	return fmt.Errorf("cannot emit value %s", k)
+}
+
+// compare pushes the i32 result of comparison p.
+func (e *fnEmitter) compare(p *ir.PrimOp) error {
+	if err := e.pushAll(p.Ops()); err != nil {
+		return err
+	}
+	table := cmpI
+	if pt, ok := p.Op(0).Type().(*ir.PrimType); ok && pt.Tag.IsFloat() {
+		table = cmpF
+	}
+	e.op(table[p.OpKind()])
+	return nil
 }
 
 // --- terminators -----------------------------------------------------
@@ -598,10 +697,9 @@ func (e *fnEmitter) emitTerminator(n *analysis.Node) error {
 	}
 	switch t.Kind {
 	case lower.TermBranch:
-		if err := e.push(t.Cond); err != nil {
+		if err := e.pushCond(t.Cond); err != nil {
 			return err
 		}
-		e.wrap()
 		e.op(wasm.OpIf, wasm.BlockEmpty)
 		e.labels = append(e.labels, label{})
 		if err := e.transfer(n, t.True); err != nil {

@@ -1,6 +1,7 @@
 package wasmbackend
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -29,6 +30,17 @@ func (e *TrapError) Error() string {
 		return "wasm: out of memory"
 	}
 	return fmt.Sprintf("wasm: trap %d", e.Code)
+}
+
+// MapTrap returns err with the interpreter's linear-memory fault replaced
+// by TrapBounds: emitted code dereferences outside memory only at the
+// poison address $lea returns for an out-of-range index.
+func MapTrap(err error) error {
+	var t *wasm.Trap
+	if errors.As(err, &t) && t.Msg == "out of bounds memory access" {
+		return &TrapError{Code: TrapBounds}
+	}
+	return err
 }
 
 // Host builds the import map an emitted module needs, with print output

@@ -13,15 +13,18 @@
 //     frontier is the module's global 0. Arrays are [len][elems...],
 //     tuples are bare cells (arity is static), closures are
 //     [table_index][env...].
-//   - A lea produces a deferred-check handle (array address in the high
-//     32 bits, signed element index in the low 32); the $resolve helper
-//     bounds-checks at load/store time, matching the VM's "check at
-//     dereference, not at address formation" semantics that smart
-//     scheduling relies on.
-//   - Traps (division by zero, out of bounds, …) call the env.trap host
-//     import with a code so the embedder can map them onto the same
-//     observable errors the VM reports. CastFI goes through the env.f2i
-//     host import to inherit the platform's exact float→int semantics.
+//   - A lea is bounds-checked where it is formed (an array's length never
+//     changes): $lea returns the element's byte address, or poisonAddr
+//     for an index outside [0, len). Loads and stores use the address as
+//     is, and only dereferencing the poison address traps, matching the
+//     VM's "check at dereference, not at address formation" semantics
+//     that smart scheduling relies on. MapTrap turns that linear-memory
+//     fault into TrapBounds.
+//   - Other traps (division by zero, negative array size, out of memory)
+//     call the env.trap host import with a code so the embedder can map
+//     them onto the same observable errors the VM reports. CastFI goes
+//     through the env.f2i host import to inherit the platform's exact
+//     float→int semantics.
 //   - fork/join effect threads erase, exactly as in the VM backend.
 package wasmbackend
 
@@ -78,7 +81,6 @@ const (
 	hlpDivI
 	hlpRemI
 	hlpLea
-	hlpResolve
 	funcBase // first program function index
 )
 
@@ -92,6 +94,11 @@ const (
 	TrapNegSize = 4
 	TrapOOM     = 6
 )
+
+// poisonAddr is the address $lea returns for an out-of-range index.
+// Wrapped to i32 it is 0xFFFFFFFF, so an access of any width runs past the
+// largest linear memory (4 GiB) and the interpreter traps.
+const poisonAddr = -1
 
 // Linear memory layout: a null guard cell, the return-spill area for
 // results beyond the first, then the Thorin global cells, then the heap.
@@ -480,62 +487,20 @@ func helperFuncs(m *wasm.Module) []wasm.Func {
 	rm = append(rm, wasm.OpEnd, wasm.OpEnd)
 	remi := wasm.Func{TypeIdx: sig21, Code: rm}
 
-	// $lea(addr, idx) -> handle: pack the array address and a signed
-	// 32-bit index; an index that does not fit becomes a sentinel that
-	// always fails the bounds check in $resolve.
+	// $lea(arr, idx) -> element address arr+8+8*idx when idx is in
+	// [0, len) as an unsigned compare (negative indices are huge), else
+	// poisonAddr.
 	var le []byte
-	le = append(le, wasm.OpLocalGet, 1)
-	le = sleb(append(le, wasm.OpI64Const), 32)
-	le = append(le, wasm.OpI64Shl)
-	le = sleb(append(le, wasm.OpI64Const), 32)
-	le = append(le, wasm.OpI64ShrS, wasm.OpLocalGet, 1, wasm.OpI64Ne)
-	le = append(le, wasm.OpIf, wasm.BlockEmpty)
-	le = sleb(append(le, wasm.OpI64Const), int64(0x80000000))
-	le = append(le, wasm.OpLocalSet, 1, wasm.OpEnd)
-	le = append(le, wasm.OpLocalGet, 0)
-	le = sleb(append(le, wasm.OpI64Const), 32)
-	le = append(le, wasm.OpI64Shl, wasm.OpLocalGet, 1)
-	le = sleb(append(le, wasm.OpI64Const), 0xFFFFFFFF)
-	le = append(le, wasm.OpI64And, wasm.OpI64Or, wasm.OpEnd)
+	le = append(le, wasm.OpLocalGet, 0, wasm.OpLocalGet, 1)
+	le = sleb(append(le, wasm.OpI64Const), 3)
+	le = append(le, wasm.OpI64Shl, wasm.OpI64Add)
+	le = sleb(append(le, wasm.OpI64Const), 8)
+	le = append(le, wasm.OpI64Add)
+	le = sleb(append(le, wasm.OpI64Const), poisonAddr)
+	le = append(le, wasm.OpLocalGet, 1, wasm.OpLocalGet, 0, wasm.OpI32WrapI64)
+	le = appendLoad(le, i64, 0)
+	le = append(le, wasm.OpI64LtU, wasm.OpSelect, wasm.OpEnd)
 	lea := wasm.Func{TypeIdx: sig21, Code: le}
 
-	// $resolve(p) -> element address: direct pointers (slots, globals)
-	// pass through; lea handles are bounds-checked against the array
-	// length and widened to a byte address.
-	var rs []byte
-	rs = append(rs, wasm.OpLocalGet, 0)
-	rs = sleb(append(rs, wasm.OpI64Const), 32)
-	rs = append(rs, wasm.OpI64ShrU, wasm.OpI64Eqz)
-	rs = append(rs, wasm.OpIf, byte(i64))
-	rs = append(rs, wasm.OpLocalGet, 0)
-	rs = append(rs, wasm.OpElse)
-	rs = append(rs, wasm.OpLocalGet, 0)
-	rs = sleb(append(rs, wasm.OpI64Const), 32)
-	rs = append(rs, wasm.OpI64ShrU, wasm.OpLocalSet, 1) // addr
-	rs = append(rs, wasm.OpLocalGet, 0)
-	rs = sleb(append(rs, wasm.OpI64Const), 32)
-	rs = append(rs, wasm.OpI64Shl)
-	rs = sleb(append(rs, wasm.OpI64Const), 32)
-	rs = append(rs, wasm.OpI64ShrS, wasm.OpLocalSet, 2) // idx (sign-extended)
-	rs = append(rs, wasm.OpLocalGet, 1, wasm.OpI32WrapI64)
-	rs = appendLoad(rs, i64, 0)
-	rs = append(rs, wasm.OpLocalSet, 3) // len
-	rs = append(rs, wasm.OpLocalGet, 2)
-	rs = sleb(append(rs, wasm.OpI64Const), 0)
-	rs = append(rs, wasm.OpI64LtS)
-	rs = append(rs, wasm.OpLocalGet, 2, wasm.OpLocalGet, 3, wasm.OpI64GeS)
-	rs = append(rs, wasm.OpI32Or)
-	rs = append(rs, wasm.OpIf, wasm.BlockEmpty)
-	rs = sleb(append(rs, wasm.OpI64Const), TrapBounds)
-	rs = uleb(append(rs, wasm.OpCall), impTrap)
-	rs = append(rs, wasm.OpUnreachable, wasm.OpEnd)
-	rs = append(rs, wasm.OpLocalGet, 1)
-	rs = sleb(append(rs, wasm.OpI64Const), 8)
-	rs = append(rs, wasm.OpI64Add, wasm.OpLocalGet, 2)
-	rs = sleb(append(rs, wasm.OpI64Const), 3)
-	rs = append(rs, wasm.OpI64Shl, wasm.OpI64Add)
-	rs = append(rs, wasm.OpEnd, wasm.OpEnd)
-	resolve := wasm.Func{TypeIdx: sig11, Locals: []wasm.ValType{i64, i64, i64}, Code: rs}
-
-	return []wasm.Func{alloc, arrayNew, divi, remi, lea, resolve}
+	return []wasm.Func{alloc, arrayNew, divi, remi, lea}
 }

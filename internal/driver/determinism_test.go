@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/driver"
 	"thorin/internal/ir"
 	"thorin/internal/transform"
@@ -82,6 +83,43 @@ func TestDeterministicIRAcrossJobsAndRuns(t *testing.T) {
 					// at any jobs level.
 					if got := printedIR(t, src, spec, jobs, true); got != ref {
 						t.Fatalf("spec=%s jobs=%d: printed IR with -incremental=off differs from incremental compile", spec, jobs)
+					}
+				}
+			}
+		})
+	}
+}
+
+// wasmArtifact compiles src for the wasm target and returns the encoded
+// artifact.
+func wasmArtifact(t *testing.T, src, spec string, jobs int) []byte {
+	t.Helper()
+	res, err := driver.CompileSpec(src, spec,
+		analysis.ScheduleSmart, driver.Config{Jobs: jobs, Target: backend.Wasm})
+	if err != nil {
+		t.Fatalf("jobs=%d: %v", jobs, err)
+	}
+	data, err := driver.NewArtifact(res, spec, analysis.ScheduleSmart.String()).Encode()
+	if err != nil {
+		t.Fatalf("jobs=%d: encode: %v", jobs, err)
+	}
+	return data
+}
+
+// TestDeterministicWasmAcrossJobsAndRuns is the backend half of the IR
+// determinism test: the wasm emitter keeps per-function maps (locals, the
+// sink plan), and an emission order that depended on map iteration would
+// change the module bytes without changing the printed IR.
+func TestDeterministicWasmAcrossJobsAndRuns(t *testing.T) {
+	for name, src := range determinismCorpus(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, spec := range []string{transform.O2, effectSplitDetSpec} {
+				ref := wasmArtifact(t, src, spec, 1)
+				for _, jobs := range []int{1, 4, 8} {
+					for run := 0; run < 2; run++ {
+						if got := wasmArtifact(t, src, spec, jobs); !bytes.Equal(got, ref) {
+							t.Fatalf("spec=%s jobs=%d run=%d: wasm artifact differs from first jobs=1 compile", spec, jobs, run)
+						}
 					}
 				}
 			}

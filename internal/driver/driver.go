@@ -374,6 +374,8 @@ func ExecSteps(prog *vm.Program, out io.Writer, maxSteps int64, args ...int64) (
 // arguments, the wasm counterpart of ExecSteps. fuel bounds the
 // instruction count (0 selects a default matching ExecSteps' budget);
 // exceeding it returns wasm.ErrFuel, the analogue of vm.ErrStepLimit.
+// A trap of the emitted code, an index out of bounds included, returns a
+// *wasmbackend.TrapError.
 func ExecWasm(mod []byte, out io.Writer, fuel int64, args ...int64) (int64, error) {
 	m, err := wasm.Decode(mod)
 	if err != nil {
@@ -394,7 +396,7 @@ func ExecWasm(mod []byte, out io.Writer, fuel int64, args ...int64) (int64, erro
 	}
 	res, err := inst.Invoke("main", uargs...)
 	if err != nil {
-		return 0, err
+		return 0, wasmbackend.MapTrap(err)
 	}
 	if len(res) == 0 {
 		return 0, nil

@@ -2,13 +2,17 @@ package driver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"thorin/internal/analysis"
 	"thorin/internal/backend"
+	wasmbackend "thorin/internal/backend/wasm"
 	"thorin/internal/transform"
 	"thorin/internal/wasm"
 )
@@ -98,10 +102,14 @@ func TestWasmDifferentialExamples(t *testing.T) {
 	}
 }
 
-// wasmRegressions are programs that once broke the wasm emitter; each is a
-// minimized reproducer kept as a differential regression. The first three
-// pinned the local-typing bug where an f64 load's local was declared i64
-// (an effect primop is typed (mem, T) but its local holds only T).
+// wasmRegressions are programs that once broke the wasm emitter, or pin
+// one of its emission rules; each is kept as a differential regression.
+// The first three pinned the local-typing bug where an f64 load's local
+// was declared i64 (an effect primop is typed (mem, T) but its local holds
+// only T). The rest pin bounds checks at lea and expression-tree emission:
+// trapping ops keep their schedule position, a lea is checked where it is
+// formed but traps only where it is dereferenced, and a sunk value pushed
+// more than once is rematerialized.
 var wasmRegressions = []struct {
 	name string
 	src  string
@@ -132,6 +140,64 @@ fn main(n: i64) -> i64 {
 	for_pairs(n, |i: i64, j: i64| { v[i % 5] = v[j % 5] + 1.5; });
 	(v[0] + v[1]) as i64
 }`, []int64{0, 4}},
+
+	// The division's divisor has a single use; the division itself traps,
+	// so it is never sunk and the first print happens before the trap.
+	{"print-before-div-trap", `
+fn main(n: i64) -> i64 {
+	print(n);
+	print(100 / (n - 3));
+	n
+}`, []int64{3, 5}},
+
+	// At n == 3 the division traps before the out-of-range load on the VM;
+	// sinking it into the add would turn the trap into a bounds violation
+	// (TestWasmTrapsAreTyped compares the kinds).
+	{"div-trap-before-oob-load", `
+fn main(n: i64) -> i64 {
+	let a = [1; 3];
+	let q = 100 / (n - 3);
+	a[n] + q
+}`, []int64{1, 3}},
+
+	// a[n] is guarded inside the loop, but its lea is loop-invariant and the
+	// smart schedule hoists it above the guard and out of the loop. For
+	// n >= 4 it forms an out-of-range address that is never dereferenced.
+	{"hoisted-lea-unused", `
+fn main(n: i64) -> i64 {
+	let a = [7; 4];
+	let mut s = 0;
+	for i in 0 .. 3 {
+		if n < 4 { s = s + a[n]; } else { s = s + i; }
+	}
+	s
+}`, []int64{2, 4, 100}},
+
+	// Loads (n < 10) and stores (n >= 10) at -1, len, len+1, 2^32+1 and
+	// MinInt64 all trap; 8*MinInt64 wraps to 0, so an unchecked address
+	// would hit element 0. k == 5 indexes in range.
+	{"lea-bounds", `
+fn idx(k: i64) -> i64 {
+	if k == 0 { -1 } else if k == 1 { 5 } else if k == 2 { 6 }
+	else if k == 3 { 4294967297 } else if k == 4 { -9223372036854775807 - 1 } else { 2 }
+}
+fn main(n: i64) -> i64 {
+	let a = [1; 5];
+	if n < 10 { a[idx(n)] } else { a[idx(n - 10)] = 3; a[2] }
+}`, []int64{0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15}},
+
+	// p.0 has one use, as the callee of an indirect call, so it is sunk;
+	// the closure call pushes its callee twice (hidden first argument and
+	// table index), so the extract is emitted twice.
+	{"sunk-callee-pushed-twice", `
+fn call0(p: (fn(i64) -> i64, i64)) -> i64 {
+	let f = p.0;
+	f(p.1) + 1
+}
+fn main(n: i64) -> i64 {
+	let k = n * 3;
+	call0((|x: i64| x + k, n + 1)) + call0((|x: i64| x * k, n - 1))
+}`, []int64{0, 5}},
 }
 
 // TestWasmRegressions replays the minimized wasm-emitter reproducers
@@ -148,6 +214,92 @@ func TestWasmRegressions(t *testing.T) {
 					t.Errorf("%s: does not compile for the vm", name)
 				}
 			}
+		}
+	}
+}
+
+// vmTrapCode maps a VM runtime error onto the wasm trap code the same
+// failure must raise (0 for no error or an unknown one).
+func vmTrapCode(err error) int64 {
+	if err == nil {
+		return 0
+	}
+	for _, k := range []struct {
+		text string
+		code int64
+	}{
+		{"out of bounds", wasmbackend.TrapBounds},
+		{"division by zero", wasmbackend.TrapDivZero},
+		{"remainder by zero", wasmbackend.TrapRemZero},
+		{"negative array size", wasmbackend.TrapNegSize},
+	} {
+		if strings.Contains(err.Error(), k.text) {
+			return k.code
+		}
+	}
+	return 0
+}
+
+// TestWasmTrapsAreTyped: every trap of the examples, the crasher corpus
+// and the wasm regressions surfaces from ExecWasm as a
+// *wasmbackend.TrapError of the kind the VM reports, never as the
+// interpreter's raw *wasm.Trap. An index out of bounds is a linear-memory
+// fault at the poison address $lea forms, mapped to TrapBounds.
+func TestWasmTrapsAreTyped(t *testing.T) {
+	type prog struct {
+		name, src string
+		args      []int64
+	}
+	var progs []prog
+	crashers, err := filepath.Glob(filepath.Join("testdata", "crashers", "*.imp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(examplePaths(t), crashers...) {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{filepath.Base(p), string(src), []int64{0, 1, 7, -3}})
+	}
+	for _, tc := range wasmRegressions {
+		progs = append(progs, prog{tc.name, tc.src, tc.args})
+	}
+	seen := map[int64]int{}
+	for _, p := range progs {
+		for sname, spec := range map[string]string{"O0": transform.O0, "O2": transform.O2} {
+			vmRes, err := CompileSpec(p.src, spec, analysis.ScheduleSmart, Config{})
+			if err != nil {
+				continue // not a standalone program (e.g. a module with imports)
+			}
+			wRes, err := CompileSpec(p.src, spec, analysis.ScheduleSmart, Config{Target: backend.Wasm})
+			if err != nil {
+				t.Errorf("%s/%s: compiles for vm but not wasm: %v", p.name, sname, err)
+				continue
+			}
+			for _, arg := range p.args {
+				name := fmt.Sprintf("%s/%s/n=%d", p.name, sname, arg)
+				_, _, verr := ExecSteps(vmRes.Program, io.Discard, 0, arg)
+				_, werr := ExecWasm(wRes.Wasm, io.Discard, 0, arg)
+				if werr == nil {
+					continue // trap agreement is diffTargets' job
+				}
+				var te *wasmbackend.TrapError
+				if !errors.As(werr, &te) {
+					t.Errorf("%s: untyped wasm failure %T: %v", name, werr, werr)
+					continue
+				}
+				if want := vmTrapCode(verr); te.Code != want {
+					t.Errorf("%s: wasm trap %q (code %d), vm %v (code %d)", name, te, te.Code, verr, want)
+				}
+				seen[te.Code]++
+			}
+		}
+	}
+	for _, code := range []int64{wasmbackend.TrapBounds, wasmbackend.TrapDivZero} {
+		if seen[code] == 0 {
+			t.Errorf("no program raised %q; the corpus lost its trapping cases",
+				&wasmbackend.TrapError{Code: code})
 		}
 	}
 }
