@@ -27,7 +27,9 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# ci ends by failing if any step rewrote a committed file.
 ci: fmt vet build race modules wasm fuzz-smoke fuzz crashers loadtest chaos bench bench-diff perfbench-check
+	git diff --exit-code
 
 # perfbench-check vets and tests the benchmark in perfbench/. It is a
 # separate Go module, so `go build ./...` and `go test ./...` at the root
@@ -72,12 +74,14 @@ crashers:
 	THORIN_JOBS=4 $(GO) test -race -run TestCrashers ./internal/driver
 
 # loadtest is the compile-server smoke gate: an in-process thorind on an
-# ephemeral port serves concurrent cold+warm requests; the test asserts
-# that every warm request hit the content-addressed cache, that the
-# daemon's hit/miss counters reconcile exactly with the request
-# arithmetic, and that shutdown drains cleanly.
+# ephemeral port serves concurrent cold+warm requests, single-module edits
+# of a shared-import module set, and a shed/retry storm; the tests assert
+# that every warm request hit the content-addressed cache, that one edit
+# recompiles exactly one module, that every stormed request succeeds, that
+# the daemon's hit/miss/OK/shed/retry counters reconcile exactly with what
+# the clients saw, and that shutdown drains cleanly.
 loadtest:
-	$(GO) test -run 'TestLoadTestSmoke|TestModLoadSmoke|TestOverloadSmoke' -count=1 ./internal/bench
+	$(GO) test -run 'TestLoadTestSmoke|TestModLoadSmoke|TestOverloadSmoke' -count=1 ./internal/server
 
 # chaos is the deterministic fault-injection gate: the seeded chaos suite
 # (injected disk/pass/transport faults against a live daemon; asserts the
@@ -89,31 +93,19 @@ chaos:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/server
 	$(GO) test -race -run 'TestChaosStorm' -count=1 ./internal/server
 
-# bench is the allocation-regression gate: a single-iteration smoke run of
-# every throughput benchmark (catches benchmarks that crash or regress into
-# errors), then the fast allocation measurement refreshing BENCH_pr4.json.
-# The JSON keeps the frozen pre-optimization baseline and overwrites only
-# the current numbers, so the delta stays reviewable in the diff.
+# bench is the benchmark smoke gate: one iteration of every throughput
+# benchmark, which catches benchmarks that crash or regress into errors.
 bench:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./internal/bench
-	$(GO) run ./cmd/thorin-bench -alloc -o BENCH_pr4.json
-	$(GO) run ./cmd/thorin-bench -incremental -fast -o BENCH_pr5.json
-	$(GO) run ./cmd/thorin-bench -loadtest -o BENCH_pr6.json
-	$(GO) run ./cmd/thorin-bench -modload -o BENCH_pr7.json
-	$(GO) run ./cmd/thorin-bench -overload -o BENCH_pr8.json
-	$(GO) run ./cmd/thorin-bench -memory -fast -o BENCH_pr9.json
-	$(GO) run ./cmd/thorin-bench -backends -fast -o BENCH_pr10.json
 
-# bench-diff is the regression gate: re-measure the incremental-vs-full
-# fixpoint workload (at the same fast scale the committed report was taken
-# at) and fail if any workload's incremental Optimize ns/op regressed by
-# more than 10% against BENCH_pr5.json; then re-measure the effect-region
-# memory workload and fail if its VM instruction count regressed by more
-# than 10% against BENCH_pr9.json (the structural wins — promoted slots,
-# hoisted loads, split chains — are hard asserts inside the measurement).
+# bench-diff is the wall-clock regression gate: a same-host A/B of the
+# Optimize benchmarks, BASE against the working tree in 10 alternating
+# pairs; it fails if either median ns/op is more than 10% over BASE's (see
+# scripts/bench-diff.sh). Deterministic counts (scope builds, skipped
+# runs, VM instructions, wasm fuel) are exact go tests in internal/bench.
+BASE ?= HEAD~1
 bench-diff:
-	$(GO) run ./cmd/thorin-bench -incremental -fast -diff BENCH_pr5.json
-	$(GO) run ./cmd/thorin-bench -memory -fast -diff BENCH_pr9.json
+	sh scripts/bench-diff.sh $(BASE)
 
 # bench-full runs the whole evaluation harness at laptop scale.
 bench-full:

@@ -23,15 +23,9 @@ import (
 	"thorin/internal/vm"
 )
 
-// benchSizes keeps `go test -bench=.` at laptop scale.
-var benchSizes = bench.Sizes{
-	"fib": 18, "mapreduce": 3000, "filter": 3000, "compose": 3000,
-	"mandelbrot": 16, "nbody": 200, "spectralnorm": 16, "qsort": 1000,
-	"matmul": 12, "nqueens": 7,
-}
-
+// sizeOf keeps `go test -bench=.` at laptop scale.
 func sizeOf(p *bench.Program) int64 {
-	if n, ok := benchSizes[p.Name]; ok {
+	if n, ok := bench.FastSizes[p.Name]; ok {
 		return n
 	}
 	return p.DefaultN

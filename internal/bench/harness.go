@@ -197,3 +197,36 @@ func GenChain(depth int) string {
 	fmt.Fprintf(&sb, "fn main(n: i64) -> i64 { h%d(work, n) }\n", depth-1)
 	return sb.String()
 }
+
+// GenModuleSet builds a multi-module program: a `util` module exporting
+// arithmetic helpers, `leaves` leaf modules each importing util and
+// exporting one function, and an `app` module whose main sums every leaf.
+// version lets callers mint edited variants of a single leaf: the body
+// constant changes, the import/export surface does not.
+func GenModuleSet(leaves int, editedLeaf, version int) []string {
+	srcs := make([]string, 0, leaves+2)
+	srcs = append(srcs, `module util;
+export fn add(a: i64, b: i64) -> i64 { a + b }
+export fn mul(a: i64, b: i64) -> i64 { a * b }
+`)
+	var mainImports, mainSum strings.Builder
+	for i := 0; i < leaves; i++ {
+		k := i + 1
+		if i == editedLeaf {
+			k += version * 100
+		}
+		srcs = append(srcs, fmt.Sprintf(`module leaf%d;
+import fn add(i64, i64) -> i64 from util;
+import fn mul(i64, i64) -> i64 from util;
+export fn f%d(x: i64) -> i64 { add(mul(x, %d), %d) }
+`, i, i, k, i))
+		fmt.Fprintf(&mainImports, "import fn f%d(i64) -> i64 from leaf%d;\n", i, i)
+		if i > 0 {
+			mainSum.WriteString(" + ")
+		}
+		fmt.Fprintf(&mainSum, "f%d(n)", i)
+	}
+	srcs = append(srcs, fmt.Sprintf("module app;\n%sfn main(n: i64) -> i64 { %s }\n",
+		mainImports.String(), mainSum.String()))
+	return srcs
+}

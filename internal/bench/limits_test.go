@@ -9,6 +9,7 @@ import (
 	wasmbackend "thorin/internal/backend/wasm"
 	"thorin/internal/driver"
 	"thorin/internal/impala"
+	"thorin/internal/transform"
 	"thorin/internal/vm"
 	"thorin/internal/wasm"
 )
@@ -68,6 +69,62 @@ func TestEngineLimitsAreExact(t *testing.T) {
 					t.Errorf("wasm with %d fuel: got %v, want %v", c-1, err, wasm.ErrFuel)
 				}
 			})
+		}
+	}
+}
+
+// TestBackendCountsAreExact pins the dynamic cost of every suite program
+// (functional variant, -O2, jobs 1) on both backends: the VM's instruction
+// count and the wasm fuel spent, one unit per executed instruction. The
+// two machines must also agree on the result. Both counts are
+// deterministic, so any change to lowering, instruction selection or the
+// emitters shows up here as an exact diff.
+func TestBackendCountsAreExact(t *testing.T) {
+	want := map[string]struct{ n, vmInstrs, fuel, result int64 }{
+		"fib":          {22, 429847, 687755, 17711},
+		"mapreduce":    {3000, 126024, 567133, 8995503500},
+		"filter":       {3000, 84024, 436092, 500499},
+		"compose":      {2000, 26009, 54011, 3988000},
+		"mandelbrot":   {40, 816468, 2151836, 423},
+		"nbody":        {100, 93490, 532449, 4665475},
+		"spectralnorm": {40, 390362, 1256975, 1261175052},
+		"qsort":        {500, 86351, 459541, 272606},
+		"matmul":       {40, 1109149, 4727535, 2299028},
+		"nqueens":      {8, 1687469, 5809703, 92},
+	}
+	if len(want) != len(Suite) {
+		t.Fatalf("%d pinned programs, suite has %d", len(want), len(Suite))
+	}
+	for _, p := range Suite {
+		w, ok := want[p.Name]
+		if !ok {
+			t.Errorf("%s: no pinned counts", p.Name)
+			continue
+		}
+		compile := func(target backend.Target) *driver.Result {
+			res, err := driver.CompileSpec(p.Functional, transform.O2, analysis.ScheduleSmart,
+				driver.Config{Jobs: 1, Target: target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		vmGot, ctr, err := driver.ExecSteps(compile(backend.VM).Program, nil, 0, w.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod := compile(backend.Wasm).Wasm
+		fuel := fuelSpent(t, mod, w.n)
+		wasmGot, err := driver.ExecWasm(mod, nil, fuel, w.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vmGot != wasmGot {
+			t.Errorf("%s(%d): vm = %d, wasm = %d", p.Name, w.n, vmGot, wasmGot)
+		}
+		if ctr.Instructions != w.vmInstrs || fuel != w.fuel || vmGot != w.result {
+			t.Errorf("%s(%d): %d VM instructions, %d fuel, result %d; want %d, %d, %d",
+				p.Name, w.n, ctr.Instructions, fuel, vmGot, w.vmInstrs, w.fuel, w.result)
 		}
 	}
 }

@@ -16,6 +16,14 @@ import (
 // Sizes optionally overrides per-benchmark problem sizes (nil = defaults).
 type Sizes map[string]int64
 
+// FastSizes are the reduced problem sizes of `thorin-bench -fast` and of the
+// root package's go-test benchmarks: laptop scale, seconds per table.
+var FastSizes = Sizes{
+	"fib": 18, "mapreduce": 3000, "filter": 3000, "compose": 3000,
+	"mandelbrot": 16, "nbody": 200, "spectralnorm": 16, "qsort": 1000,
+	"matmul": 12, "nqueens": 7,
+}
+
 func (s Sizes) of(p *Program) int64 {
 	if s != nil {
 		if n, ok := s[p.Name]; ok {

@@ -1,0 +1,78 @@
+#!/bin/sh
+# bench-diff.sh is the wall-clock regression gate: a same-host A/B of the
+# optimizer benchmarks, a base revision against the working tree.
+#
+#	sh scripts/bench-diff.sh [BASE]        # or: make bench-diff BASE=<rev>
+#
+# BASE (default HEAD~1) is checked out in a temporary git worktree. The
+# internal/bench test binaries of BASE and of the working tree are built
+# once, then run in 10 alternating pairs with the flags of
+#
+#	go test -short -run '^$' -bench '^BenchmarkOptimize(Fuzz)?$' -count 1 ./internal/bench
+#
+# The script prints each side's median ns/op with its interquartile range
+# and fails if the working tree's median is more than 10% over BASE's on
+# either benchmark. Both sides run on the same host in the same minutes,
+# so the verdict tracks the change, not the machine.
+set -eu
+
+base=${1:-HEAD~1}
+pairs=10
+bound_pct=10
+
+cd "$(git rev-parse --show-toplevel)"
+tmp=$(mktemp -d)
+cleanup() {
+	git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
+	rm -rf "$tmp"
+}
+trap cleanup EXIT INT TERM
+
+git worktree add --quiet --detach "$tmp/base" "$base"
+(cd "$tmp/base" && go test -c -o "$tmp/base.test" ./internal/bench)
+go test -c -o "$tmp/change.test" ./internal/bench
+
+# run SIDE appends "benchmark ns/op" lines of one run to $tmp/SIDE.txt.
+run() {
+	"$tmp/$1.test" -test.short -test.run '^$' \
+		-test.bench '^BenchmarkOptimize(Fuzz)?$' -test.count 1 |
+		awk '$1 ~ /^Benchmark/ { for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") { sub(/-[0-9]+$/, "", $1); print $1, $i } }' \
+			>>"$tmp/$1.txt"
+}
+i=1
+while [ "$i" -le "$pairs" ]; do
+	echo "bench-diff: pair $i/$pairs" >&2
+	run base
+	run change
+	i=$((i + 1))
+done
+
+# stats SIDE NAME prints "median q1 q3" of NAME's ns/op samples.
+stats() {
+	awk -v name="$2" '$1 == name { print $2 }' "$tmp/$1.txt" | sort -n | awk '
+		{ v[NR] = $1 }
+		function q(p,  pos, lo) { pos = (NR - 1) * p + 1; lo = int(pos); return v[lo] + (pos - lo) * (v[lo + 1] - v[lo]) }
+		END { if (NR > 0) printf "%.0f %.0f %.0f\n", q(0.5), q(0.25), q(0.75) }'
+}
+
+fail=0
+printf '%-22s %10s  %-23s %10s  %-23s %7s\n' benchmark base "(IQR) ns/op" change "(IQR) ns/op" delta
+for name in BenchmarkOptimize BenchmarkOptimizeFuzz; do
+	b=$(stats base "$name")
+	c=$(stats change "$name")
+	if [ -z "$b" ] || [ -z "$c" ]; then
+		echo "bench-diff: $name did not run on both sides" >&2
+		fail=1
+		continue
+	fi
+	echo "$name $b $c" | awk -v bound="$bound_pct" '{
+		d = ($5 - $2) / $2 * 100
+		printf "%-22s %10d  %-23s %10d  %-23s %+6.1f%%\n", $1, $2, "(" $3 "-" $4 ")", $5, "(" $6 "-" $7 ")", d
+		exit (d > bound)
+	}' || fail=1
+done
+if [ "$fail" -ne 0 ]; then
+	echo "bench-diff: the change is more than ${bound_pct}% slower than $base" >&2
+	exit 1
+fi
+echo "bench-diff: within ${bound_pct}% of $base ($pairs alternating pairs)"
