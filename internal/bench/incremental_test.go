@@ -79,11 +79,11 @@ func TestIncrementalWorkIsExact(t *testing.T) {
 		inc, full fixpointWork
 	}{
 		{"GenManyFns", []string{GenManyFns(8)},
-			fixpointWork{ScopeBuilds: 106, Executed: 24, Skipped: 4, MemoHits: 1},
-			fixpointWork{ScopeBuilds: 284, Executed: 28}},
+			fixpointWork{ScopeBuilds: 18, Executed: 24, Skipped: 4, MemoHits: 1},
+			fixpointWork{ScopeBuilds: 20, Executed: 28}},
 		{"FuzzCorpus", fuzzCorpus(3),
-			fixpointWork{ScopeBuilds: 38, Executed: 69, Skipped: 11, MemoHits: 4},
-			fixpointWork{ScopeBuilds: 80, Executed: 80}},
+			fixpointWork{ScopeBuilds: 20, Executed: 69, Skipped: 11, MemoHits: 4},
+			fixpointWork{ScopeBuilds: 26, Executed: 80}},
 	} {
 		if got := optimizeRounds(t, tc.srcs, true); got != tc.inc {
 			t.Errorf("%s incremental: %+v, want %+v", tc.name, got, tc.inc)

@@ -14,13 +14,16 @@ import (
 
 	"thorin/internal/analysis"
 	"thorin/internal/backend"
+	"thorin/internal/bench"
 	"thorin/internal/driver"
 	"thorin/internal/ir"
 	"thorin/internal/transform"
 )
 
-// determinismCorpus returns every on-disk Impala program the repo ships:
-// the examples and the crash-regression corpus.
+// determinismCorpus returns every on-disk Impala program the repo ships
+// (the examples and the crash-regression corpus) plus two generated
+// programs large enough that one scope holds many blocks and promoted
+// slots and cleanup sweeps many continuations per round.
 func determinismCorpus(t *testing.T) map[string]string {
 	t.Helper()
 	srcs := map[string]string{}
@@ -43,6 +46,8 @@ func determinismCorpus(t *testing.T) map[string]string {
 	if len(srcs) < 4 {
 		t.Fatalf("corpus too small (%d programs) — directories moved?", len(srcs))
 	}
+	srcs["GenManyFns(8)"] = bench.GenManyFns(8)
+	srcs["GenChain(40)"] = bench.GenChain(40)
 	return srcs
 }
 

@@ -59,7 +59,7 @@ func TestJournalUnsetAndRemove(t *testing.T) {
 
 	main.Jump(main.Param(1), main.Param(0))
 	f.Unset()
-	w.RemoveContinuation(f)
+	w.RemoveContinuations([]*Continuation{f})
 	drained := w.DrainDirty()
 	want := map[*Continuation]bool{main: true, f: true}
 	if len(drained) != 2 || !want[drained[0]] || !want[drained[1]] || drained[0] == drained[1] {

@@ -248,20 +248,34 @@ func (w *World) BasicBlock(name string) *Continuation {
 	return w.Continuation(w.FnType(w.MemType()), name)
 }
 
-// RemoveContinuation unlinks c from the world (used by cleanup). The
-// caller must have unset c's body first so use lists stay consistent.
-func (w *World) RemoveContinuation(c *Continuation) {
+// RemoveContinuations unlinks every continuation of dead from the world in
+// one pass over the continuation list (used by cleanup's sweep). The caller
+// must have unset each body first so use lists stay consistent.
+func (w *World) RemoveContinuations(dead []*Continuation) {
+	if len(dead) == 0 {
+		return
+	}
+	drop := make(map[*Continuation]bool, len(dead))
+	for _, c := range dead {
+		drop[c] = true
+	}
+	var removed []*Continuation
 	w.contsMu.Lock()
-	for i, x := range w.conts {
-		if x == c {
-			w.conts = append(w.conts[:i], w.conts[i+1:]...)
-			w.contsMu.Unlock()
-			w.touch(c)
-			w.journal(c)
-			return
+	kept := w.conts[:0]
+	for _, c := range w.conts {
+		if drop[c] {
+			removed = append(removed, c)
+		} else {
+			kept = append(kept, c)
 		}
 	}
+	clear(w.conts[len(kept):])
+	w.conts = kept
 	w.contsMu.Unlock()
+	for _, c := range removed {
+		w.touch(c)
+		w.journal(c)
+	}
 }
 
 // Branch returns the branch intrinsic continuation:

@@ -79,7 +79,7 @@ func cleanupRound(w *ir.World, ac *analysis.Cache) (CleanupStats, error) {
 func deadStoreElim(w *ir.World) (int, error) {
 	killed := 0
 	oracle := analysis.NewAliasOracle()
-	for _, c := range append([]*ir.Continuation(nil), w.Continuations()...) {
+	for _, c := range w.Continuations() {
 		if c.IsIntrinsic() || !c.HasBody() {
 			continue
 		}
@@ -139,49 +139,34 @@ func deadStoreElim(w *ir.World) (int, error) {
 }
 
 // sweepUnreachable removes every continuation not reachable from an extern
-// root through operand edges.
+// root through operand edges. Reachability is marked in a slice indexed by
+// gid, and the dead continuations leave the world in one batch.
 func sweepUnreachable(w *ir.World) int {
-	reachable := map[*ir.Continuation]bool{}
-	seen := map[ir.Def]bool{}
-	var visitDef func(d ir.Def)
-	var visitCont func(c *ir.Continuation)
-	visitDef = func(d ir.Def) {
-		if seen[d] {
+	seen := make([]bool, w.Generation()+1)
+	var visit func(d ir.Def)
+	visit = func(d ir.Def) {
+		if seen[d.GID()] {
 			return
 		}
-		seen[d] = true
-		switch d := d.(type) {
-		case *ir.Continuation:
-			visitCont(d)
-		case *ir.PrimOp:
-			for _, op := range d.Ops() {
-				visitDef(op)
-			}
-		}
-	}
-	visitCont = func(c *ir.Continuation) {
-		if reachable[c] {
-			return
-		}
-		reachable[c] = true
-		for _, op := range c.Ops() {
-			visitDef(op)
+		seen[d.GID()] = true
+		for _, op := range d.Ops() {
+			visit(op)
 		}
 	}
 	for _, c := range w.Externs() {
-		visitCont(c)
+		visit(c)
 	}
 
 	var dead []*ir.Continuation
 	for _, c := range w.Continuations() {
-		if !reachable[c] {
+		if !seen[c.GID()] {
 			dead = append(dead, c)
 		}
 	}
 	for _, c := range dead {
 		c.Unset()
-		w.RemoveContinuation(c)
 	}
+	w.RemoveContinuations(dead)
 	return len(dead)
 }
 
@@ -189,7 +174,7 @@ func sweepUnreachable(w *ir.World) int {
 // itself wherever k is referenced.
 func etaReduce(w *ir.World) (int, error) {
 	n := 0
-	for _, k := range append([]*ir.Continuation(nil), w.Continuations()...) {
+	for _, k := range w.Continuations() {
 		if k.IsExtern() || k.IsIntrinsic() || !k.HasBody() {
 			continue
 		}
@@ -249,7 +234,7 @@ func etaReduce(w *ir.World) (int, error) {
 // every use is a direct call.
 func eliminateDeadParams(w *ir.World, ac *analysis.Cache) int {
 	n := 0
-	for _, c := range append([]*ir.Continuation(nil), w.Continuations()...) {
+	for _, c := range w.Continuations() {
 		if c.IsExtern() || c.IsIntrinsic() || !c.HasBody() || c.NumUses() == 0 {
 			continue
 		}

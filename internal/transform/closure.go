@@ -35,12 +35,20 @@ func ClosureConvertWith(w *ir.World, ac *analysis.Cache) (ClosureStats, error) {
 	const maxRounds = 32
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		for _, k := range append([]*ir.Continuation(nil), w.Continuations()...) {
+		for _, k := range w.Continuations() {
 			if k.IsIntrinsic() || !k.HasBody() {
 				continue
 			}
-			s := ac.ScopeOf(k)
-			capturing := len(s.FreeParams()) != 0
+			// The scope is built only for a candidate: a continuation with
+			// a value use, or a returning one with a direct call to test
+			// for capture. Most continuations are neither.
+			var s *analysis.Scope
+			scope := func() *analysis.Scope {
+				if s == nil {
+					s = ac.ScopeOf(k)
+				}
+				return s
+			}
 			var valueUses []ir.Use
 			for _, u := range k.Uses() {
 				if isValueUse(u) {
@@ -51,8 +59,8 @@ func ClosureConvertWith(w *ir.World, ac *analysis.Cache) (ClosureStats, error) {
 				// outside its own scope cannot become a plain function call:
 				// route it through a closure as well. (Calls to blocks and to
 				// top-level functions stay direct.)
-				if capturing && k.IsReturning() && u.Index == 0 {
-					if caller, ok := u.Def.(*ir.Continuation); ok && !s.Contains(caller) {
+				if caller, ok := u.Def.(*ir.Continuation); ok && k.IsReturning() && u.Index == 0 {
+					if ks := scope(); !ks.TopLevel() && !ks.Contains(caller) {
 						valueUses = append(valueUses, u)
 					}
 				}
@@ -60,6 +68,7 @@ func ClosureConvertWith(w *ir.World, ac *analysis.Cache) (ClosureStats, error) {
 			if len(valueUses) == 0 {
 				continue
 			}
+			s = scope()
 			stats.Closures++
 			changed = true
 
@@ -106,7 +115,7 @@ func ClosureConvertWith(w *ir.World, ac *analysis.Cache) (ClosureStats, error) {
 		// function, making that function capture again. Re-lift any closure
 		// code that is no longer closed; the cascade terminates at the
 		// function that actually defines the values.
-		for _, k := range append([]*ir.Continuation(nil), w.Continuations()...) {
+		for _, k := range w.Continuations() {
 			if k.IsIntrinsic() || !k.HasBody() {
 				continue
 			}
@@ -159,7 +168,7 @@ func ClosureConvertWith(w *ir.World, ac *analysis.Cache) (ClosureStats, error) {
 // performs a tail return.
 func etaExpandRetArgs(w *ir.World) int {
 	n := 0
-	for _, c := range append([]*ir.Continuation(nil), w.Continuations()...) {
+	for _, c := range w.Continuations() {
 		if !c.HasBody() {
 			continue
 		}

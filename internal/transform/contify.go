@@ -30,7 +30,7 @@ func ContifyWith(w *ir.World, ac *analysis.Cache) (int, bool, error) {
 	const maxRounds = 8
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		for _, f := range append([]*ir.Continuation(nil), w.Continuations()...) {
+		for _, f := range w.Continuations() {
 			if f.IsExtern() || f.IsIntrinsic() || !f.HasBody() || !f.IsReturning() {
 				continue
 			}

@@ -456,21 +456,37 @@ func m2rValue(d ir.Def) any {
 type m2rPhi struct {
 	block *analysis.Node
 	slot  *ir.PrimOp
+	si    int   // index of slot in promoter.slots
 	args  []any // ir.Def or *m2rPhi, one per pred
 	users []*m2rPhi
 	repl  any // non-nil once replaced by a simpler value
 }
 
+// m2rEvent is a promoted load or store of slot index si.
+type m2rEvent struct {
+	op *ir.PrimOp
+	si int
+}
+
 type promoter struct {
-	w       *ir.World
-	s       *analysis.Scope
-	sched   *analysis.Schedule
-	slots   map[*ir.PrimOp]bool // promotable slots
-	slotOf  map[*ir.PrimOp]*ir.PrimOp
-	loadVal map[*ir.PrimOp]any                    // load primop -> value at its point
-	endVal  map[*analysis.Node]map[*ir.PrimOp]any // value after the block
-	phis    map[*analysis.Node]map[*ir.PrimOp]*m2rPhi
-	inProg  map[*analysis.Node]map[*ir.PrimOp]bool
+	w        *ir.World
+	s        *analysis.Scope
+	sched    *analysis.Schedule
+	slots    []*ir.PrimOp        // promotable slots
+	promoted map[*ir.PrimOp]bool // the same slots, as a set
+	slotOf   map[*ir.PrimOp]int  // address projection -> index into slots
+	// events holds every block's promoted loads and stores, grouped by
+	// block (Node.Index order) and within a block by slot index, each
+	// slot's accesses in schedule order. Block i owns
+	// events[evStart[i]:evStart[i+1]].
+	events  []m2rEvent
+	evStart []int
+	loadVal map[*ir.PrimOp]any // load primop -> value at its point
+	// Dense per-(block, slot) state at Node.Index*len(slots)+slot index.
+	endVal    []any // value after the block; nil until computed
+	phis      []*m2rPhi
+	inProg    []bool
+	blockPhis [][]*m2rPhi // per block, every φ created for it
 }
 
 // planPromotion runs the read-only analysis of one scope: it finds the
@@ -493,120 +509,135 @@ func planPromotion(w *ir.World, s *analysis.Scope, keep map[*ir.PrimOp]bool) *pr
 	if len(slots) == 0 {
 		return nil
 	}
+	sched := analysis.NewSchedule(s, analysis.ScheduleEarly)
+	nb := len(sched.Blocks)
 	p := &promoter{
-		w:       w,
-		s:       s,
-		sched:   analysis.NewSchedule(s, analysis.ScheduleEarly),
-		slots:   map[*ir.PrimOp]bool{},
-		slotOf:  map[*ir.PrimOp]*ir.PrimOp{},
-		loadVal: map[*ir.PrimOp]any{},
-		endVal:  map[*analysis.Node]map[*ir.PrimOp]any{},
-		phis:    map[*analysis.Node]map[*ir.PrimOp]*m2rPhi{},
-		inProg:  map[*analysis.Node]map[*ir.PrimOp]bool{},
+		w:         w,
+		s:         s,
+		sched:     sched,
+		slots:     slots,
+		promoted:  make(map[*ir.PrimOp]bool, len(slots)),
+		slotOf:    make(map[*ir.PrimOp]int, len(slots)),
+		evStart:   make([]int, nb+1),
+		loadVal:   map[*ir.PrimOp]any{},
+		endVal:    make([]any, nb*len(slots)),
+		phis:      make([]*m2rPhi, nb*len(slots)),
+		inProg:    make([]bool, nb*len(slots)),
+		blockPhis: make([][]*m2rPhi, nb),
 	}
-	for _, sl := range slots {
-		p.slots[sl] = true
+	for si, sl := range slots {
+		p.promoted[sl] = true
 		sl.EachUse(func(u ir.Use) bool {
 			ext := u.Def.(*ir.PrimOp)
 			if idx, _ := ir.LitValue(ext.Op(1)); idx == 1 {
-				p.slotOf[ext] = sl // address projection -> its slot
+				p.slotOf[ext] = si // address projection -> its slot
 			}
 			return true
 		})
 	}
+	// sched.Blocks is in CFG order, so block i is the node with Index i.
+	for i, b := range sched.Blocks {
+		p.evStart[i] = len(p.events)
+		for _, op := range b.PrimOps {
+			if k := op.OpKind(); k == ir.OpLoad || k == ir.OpStore {
+				if si, ok := p.slotIndex(op.Op(1)); ok {
+					p.events = append(p.events, m2rEvent{op, si})
+				}
+			}
+		}
+		ev := p.events[p.evStart[i]:]
+		sort.SliceStable(ev, func(a, b int) bool { return ev[a].si < ev[b].si })
+	}
+	p.evStart[nb] = len(p.events)
 
 	// Symbolic evaluation of all loads & block end values.
-	for _, b := range p.sched.Blocks {
-		for _, sl := range slots {
-			p.blockEnd(b.Node, sl)
+	for _, b := range sched.Blocks {
+		for si := range slots {
+			p.blockEnd(b.Node, si)
 		}
 	}
 	return p
 }
 
-// addressedSlot returns the promoted slot a load/store pointer refers to.
-func (p *promoter) addressedSlot(ptr ir.Def) *ir.PrimOp {
-	if e, ok := ptr.(*ir.PrimOp); ok {
-		return p.slotOf[e]
+// slotIndex returns the index of the promoted slot a load/store pointer
+// refers to.
+func (p *promoter) slotIndex(ptr ir.Def) (int, bool) {
+	e, ok := ptr.(*ir.PrimOp)
+	if !ok {
+		return 0, false
 	}
-	return nil
+	si, ok := p.slotOf[e]
+	return si, ok
 }
 
-// blockEnd computes the symbolic value of sl after executing block n,
+// slotEvents returns block n's promoted loads and stores of slot si, in
+// schedule order.
+func (p *promoter) slotEvents(n *analysis.Node, si int) []m2rEvent {
+	ev := p.events[p.evStart[n.Index]:p.evStart[n.Index+1]]
+	lo := sort.Search(len(ev), func(i int) bool { return ev[i].si >= si })
+	hi := lo
+	for hi < len(ev) && ev[hi].si == si {
+		hi++
+	}
+	return ev[lo:hi]
+}
+
+// blockEnd computes the symbolic value of slot si after executing block n,
 // filling loadVal for loads along the way.
-func (p *promoter) blockEnd(n *analysis.Node, sl *ir.PrimOp) any {
-	if m := p.endVal[n]; m != nil {
-		if v, ok := m[sl]; ok {
-			return v
-		}
+func (p *promoter) blockEnd(n *analysis.Node, si int) any {
+	k := n.Index*len(p.slots) + si
+	if v := p.endVal[k]; v != nil {
+		return v
 	}
-	if p.inProg[n] == nil {
-		p.inProg[n] = map[*ir.PrimOp]bool{}
-	}
-	if p.inProg[n][sl] {
+	if p.inProg[k] {
 		// We are inside a loop and re-entered the block whose φ is being
 		// filled: its start value is the pending φ; apply the block's own
 		// stores to produce the end-of-block value.
-		v := any(p.getPhi(n, sl))
-		for _, op := range p.sched.Block(n).PrimOps {
-			if op.OpKind() == ir.OpStore && p.addressedSlot(op.Op(1)) == sl {
-				v = m2rValue(op.Op(2))
+		v := any(p.getPhi(n, si))
+		for _, e := range p.slotEvents(n, si) {
+			if e.op.OpKind() == ir.OpStore {
+				v = m2rValue(e.op.Op(2))
 			}
 		}
 		return v
 	}
-	p.inProg[n][sl] = true
-	defer func() { p.inProg[n][sl] = false }()
-
-	v := p.blockStart(n, sl)
-	for _, op := range p.sched.Block(n).PrimOps {
-		switch op.OpKind() {
-		case ir.OpLoad:
-			if p.addressedSlot(op.Op(1)) == sl {
-				p.loadVal[op] = v
-			}
-		case ir.OpStore:
-			if p.addressedSlot(op.Op(1)) == sl {
-				v = m2rValue(op.Op(2))
-			}
+	p.inProg[k] = true
+	v := p.blockStart(n, si)
+	for _, e := range p.slotEvents(n, si) {
+		if e.op.OpKind() == ir.OpStore {
+			v = m2rValue(e.op.Op(2))
+		} else {
+			p.loadVal[e.op] = v
 		}
 	}
-	if p.endVal[n] == nil {
-		p.endVal[n] = map[*ir.PrimOp]any{}
-	}
-	p.endVal[n][sl] = v
+	p.inProg[k] = false
+	p.endVal[k] = v
 	return v
 }
 
-// blockStart computes the symbolic value of sl on entry to block n.
-func (p *promoter) blockStart(n *analysis.Node, sl *ir.PrimOp) any {
+// blockStart computes the symbolic value of slot si on entry to block n.
+func (p *promoter) blockStart(n *analysis.Node, si int) any {
 	if n == p.sched.CFG.Entry() || len(n.Preds) == 0 {
-		return m2rBottom{slotType(sl)}
+		return m2rBottom{slotType(p.slots[si])}
 	}
 	if len(n.Preds) == 1 {
-		return p.blockEnd(n.Preds[0], sl)
+		return p.blockEnd(n.Preds[0], si)
 	}
-	return p.getPhi(n, sl)
+	return p.getPhi(n, si)
 }
 
-func (p *promoter) getPhi(n *analysis.Node, sl *ir.PrimOp) *m2rPhi {
-	if m := p.phis[n]; m != nil {
-		if phi, ok := m[sl]; ok {
-			return phi
-		}
+func (p *promoter) getPhi(n *analysis.Node, si int) *m2rPhi {
+	k := n.Index*len(p.slots) + si
+	if phi := p.phis[k]; phi != nil {
+		return phi
 	}
-	phi := &m2rPhi{block: n, slot: sl}
-	if p.phis[n] == nil {
-		p.phis[n] = map[*ir.PrimOp]*m2rPhi{}
-	}
-	p.phis[n][sl] = phi
-	// Record the start value eagerly so recursive lookups see the φ.
-	if p.endVal[n] == nil {
-		p.endVal[n] = map[*ir.PrimOp]any{}
-	}
-	// Fill operands (may recurse back to this φ through loops).
+	phi := &m2rPhi{block: n, slot: p.slots[si], si: si, args: make([]any, 0, len(n.Preds))}
+	// Record the φ before filling its operands so recursive lookups (back
+	// to this block through loops) see it.
+	p.phis[k] = phi
+	p.blockPhis[n.Index] = append(p.blockPhis[n.Index], phi)
 	for _, pred := range n.Preds {
-		a := p.blockEnd(pred, sl)
+		a := p.blockEnd(pred, si)
 		phi.args = append(phi.args, a)
 		if ap, ok := a.(*m2rPhi); ok {
 			ap.users = append(ap.users, phi)
@@ -657,7 +688,7 @@ func (p *promoter) tryRemoveTrivial(phi *m2rPhi) any {
 // livePhis returns the surviving φs of block n in deterministic order.
 func (p *promoter) livePhis(n *analysis.Node) []*m2rPhi {
 	var out []*m2rPhi
-	for _, phi := range p.phis[n] {
+	for _, phi := range p.blockPhis[n.Index] {
 		if phi.repl == nil {
 			out = append(out, phi)
 		}
@@ -747,7 +778,7 @@ func (p *promoter) rewrite() (int, error) {
 		}
 		var n ir.Def
 		switch {
-		case op.OpKind() == ir.OpSlot && p.slots[op]:
+		case op.OpKind() == ir.OpSlot && p.promoted[op]:
 			panic("transform: mem2reg: promoted slot still referenced")
 		case op.OpKind() == ir.OpExtract && p.isSlotProj(op):
 			// Projections of a promoted slot: the mem projection forwards
@@ -765,7 +796,7 @@ func (p *promoter) rewrite() (int, error) {
 			} else {
 				n = valDef(p.loadVal[load])
 			}
-		case op.OpKind() == ir.OpStore && p.addressedSlot(op.Op(1)) != nil:
+		case op.OpKind() == ir.OpStore && p.addresses(op.Op(1)):
 			n = rw(op.Op(0)) // store vanishes; mem flows through
 		default:
 			ops := make([]ir.Def, op.NumOps())
@@ -798,7 +829,7 @@ func (p *promoter) rewrite() (int, error) {
 	// endArg yields the value of phi's slot at the end of block bi — the
 	// argument bi must pass when jumping to phi's block.
 	endArg := func(bi *blockInfo, phi *m2rPhi) ir.Def {
-		return valDef(p.endVal[bi.node][phi.slot])
+		return valDef(p.endVal[bi.node.Index*len(p.slots)+phi.si])
 	}
 
 	// Rewrite every block body; append φ arguments at jumps.
@@ -859,10 +890,16 @@ func (p *promoter) rewrite() (int, error) {
 
 func (p *promoter) isSlotProj(op *ir.PrimOp) bool {
 	src, ok := op.Op(0).(*ir.PrimOp)
-	return ok && src.OpKind() == ir.OpSlot && p.slots[src]
+	return ok && src.OpKind() == ir.OpSlot && p.promoted[src]
 }
 
 func (p *promoter) isPromotedLoadProj(op *ir.PrimOp) bool {
 	src, ok := op.Op(0).(*ir.PrimOp)
-	return ok && src.OpKind() == ir.OpLoad && p.addressedSlot(src.Op(1)) != nil
+	return ok && src.OpKind() == ir.OpLoad && p.addresses(src.Op(1))
+}
+
+// addresses reports whether ptr is the address of a promoted slot.
+func (p *promoter) addresses(ptr ir.Def) bool {
+	_, ok := p.slotIndex(ptr)
+	return ok
 }

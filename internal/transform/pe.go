@@ -121,7 +121,7 @@ func InlineOnceWith(w *ir.World, ac *analysis.Cache) (int, bool, error) {
 	const maxRounds = 16
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		for _, callee := range append([]*ir.Continuation(nil), w.Continuations()...) {
+		for _, callee := range w.Continuations() {
 			if callee.IsExtern() || callee.IsIntrinsic() || !callee.HasBody() {
 				continue
 			}
