@@ -322,10 +322,9 @@ func main() {
 				st.CFF.Specialized, st.Mem2Reg.PromotedSlots, st.Mem2Reg.PhiParams,
 				st.Closure.Closures)
 			fmt.Fprintf(os.Stderr,
-				"thorin: m2r-skipped: escaped=%d interleaved=%d unpromotable-type=%d; effect-threads=%d dead-stores=%d\n",
+				"thorin: m2r-skipped: escaped=%d interleaved=%d unpromotable-type=%d; dead-stores=%d\n",
 				st.Mem2Reg.SkippedEscaped, st.Mem2Reg.SkippedInterleaved,
-				st.Mem2Reg.SkippedUnpromotableType,
-				st.EffectSplit.Threads, st.Cleanup.DeadStores)
+				st.Mem2Reg.SkippedUnpromotableType, st.Cleanup.DeadStores)
 		}
 	}
 
@@ -357,15 +356,14 @@ func emitWorld(res *driver.Result, emit string) {
 	case "pass-report":
 		res.Report.WriteText(os.Stdout)
 		// The mem2reg rewrites column counts promotions; break the slots it
-		// could NOT promote down by reason, and show the memory-dependence
-		// work of the other passes next to it.
+		// could NOT promote down by reason, and show cleanup's dead-store
+		// count next to it.
 		fmt.Fprintf(os.Stdout,
 			"mem2reg skips: escaped=%d interleaved=%d unpromotable-type=%d\n",
 			st.Mem2Reg.SkippedEscaped, st.Mem2Reg.SkippedInterleaved,
 			st.Mem2Reg.SkippedUnpromotableType)
-		if st.EffectSplit.SplitChains > 0 || st.Cleanup.DeadStores > 0 {
-			fmt.Fprintf(os.Stdout, "effect threads: chains=%d threads=%d; dead stores removed: %d\n",
-				st.EffectSplit.SplitChains, st.EffectSplit.Threads, st.Cleanup.DeadStores)
+		if st.Cleanup.DeadStores > 0 {
+			fmt.Fprintf(os.Stdout, "dead stores removed: %d\n", st.Cleanup.DeadStores)
 		}
 	case "pass-report-json":
 		if err := res.Report.WriteJSON(os.Stdout); err != nil {

@@ -81,6 +81,7 @@ func TestFlagsRejectBadValues(t *testing.T) {
 		{"-link", "glue"},
 		{"-on-failure", "shrug"},
 		{"-budget", "nodes=-3"},
+		{"-passes", "nosuchpass"},
 	} {
 		fs := flag.NewFlagSet("thorinc", flag.ContinueOnError)
 		f := newFlags(fs)

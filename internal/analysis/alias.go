@@ -4,10 +4,10 @@ import (
 	"thorin/internal/ir"
 )
 
-// This file implements the region alias analysis behind the effect-aware
-// memory dependencies: allocation sites (slots, allocs, globals) whose
-// address provably never escapes form singleton alias regions, everything
-// else melts into the conservative ⊤ region. The lattice is flat — a
+// This file implements the region alias analysis behind dead-store
+// elimination and read-only load hoisting: allocation sites (slots,
+// allocs, globals) whose address provably never escapes form singleton
+// alias regions, everything else melts into the conservative ⊤ region. The lattice is flat — a
 // pointer either traces to exactly one non-escaped site or it is ⊤ — which
 // is all the disjointness the passes need:
 //
@@ -196,84 +196,18 @@ func walkSite(site *ir.PrimOp) (escaped bool, stores, loads int) {
 	return
 }
 
-// RegionTop is the region id of the conservative ⊤ region: escaped sites,
-// unknown pointers, and everything reachable from outside the scope.
-const RegionTop = 0
-
-// Regions is the per-scope partition of memory into non-aliasing regions:
-// region ids 1..N-1 are the scope's non-escaped allocation sites (one
-// region per site), id 0 is ⊤. Slots and allocs free in the scope (defined
-// by an enclosing scope) are folded into ⊤ regardless of their escape
-// status — the enclosing activation may interleave accesses this scope
-// cannot see. Globals are the exception: they belong to no scope (no
-// param in their use-closure), but the oracle's escape and store counts
-// span the whole world, so a reachable non-escaped global is a region the
-// same world-wide argument justifies anywhere it appears.
-type Regions struct {
-	Oracle *AliasOracle
-	scope  *Scope
-	id     map[*ir.PrimOp]int // non-escaped in-scope site → region id
-	sites  []*ir.PrimOp       // region id → site; index 0 (⊤) is nil
-}
-
-// NewRegions partitions the scope's allocation sites into alias regions.
-func NewRegions(s *Scope) *Regions {
-	r := &Regions{Oracle: NewAliasOracle(), scope: s, id: map[*ir.PrimOp]int{}, sites: []*ir.PrimOp{nil}}
-	for _, p := range s.ReachablePrimOps() {
-		if !IsAllocSite(p) {
-			continue
-		}
-		if p.OpKind() != ir.OpGlobal && !s.Contains(p) {
-			continue
-		}
-		if r.Oracle.Escapes(p) {
-			continue
-		}
-		r.id[p] = len(r.sites)
-		r.sites = append(r.sites, p)
-	}
-	return r
-}
-
-// NumRegions returns the number of region ids, ⊤ included.
-func (r *Regions) NumRegions() int { return len(r.sites) }
-
-// RegionOfSite returns the site's region id (RegionTop when escaped or
-// foreign).
-func (r *Regions) RegionOfSite(site *ir.PrimOp) int { return r.id[site] }
-
-// RegionOf returns the region a pointer points into (RegionTop when
-// unknown).
-func (r *Regions) RegionOf(ptr ir.Def) int {
+// ReadOnlyIn reports whether ptr points into a read-only alias region of
+// scope s: a non-escaped allocation site that is never stored to, anywhere
+// in the world. Slots and allocs free in s (defined by an enclosing scope)
+// never qualify, whatever their escape status — the enclosing activation
+// may interleave accesses s cannot see. Globals are the exception: they
+// belong to no scope, but the oracle's escape and store counts span the
+// whole world, so the same argument justifies them anywhere. Loads through
+// such a pointer are pure values as far as scheduling is concerned.
+func (o *AliasOracle) ReadOnlyIn(s *Scope, ptr ir.Def) bool {
 	site := SiteOf(ptr)
-	if site == nil {
-		return RegionTop
-	}
-	return r.id[site]
-}
-
-// RegionOfOp returns the region a load or store touches.
-func (r *Regions) RegionOfOp(p *ir.PrimOp) int {
-	switch p.OpKind() {
-	case ir.OpLoad, ir.OpStore:
-		return r.RegionOf(p.Op(1))
-	case ir.OpSlot, ir.OpAlloc, ir.OpGlobal:
-		return r.id[p]
-	}
-	return RegionTop
-}
-
-// MayAlias reports whether accesses in regions a and b can touch the same
-// cell. Distinct region ids never alias — including ⊤ versus a non-⊤
-// region, by the escape invariant.
-func (r *Regions) MayAlias(a, b int) bool { return a == b }
-
-// ReadOnly reports whether the region's cell is never stored to, anywhere
-// in the world. Loads from read-only regions are pure values as far as
-// scheduling is concerned.
-func (r *Regions) ReadOnly(id int) bool {
-	if id == RegionTop || id >= len(r.sites) {
+	if site == nil || (site.OpKind() != ir.OpGlobal && !s.Contains(site)) {
 		return false
 	}
-	return r.Oracle.StoreCount(r.sites[id]) == 0
+	return !o.Escapes(site) && o.StoreCount(site) == 0
 }

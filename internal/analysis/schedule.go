@@ -43,13 +43,6 @@ func ParseMode(name string) (Mode, error) {
 	return 0, fmt.Errorf("bad schedule %q (want early, late or smart)", name)
 }
 
-// HoistRegionLoads gates the region-pure load motion of ScheduleSmart:
-// loads from provably read-only, non-escaped alias regions are scheduled
-// like pure values (their mem operand ignored for placement), so the smart
-// walk can hoist them out of loops. The bit exists for before/after
-// measurement; production builds leave it on.
-var HoistRegionLoads = true
-
 // Block is one scheduled basic block: a CFG node plus its primops in
 // execution order.
 type Block struct {
@@ -148,8 +141,8 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 		// the mem projection stays pinned at the original chain position so
 		// downstream effectful ops do not move.
 		hoistBound := map[*ir.PrimOp]*Node{}
-		if mode == ScheduleSmart && HoistRegionLoads {
-			regions := NewRegions(s)
+		if mode == ScheduleSmart {
+			oracle := NewAliasOracle()
 			for _, p := range primops {
 				if p.OpKind() != ir.OpLoad {
 					continue
@@ -161,8 +154,7 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 				if po, ok := ptr.(*ir.PrimOp); ok && po.OpKind() == ir.OpLea {
 					continue
 				}
-				rid := regions.RegionOf(ptr)
-				if rid != RegionTop && regions.ReadOnly(rid) {
+				if oracle.ReadOnlyIn(s, ptr) {
 					hoistBound[p] = defBlock(ptr)
 				}
 			}

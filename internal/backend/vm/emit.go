@@ -196,13 +196,6 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) ([]vm.Instr, error) {
 		}
 		return []vm.Instr{{Op: vm.OpPtrStore, A: ptr, B: v}}, nil
 
-	case ir.OpMemFork, ir.OpMemJoin:
-		// Effect-thread fork/join carries no runtime content: the
-		// schedule's topological order is already a valid linearization of
-		// the independent threads, so both erase to nothing (their mem
-		// projections erase through the OpExtract case above).
-		return nil, nil
-
 	case ir.OpLea:
 		arr, err := e.regOf(p.Op(0))
 		if err != nil {

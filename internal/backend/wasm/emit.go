@@ -507,11 +507,6 @@ func (e *fnEmitter) emitPrimOp(p *ir.PrimOp) error {
 		e.store(valTypeOf(p.Op(2).Type()), 0)
 		return nil
 
-	case ir.OpMemFork, ir.OpMemJoin:
-		// Effect-thread fork/join carries no runtime content, exactly as
-		// in the VM backend: the schedule already linearized the threads.
-		return nil
-
 	case ir.OpClosure:
 		code, ok := p.Op(0).(*ir.Continuation)
 		if !ok {

@@ -25,7 +25,6 @@
 //     them onto the same observable errors the VM reports. CastFI goes
 //     through the env.f2i host import to inherit the platform's exact
 //     float→int semantics.
-//   - fork/join effect threads erase, exactly as in the VM backend.
 package wasmbackend
 
 import (

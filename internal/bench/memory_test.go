@@ -10,13 +10,13 @@ import (
 	"thorin/internal/transform"
 )
 
-// memorySource builds the effect-region workload: disjoint arrays and a
+// memorySource builds the alias-region workload: disjoint arrays and a
 // clean accumulator interleaved in a loop of iters trips, a read-only
 // global read every iteration, an escaped cell, and a dead store. Every
 // shape is there on purpose:
 //
 //   - a and b are disjoint array regions written every iteration —
-//     unpromotable, so they survive as the effect-split material;
+//     unpromotable, so their traffic stays on the memory chain;
 //   - acc's own load/store chain is clean, but the array traffic and the
 //     closure's effects interleave with it: only region-local promotion
 //     can lift it;
@@ -27,9 +27,8 @@ import (
 //     which the lambda survives only as a direct callee of the recursive
 //     clone: multi-use (inline-once skips it), distinct return
 //     continuations (contify skips it), never a jump argument again. The
-//     capturing lambda keeps sweep's scope out of block form forever —
-//     the before arm skips every slot in it, and e pins a ⊤-region
-//     thread;
+//     capturing lambda keeps sweep's scope out of block form forever,
+//     so only region-local promotion reaches its slots;
 //   - x's first store is dead (overwritten before any read).
 //
 // Two structural details are load-bearing. sweep has two call sites with
@@ -37,8 +36,8 @@ import (
 // into main and re-anchor its slots on covered-block parameters (which
 // region-local promotion refuses). And e is declared before acc and the
 // arrays, so the lambda's operand closure (e's slot plus everything
-// sequenced before it on the mem chain) touches nothing the after arm
-// wants to promote.
+// sequenced before it on the mem chain) touches nothing region-local
+// promotion wants to promote.
 func memorySource(iters int) string {
 	return fmt.Sprintf(`static base = 7;
 
@@ -72,12 +71,12 @@ fn main(n: i64) -> i64 {
 `, iters)
 }
 
-// memoryArm is what one configuration of the workload does: the optimizer
-// statistics the effect regions move and the VM execution they net out to.
+// memoryArm is what one compile of the workload does: the optimizer
+// statistics the alias regions move and the VM execution they net out to.
 type memoryArm struct {
-	Promoted, SkippedInterleaved, SkippedEscaped   int
-	ChainsSplit, Threads, DeadStores, HoistedLoads int
-	VMInstructions, VMLoads, VMStores, Result      int64
+	Promoted, SkippedInterleaved, SkippedEscaped int
+	DeadStores, HoistedLoads                     int
+	VMInstructions, VMLoads, VMStores, Result    int64
 }
 
 // countHoisted rebuilds the smart schedule of every top-level scope of an
@@ -98,15 +97,9 @@ func countHoisted(res *driver.Result) int {
 	return hoisted
 }
 
-// runMemoryArm compiles src with spec at jobs 1, with the region
-// chicken-bits (transform.PromoteNonBlockScopes and
-// analysis.HoistRegionLoads) set to regionBits, and runs main(3).
-func runMemoryArm(t *testing.T, src, spec string, regionBits bool) memoryArm {
+// runMemoryArm compiles src with spec at jobs 1 and runs main(3).
+func runMemoryArm(t *testing.T, src, spec string) memoryArm {
 	t.Helper()
-	prevPromote, prevHoist := transform.PromoteNonBlockScopes, analysis.HoistRegionLoads
-	transform.PromoteNonBlockScopes, analysis.HoistRegionLoads = regionBits, regionBits
-	defer func() { transform.PromoteNonBlockScopes, analysis.HoistRegionLoads = prevPromote, prevHoist }()
-
 	res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +113,6 @@ func runMemoryArm(t *testing.T, src, spec string, regionBits bool) memoryArm {
 		Promoted:           st.Mem2Reg.PromotedSlots,
 		SkippedInterleaved: st.Mem2Reg.SkippedInterleaved,
 		SkippedEscaped:     st.Mem2Reg.SkippedEscaped,
-		ChainsSplit:        st.EffectSplit.SplitChains,
-		Threads:            st.EffectSplit.Threads,
 		DeadStores:         st.Cleanup.DeadStores,
 		HoistedLoads:       countHoisted(res),
 		VMInstructions:     ctr.Instructions,
@@ -131,33 +122,18 @@ func runMemoryArm(t *testing.T, src, spec string, regionBits bool) memoryArm {
 	}
 }
 
-// TestEffectRegionWinsAreExact pins what the effect-aware memory pipeline
-// buys on the workload at 64 iterations. The before arm turns the region
-// machinery off and runs the canonical O2 spec; the after arm turns it on
-// and adds the opt-in effectsplit pass. Region-local promotion lifts one
-// more slot, the scheduler hoists the read-only load out of the loop, the
-// split yields four effect threads, and the same result costs fewer VM
-// instructions, loads and stores.
+// TestEffectRegionWinsAreExact pins what the alias regions buy at -O2 on
+// the workload at 64 iterations: region-local promotion lifts acc out of
+// sweep's non-block-form scope (3 slots promoted; the lambda-captured e is
+// the one escaped skip), cleanup kills x's dead store, and the smart
+// schedule hoists the read-only load of base out of the loop. Without the
+// promotion or the hoist the VM counts rise above these pins.
 func TestEffectRegionWinsAreExact(t *testing.T) {
-	src := memorySource(64)
-	const effectSplit = "cleanup,pe,fix(cff,contify,mem2reg,inline-once),effectsplit,cleanup,closure"
-	for _, tc := range []struct {
-		name       string
-		spec       string
-		regionBits bool
-		want       memoryArm
-	}{
-		{"before", transform.O2, false, memoryArm{
-			Promoted: 2, SkippedInterleaved: 2, DeadStores: 1,
-			VMInstructions: 13638, VMLoads: 2251, VMStores: 1370, Result: 71341277270831376,
-		}},
-		{"after", effectSplit, true, memoryArm{
-			Promoted: 3, SkippedEscaped: 1, ChainsSplit: 1, Threads: 4, DeadStores: 1, HoistedLoads: 1,
-			VMInstructions: 12668, VMLoads: 1611, VMStores: 1045, Result: 71341277270831376,
-		}},
-	} {
-		if got := runMemoryArm(t, src, tc.spec, tc.regionBits); got != tc.want {
-			t.Errorf("%s arm:\n got %+v\nwant %+v", tc.name, got, tc.want)
-		}
+	want := memoryArm{
+		Promoted: 3, SkippedEscaped: 1, DeadStores: 1, HoistedLoads: 1,
+		VMInstructions: 12668, VMLoads: 1611, VMStores: 1045, Result: 71341277270831376,
+	}
+	if got := runMemoryArm(t, memorySource(64), transform.O2); got != want {
+		t.Errorf("O2 arm:\n got %+v\nwant %+v", got, want)
 	}
 }

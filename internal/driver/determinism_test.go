@@ -51,12 +51,6 @@ func determinismCorpus(t *testing.T) map[string]string {
 	return srcs
 }
 
-// effectSplitDetSpec mirrors the fuzzer's opt-in effectsplit pipeline: the
-// O2 spec with the effect-split pass before the final cleanup. The
-// fork/join rewiring runs per scope in a deterministic order, so it must
-// hold the same byte-level determinism bar as the canonical spec.
-const effectSplitDetSpec = "cleanup,pe,fix(cff,contify,mem2reg,inline-once),effectsplit,cleanup,closure"
-
 func printedIR(t *testing.T, src, spec string, jobs int, disableIncremental bool) string {
 	t.Helper()
 	res, err := driver.CompileSpec(src, spec,
@@ -72,23 +66,21 @@ func printedIR(t *testing.T, src, spec string, jobs int, disableIncremental bool
 func TestDeterministicIRAcrossJobsAndRuns(t *testing.T) {
 	for name, src := range determinismCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, spec := range []string{transform.O2, effectSplitDetSpec} {
-				ref := printedIR(t, src, spec, 1, false)
-				if ref == "" {
-					t.Fatal("empty printed IR")
+			ref := printedIR(t, src, transform.O2, 1, false)
+			if ref == "" {
+				t.Fatal("empty printed IR")
+			}
+			for _, jobs := range []int{1, 4, 8} {
+				for run := 0; run < 2; run++ {
+					if got := printedIR(t, src, transform.O2, jobs, false); got != ref {
+						t.Fatalf("jobs=%d run=%d: printed IR differs from first jobs=1 compile", jobs, run)
+					}
 				}
-				for _, jobs := range []int{1, 4, 8} {
-					for run := 0; run < 2; run++ {
-						if got := printedIR(t, src, spec, jobs, false); got != ref {
-							t.Fatalf("spec=%s jobs=%d run=%d: printed IR differs from first jobs=1 compile", spec, jobs, run)
-						}
-					}
-					// Incremental mode may only skip provably no-op work, never
-					// reorder rewrites, so turning it off must not change a byte
-					// at any jobs level.
-					if got := printedIR(t, src, spec, jobs, true); got != ref {
-						t.Fatalf("spec=%s jobs=%d: printed IR with -incremental=off differs from incremental compile", spec, jobs)
-					}
+				// Incremental mode may only skip provably no-op work, never
+				// reorder rewrites, so turning it off must not change a byte
+				// at any jobs level.
+				if got := printedIR(t, src, transform.O2, jobs, true); got != ref {
+					t.Fatalf("jobs=%d: printed IR with -incremental=off differs from incremental compile", jobs)
 				}
 			}
 		})
@@ -118,13 +110,11 @@ func wasmArtifact(t *testing.T, src, spec string, jobs int) []byte {
 func TestDeterministicWasmAcrossJobsAndRuns(t *testing.T) {
 	for name, src := range determinismCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, spec := range []string{transform.O2, effectSplitDetSpec} {
-				ref := wasmArtifact(t, src, spec, 1)
-				for _, jobs := range []int{1, 4, 8} {
-					for run := 0; run < 2; run++ {
-						if got := wasmArtifact(t, src, spec, jobs); !bytes.Equal(got, ref) {
-							t.Fatalf("spec=%s jobs=%d run=%d: wasm artifact differs from first jobs=1 compile", spec, jobs, run)
-						}
+			ref := wasmArtifact(t, src, transform.O2, 1)
+			for _, jobs := range []int{1, 4, 8} {
+				for run := 0; run < 2; run++ {
+					if got := wasmArtifact(t, src, transform.O2, jobs); !bytes.Equal(got, ref) {
+						t.Fatalf("jobs=%d run=%d: wasm artifact differs from first jobs=1 compile", jobs, run)
 					}
 				}
 			}

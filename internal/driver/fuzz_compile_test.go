@@ -14,13 +14,8 @@ import (
 	"thorin/internal/transform"
 )
 
-// effectSplitSpec is the O2 pipeline with the effect-split pass wired in
-// before the final cleanup — the opt-in spec the fuzzer exercises so the
-// fork/join rewiring is differentially checked against the reference.
-const effectSplitSpec = "cleanup,pe,fix(cff,contify,mem2reg,inline-once),effectsplit,cleanup,closure"
-
 // diffArms runs the reference interpreter and every compiled arm (-O0 and
-// -O2, jobs 1 and 4, plus -O2 with effectsplit) on src with one argument
+// -O2 at jobs 1 and 4 on the VM, -O0 and -O2 on wasm) on src with one argument
 // and reports the first disagreement; "" means all arms agree. The error return flags inputs the
 // oracle cannot judge (parse/check failure, reference out of fuel) — the
 // fuzzer skips those, the crasher regression treats them as corpus rot.
@@ -59,8 +54,6 @@ func diffArms(src string, arg int64) (string, error) {
 		{"O0/jobs=1", transform.O0, 1, backend.VM},
 		{"O2/jobs=1", transform.O2, 1, backend.VM},
 		{"O2/jobs=4", transform.O2, 4, backend.VM},
-		{"O2+effectsplit/jobs=1", effectSplitSpec, 1, backend.VM},
-		{"O2+effectsplit/jobs=4", effectSplitSpec, 4, backend.VM},
 		{"O0/wasm", transform.O0, 1, backend.Wasm},
 		{"O2/wasm", transform.O2, 1, backend.Wasm},
 	} {

@@ -125,6 +125,11 @@ func (r *Request) Resolve(crashDir string) (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Parse now so an unknown pass is a bad request, refused before the
+	// daemon admits it or runs the frontend.
+	if _, err := pm.Parse(spec); err != nil {
+		return nil, err
+	}
 	mode, err := analysis.ParseMode(r.Schedule)
 	if err != nil {
 		return nil, err

@@ -7,8 +7,7 @@ import "testing"
 // must stay in sync with the enum to cover it, failing by kind name:
 //
 //   - the verifier's opShapes operand contract, and its internal
-//     consistency (memIdx within arity bounds, allMem only for pure-mem
-//     operand lists),
+//     consistency (memIdx within arity bounds),
 //   - HasMemEffect agreement with the shape table: a kind that declares a
 //     memory operand is effectful, and vice versa — except OpExtract,
 //     which carries its source's effect through projections without
@@ -33,10 +32,7 @@ func TestOpKindExhaustive(t *testing.T) {
 				t.Errorf("%s: opShapes memIdx %d outside the guaranteed arity %d", k, i, sh.minOps)
 			}
 		}
-		if sh.allMem && len(sh.memIdx) != 0 {
-			t.Errorf("%s: opShapes sets both allMem and memIdx", k)
-		}
-		declaresMem := len(sh.memIdx) > 0 || sh.allMem
+		declaresMem := len(sh.memIdx) > 0
 		if declaresMem && !k.HasMemEffect() {
 			t.Errorf("%s: takes a memory operand but HasMemEffect() is false", k)
 		}

@@ -66,15 +66,6 @@ const (
 	// paper's follow-on work; Run forces and Hlt blocks specialization.
 	OpRun
 	OpHlt
-
-	// OpMemFork: (mem) — forks the effect chain into n independent
-	// per-region threads; result (mem, ..., mem). Each projection must be
-	// consumed by at most one effectful op (per-thread linearity, checked by
-	// Verify). OpMemJoin: (mem...) — joins forked threads back into one
-	// token. Codegen erases both: any topological interleaving of
-	// independent threads is a valid linearization.
-	OpMemFork
-	OpMemJoin
 )
 
 var opNames = map[OpKind]string{
@@ -86,7 +77,6 @@ var opNames = map[OpKind]string{
 	OpSlot: "slot", OpAlloc: "alloc", OpLoad: "load", OpStore: "store",
 	OpLea: "lea", OpALen: "alen", OpGlobal: "global", OpClosure: "closure",
 	OpRun: "run", OpHlt: "hlt",
-	OpMemFork: "memfork", OpMemJoin: "memjoin",
 }
 
 func (k OpKind) String() string {
@@ -116,7 +106,7 @@ func (k OpKind) IsCommutative() bool {
 // participates in the effect chain.
 func (k OpKind) HasMemEffect() bool {
 	switch k {
-	case OpSlot, OpAlloc, OpLoad, OpStore, OpMemFork, OpMemJoin:
+	case OpSlot, OpAlloc, OpLoad, OpStore:
 		return true
 	}
 	return false

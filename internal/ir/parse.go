@@ -374,20 +374,6 @@ func (p *worldParser) buildPrimOp(kind string, ty Type, args []Def) (Def, error)
 			return nil, err
 		}
 		return w.Hlt(args[0]), nil
-	case OpMemFork:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		tt, ok := ty.(*TupleType)
-		if !ok || len(tt.ElemTypes) == 0 {
-			return nil, p.errf("memfork result must be (mem, ..., mem)")
-		}
-		return w.MemFork(args[0], len(tt.ElemTypes)), nil
-	case OpMemJoin:
-		if len(args) < 1 {
-			return nil, p.errf("memjoin needs at least one operand")
-		}
-		return w.MemJoin(args...), nil
 	}
 	return nil, p.errf("cannot build primop %q", kind)
 }

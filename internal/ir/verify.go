@@ -3,7 +3,6 @@ package ir
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // opShape is the operand contract of one primop kind: arity bounds and
@@ -15,7 +14,6 @@ type opShape struct {
 	minOps int
 	maxOps int   // -1 = unbounded
 	memIdx []int // operand indices that must be MemType
-	allMem bool  // every operand must be MemType
 }
 
 var opShapes = map[OpKind]opShape{
@@ -43,8 +41,6 @@ var opShapes = map[OpKind]opShape{
 	OpClosure: {minOps: 1, maxOps: -1},
 	OpRun:     {minOps: 1, maxOps: 1},
 	OpHlt:     {minOps: 1, maxOps: 1},
-	OpMemFork: {minOps: 1, maxOps: 1, memIdx: []int{0}},
-	OpMemJoin: {minOps: 2, maxOps: -1, allMem: true},
 }
 
 // Verify checks structural and type sanity of the whole world:
@@ -54,66 +50,20 @@ var opShapes = map[OpKind]opShape{
 //   - branch intrinsic calls are well-formed,
 //   - operand slices contain no nil entries and match the kind's opShapes
 //     contract (arity, memory-token positions),
-//   - params point back to their continuation,
-//   - forked effect threads are linear: each memfork projection feeds at
-//     most one effectful consumer.
+//   - params point back to their continuation.
 //
 // It returns a joined error describing every violation found.
 func Verify(w *World) error {
 	var errs []error
-	lin := newLinearity()
 	for _, c := range w.Continuations() {
-		if err := verifyCont(c, lin); err != nil {
+		if err := verifyCont(c); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	if err := lin.check(); err != nil {
-		errs = append(errs, err)
-	}
 	return errors.Join(errs...)
 }
 
-// linearity accumulates, across all continuations, the effectful consumers
-// of every memfork projection. A projection with two consumers means two
-// effect threads share one token — the reordering freedom fork grants would
-// no longer be sound.
-type linearity struct {
-	consumers map[*PrimOp]map[*PrimOp]bool // fork projection → consuming ops
-}
-
-func newLinearity() *linearity { return &linearity{consumers: map[*PrimOp]map[*PrimOp]bool{}} }
-
-func (l *linearity) consume(proj Def, user *PrimOp) {
-	e := AsPrimOp(proj, OpExtract)
-	if e == nil || AsPrimOp(e.Op(0), OpMemFork) == nil {
-		return
-	}
-	if l.consumers[e] == nil {
-		l.consumers[e] = map[*PrimOp]bool{}
-	}
-	l.consumers[e][user] = true
-}
-
-func (l *linearity) check() error {
-	var bad []*PrimOp
-	for proj, users := range l.consumers {
-		if len(users) > 1 {
-			bad = append(bad, proj)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i].GID() < bad[j].GID() })
-	var errs []error
-	for _, proj := range bad {
-		errs = append(errs, fmt.Errorf("ir: memfork projection %s has %d effectful consumers (threads must be linear)",
-			debugName(proj), len(l.consumers[proj])))
-	}
-	return errors.Join(errs...)
-}
-
-func verifyCont(c *Continuation, lin *linearity) error {
+func verifyCont(c *Continuation) error {
 	for i, p := range c.params {
 		if p.cont != c || p.index != i {
 			return fmt.Errorf("ir: %s: param %d broken back-link", c.name, i)
@@ -151,7 +101,7 @@ func verifyCont(c *Continuation, lin *linearity) error {
 			return err
 		}
 	}
-	return verifyOps(c, lin)
+	return verifyOps(c)
 }
 
 // verifyBranch checks the parts of a branch call the generic type check
@@ -175,7 +125,7 @@ func verifyBranch(c *Continuation) error {
 	return nil
 }
 
-func verifyOps(c *Continuation, lin *linearity) error {
+func verifyOps(c *Continuation) error {
 	seen := map[Def]bool{}
 	var walk func(d Def) error
 	walk = func(d Def) error {
@@ -195,7 +145,7 @@ func verifyOps(c *Continuation, lin *linearity) error {
 				return err
 			}
 		}
-		return verifyShape(c, p, lin)
+		return verifyShape(c, p)
 	}
 	for _, op := range c.Ops() {
 		if err := walk(op); err != nil {
@@ -205,9 +155,8 @@ func verifyOps(c *Continuation, lin *linearity) error {
 	return nil
 }
 
-// verifyShape checks p against the opShapes contract for its kind and
-// records memfork-projection consumption for the linearity check.
-func verifyShape(c *Continuation, p *PrimOp, lin *linearity) error {
+// verifyShape checks p against the opShapes contract for its kind.
+func verifyShape(c *Continuation, p *PrimOp) error {
 	sh, ok := opShapes[p.kind]
 	if !ok {
 		return fmt.Errorf("ir: primop %s in %s: kind missing from opShapes table", p.kind, c.name)
@@ -216,26 +165,10 @@ func verifyShape(c *Continuation, p *PrimOp, lin *linearity) error {
 		return fmt.Errorf("ir: primop %s in %s: %d operands (want %d..%d)",
 			p.kind, c.name, p.NumOps(), sh.minOps, sh.maxOps)
 	}
-	memAt := func(i int) error {
-		op := p.Op(i)
-		if !IsMemType(op.Type()) {
+	for _, i := range sh.memIdx {
+		if op := p.Op(i); !IsMemType(op.Type()) {
 			return fmt.Errorf("ir: primop %s in %s: operand %d has type %s, want mem",
 				p.kind, c.name, i, op.Type())
-		}
-		lin.consume(op, p)
-		return nil
-	}
-	if sh.allMem {
-		for i := 0; i < p.NumOps(); i++ {
-			if err := memAt(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range sh.memIdx {
-		if err := memAt(i); err != nil {
-			return err
 		}
 	}
 	return nil

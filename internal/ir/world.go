@@ -720,63 +720,6 @@ func (w *World) Closure(t *FnType, fn Def, env ...Def) Def {
 	return w.cse(OpClosure, t, ops...)
 }
 
-// MemFork splits mem into n independent effect threads; the result is a
-// tuple of n memory tokens. Forks are never shared by hash-consing: two
-// branch arms forking the same token must each own their projections, or
-// the per-thread linearity Verify enforces (one effectful consumer per
-// projection) would be violated by the structural merge.
-func (w *World) MemFork(mem Def, n int) Def {
-	if n < 1 {
-		panic("ir: memfork needs at least one thread")
-	}
-	ts := make([]Type, n)
-	for i := range ts {
-		ts[i] = w.MemType()
-	}
-	return w.cseSalted(OpMemFork, w.TupleType(ts...), w.uniqueSalt(), mem)
-}
-
-// MemJoin merges forked effect threads back into a single memory token.
-// Joining a single token is the identity, and joining exactly the
-// projections of one fork in order folds back to the fork's input.
-func (w *World) MemJoin(mems ...Def) Def {
-	if len(mems) == 0 {
-		panic("ir: memjoin needs at least one thread")
-	}
-	if len(mems) == 1 {
-		return mems[0]
-	}
-	if fork := joinOfWholeFork(mems); fork != nil {
-		return fork.Op(0)
-	}
-	return w.cse(OpMemJoin, w.MemType(), mems...)
-}
-
-// joinOfWholeFork returns the fork whose projections 0..n-1 appear in mems
-// in exactly that order, or nil.
-func joinOfWholeFork(mems []Def) *PrimOp {
-	var fork *PrimOp
-	for i, m := range mems {
-		e := AsPrimOp(m, OpExtract)
-		if e == nil {
-			return nil
-		}
-		idx, ok := LitValue(e.Op(1))
-		if !ok || int(idx) != i {
-			return nil
-		}
-		f := AsPrimOp(e.Op(0), OpMemFork)
-		if f == nil || (fork != nil && f != fork) {
-			return nil
-		}
-		fork = f
-	}
-	if fork == nil || len(fork.Type().(*TupleType).ElemTypes) != len(mems) {
-		return nil
-	}
-	return fork
-}
-
 // Run marks def to be forced by the partial evaluator.
 func (w *World) Run(d Def) Def { return w.cse(OpRun, d.Type(), d) }
 

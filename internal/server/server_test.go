@@ -188,6 +188,34 @@ func TestPanickingRequestContained(t *testing.T) {
 	}
 }
 
+// TestUnknownPassIsBadRequest: a spec naming an unregistered pass is
+// refused by Request.Resolve with a 400 before admission, so the request
+// never reaches the cache or the frontend. It is counted once, in Errors,
+// like any other bad request (the outcome counters partition Requests).
+func TestUnknownPassIsBadRequest(t *testing.T) {
+	_, c := startServer(t, Config{})
+
+	_, _, err := c.Compile(&driver.Request{Source: fibSrc, Spec: "cleanup,nosuchpass,closure"})
+	re, ok := err.(*RemoteError)
+	if !ok {
+		t.Fatalf("want *RemoteError, got %T: %v", err, err)
+	}
+	if re.Status != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400 (%v)", re.Status, re)
+	}
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Requests != 1 || m.Errors != 1 {
+		t.Errorf("metrics requests=%d errors=%d, want 1/1", m.Requests, m.Errors)
+	}
+	if m.Cache.Misses != 0 || m.CompileNs != 0 || len(m.Passes) != 0 {
+		t.Errorf("bad request reached the cache or the compiler: misses=%d compile_ns=%d passes=%v",
+			m.Cache.Misses, m.CompileNs, m.Passes)
+	}
+}
+
 // TestItersBudgetDoesNotPoisonCache: an iters= budget silently caps fix
 // groups, so a capped request can succeed with an under-optimized
 // (saturated) program. It must be cached under its own key — never under

@@ -83,7 +83,7 @@ func deadStoreElim(w *ir.World) (int, error) {
 		if c.IsIntrinsic() || !c.HasBody() {
 			continue
 		}
-		_, ops, _, ok := traceMemChain(c)
+		ops, ok := traceMemChain(c)
 		if !ok {
 			continue
 		}
@@ -297,4 +297,79 @@ func eliminateDeadParams(w *ir.World, ac *analysis.Cache) int {
 		n += len(deadIdx)
 	}
 	return n
+}
+
+// traceMemChain walks the body's jump memory argument back to the
+// parameter anchoring it and returns the effectful ops in execution order.
+// It returns ok=false for anything but a plain single-use backbone of
+// slots, allocs, loads and stores.
+func traceMemChain(c *ir.Continuation) (ops []*ir.PrimOp, ok bool) {
+	var memArg ir.Def
+	for _, a := range c.Args() {
+		if ir.IsMemType(a.Type()) {
+			if memArg != nil {
+				return nil, false // two mem args: not a linear body
+			}
+			memArg = a
+		}
+	}
+	if memArg == nil {
+		return nil, false
+	}
+	cur := memArg
+	for {
+		switch d := cur.(type) {
+		case *ir.Param:
+			// Reverse into execution order.
+			for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
+				ops[i], ops[j] = ops[j], ops[i]
+			}
+			return ops, true
+		case *ir.PrimOp:
+			switch d.OpKind() {
+			case ir.OpStore:
+				if d.NumUses() != 1 {
+					return nil, false
+				}
+				ops = append(ops, d)
+				cur = d.Op(0)
+			case ir.OpExtract:
+				if i, lit := ir.LitValue(d.Op(1)); !lit || i != 0 || d.NumUses() != 1 {
+					return nil, false
+				}
+				src, isOp := d.Op(0).(*ir.PrimOp)
+				if !isOp {
+					return nil, false
+				}
+				switch src.OpKind() {
+				case ir.OpSlot, ir.OpAlloc, ir.OpLoad:
+					// The tuple result must only be observed through
+					// constant-index projections, or the mem token leaks
+					// out of the straight-line window.
+					clean := true
+					src.EachUse(func(u ir.Use) bool {
+						e, eok := u.Def.(*ir.PrimOp)
+						if eok && e.OpKind() == ir.OpExtract && u.Index == 0 {
+							if _, lit := ir.LitValue(e.Op(1)); lit {
+								return true
+							}
+						}
+						clean = false
+						return false
+					})
+					if !clean {
+						return nil, false
+					}
+					ops = append(ops, src)
+					cur = src.Op(0)
+				default:
+					return nil, false
+				}
+			default:
+				return nil, false // not a chain op
+			}
+		default:
+			return nil, false
+		}
+	}
 }

@@ -34,14 +34,6 @@ func (s *Mem2RegStats) add(o Mem2RegStats) {
 	s.SkippedUnpromotableType += o.SkippedUnpromotableType
 }
 
-// PromoteNonBlockScopes gates the region-local promotion path: slots in
-// scopes that are not in block form (a nested returning function keeps the
-// scope's CFG from covering every continuation) are still promoted when
-// their loads and stores live entirely in CFG-covered blocks and the
-// nested activations provably never touch them. The bit exists for
-// before/after measurement; production builds leave it on.
-var PromoteNonBlockScopes = true
-
 // Mem2Reg promotes non-escaping stack slots to values flowing through
 // continuation parameters in every promotable top-level scope. This is the
 // paper's demonstration that SSA construction is an ordinary IR
@@ -116,12 +108,6 @@ func m2rAnalyze(w *ir.World, ac *analysis.Cache, c *ir.Continuation) *m2rPlan {
 	if blockFormScope(s) {
 		plan := &m2rPlan{}
 		plan.p = planPromotion(w, s, nil)
-		plan.reasons.SkippedEscaped = countEscapedSlots(s)
-		return plan
-	}
-	if !PromoteNonBlockScopes {
-		plan := &m2rPlan{skipped: true}
-		plan.reasons.SkippedInterleaved = len(PromotableSlots(s))
 		plan.reasons.SkippedEscaped = countEscapedSlots(s)
 		return plan
 	}
@@ -318,7 +304,7 @@ func slotAnchoredInBlocks(sl *ir.PrimOp, g *analysis.CFG) bool {
 
 // homeCont walks an effectful op's mem operand chain back to the parameter
 // anchoring it to its continuation, or nil when the chain is not a plain
-// backbone (a fork/join or an unrecognized def).
+// backbone of stores and effectful-op projections.
 func homeCont(op *ir.PrimOp) *ir.Continuation {
 	d := op.Op(0)
 	for {

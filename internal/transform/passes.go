@@ -98,11 +98,6 @@ func init() {
 		st.Cleanup.DeadStores += s.DeadStores
 		return pm.Result{Rewrites: s.RemovedConts + s.EtaReduced + s.DeadParams + s.DeadStores, Saturated: s.Saturated}, err
 	}})
-	pm.Register(stdPass{"effectsplit", func(ctx *pm.Context, st *Stats) (pm.Result, error) {
-		s, err := EffectSplitWith(ctx.World, ctx.Cache)
-		st.EffectSplit.add(s)
-		return pm.Result{Rewrites: s.SplitChains}, err
-	}})
 	pm.Register(stdPass{"pe", func(ctx *pm.Context, st *Stats) (pm.Result, error) {
 		s, err := PartialEvalWith(ctx.World, ctx.Cache)
 		st.PE.Specialized += s.Specialized

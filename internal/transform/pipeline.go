@@ -39,14 +39,13 @@ func OptSpec(level int) (string, error) {
 
 // Stats aggregates the per-pass statistics of one optimizer run.
 type Stats struct {
-	Cleanup     CleanupStats
-	CFF         CFFStats
-	Mem2Reg     Mem2RegStats
-	PE          PEStats
-	EffectSplit EffectSplitStats
-	Inlined     int
-	Contified   int
-	Closure     ClosureStats
+	Cleanup   CleanupStats
+	CFF       CFFStats
+	Mem2Reg   Mem2RegStats
+	PE        PEStats
+	Inlined   int
+	Contified int
+	Closure   ClosureStats
 }
 
 // LegacyOptions selects which passes OptimizeLegacy runs. The zero value

@@ -61,10 +61,6 @@ func Rebuild(w *ir.World, p *ir.PrimOp, ops []ir.Def) (ir.Def, error) {
 		return w.Run(ops[0]), nil
 	case ir.OpHlt:
 		return w.Hlt(ops[0]), nil
-	case ir.OpMemFork:
-		return w.MemFork(ops[0], len(p.Type().(*ir.TupleType).ElemTypes)), nil
-	case ir.OpMemJoin:
-		return w.MemJoin(ops...), nil
 	}
 	return nil, fmt.Errorf("transform: cannot rebuild primop %s (kind %d)", k, int(k))
 }

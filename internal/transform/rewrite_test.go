@@ -40,12 +40,6 @@ func TestRebuildExhaustive(t *testing.T) {
 		ir.OpClosure: func() ir.Def { return w.Closure(g.FnType(), g, a) },
 		ir.OpRun:     func() ir.Def { return w.Run(a) },
 		ir.OpHlt:     func() ir.Def { return w.Hlt(a) },
-		ir.OpMemFork: func() ir.Def { return w.MemFork(mem, 2) },
-		ir.OpMemJoin: func() ir.Def {
-			// Out-of-order projections so the whole-fork fold does not fire.
-			fork := w.MemFork(mem, 2)
-			return w.MemJoin(w.ExtractAt(fork, 1), w.ExtractAt(fork, 0))
-		},
 	}
 
 	for k := ir.OpInvalid + 1; k.String() != "op?"; k++ {
