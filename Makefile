@@ -10,12 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
-# race also re-runs the pass-manager and driver packages with four analysis
-# workers forced, so the parallel scope scheduler is exercised under the race
-# detector even on single-core hosts.
+# race also re-runs the pass-manager, transform and driver packages with four
+# analysis workers forced, so the parallel scope scheduler is exercised under
+# the race detector even on single-core hosts (the transform tests run
+# mem2reg through the pass manager).
 race:
 	$(GO) test -race ./...
-	THORIN_JOBS=4 $(GO) test -race ./internal/pm/... ./internal/driver/...
+	THORIN_JOBS=4 $(GO) test -race ./internal/pm/... ./internal/transform/... ./internal/driver/...
 
 vet:
 	$(GO) vet ./...

@@ -72,7 +72,9 @@ func BenchmarkTable1IRSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				transform.Cleanup(w)
+				if _, err := transform.CleanupWith(w, nil); err != nil {
+					b.Fatal(err)
+				}
 				m := driver.MeasureIR(w)
 				conts, primops = m.Continuations, m.PrimOps
 			}

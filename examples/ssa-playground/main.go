@@ -45,16 +45,17 @@ func main() {
 	// to continuation parameters — the same joins, the same arity.
 	w, err := impala.Compile(src)
 	check(err)
-	transform.Cleanup(w)
+	_, _, err = transform.RunPipeline(w, "cleanup")
+	check(err)
 	fmt.Println("=== Thorin before mem2reg (slots, loads, stores) ===")
 	ir.Print(os.Stdout, w)
 
-	st := transform.Mem2Reg(w)
-	transform.Cleanup(w)
+	st, _, err := transform.RunPipeline(w, "mem2reg,cleanup")
+	check(err)
 	fmt.Println("=== Thorin after mem2reg (values flow through params) ===")
 	ir.Print(os.Stdout, w)
 	fmt.Printf("slots promoted: %d, parameters introduced: %d\n",
-		st.PromotedSlots, st.PhiParams)
+		st.Mem2Reg.PromotedSlots, st.Mem2Reg.PhiParams)
 	fmt.Println("\nEvery φ-function above corresponds to a parameter of a join-point")
 	fmt.Println("continuation: SSA construction is just an IR transformation here.")
 }

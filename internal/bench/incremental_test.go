@@ -28,8 +28,8 @@ type fixpointWork struct {
 
 // optimizeRounds runs a cold -O2 plus two re-rounds, each after a
 // perturbation, over fresh worlds of srcs on one reused context per world
-// (setting Incremental explicitly; transform.RunPipeline would inherit the
-// THORIN_INCREMENTAL default instead) and returns the work done. The
+// (setting Incremental explicitly, since transform.RunPipeline always runs
+// incrementally) and returns the work done. The
 // re-rounds are where the modes diverge: after a local change the full
 // mode's wholesale invalidation rebuilds every scope the later passes look
 // at, while the stamp-validated cache rebuilds only what the change touched.

@@ -47,7 +47,9 @@ func Table1(w io.Writer, sizes Sizes) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		transform.Cleanup(world)
+		if _, err := transform.CleanupWith(world, nil); err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
 		ir := driver.MeasureIR(world)
 
 		_, mod, err := driver.CompileSSA(p.Functional)

@@ -21,9 +21,13 @@ import (
 )
 
 // determinismCorpus returns every on-disk Impala program the repo ships
-// (the examples and the crash-regression corpus) plus two generated
-// programs large enough that one scope holds many blocks and promoted
-// slots and cleanup sweeps many continuations per round.
+// (the examples and the crash-regression corpus), both variants of every
+// benchmark-suite program, plus two generated programs large enough that
+// one scope holds many blocks and promoted slots and cleanup sweeps many
+// continuations per round. The suite matters for the incremental on/off
+// check: compose/functional is the one program whose O2 fix group rewrites
+// in its second iteration, so a pass the runner wrongly skips there changes
+// the printed IR.
 func determinismCorpus(t *testing.T) map[string]string {
 	t.Helper()
 	srcs := map[string]string{}
@@ -45,6 +49,11 @@ func determinismCorpus(t *testing.T) map[string]string {
 	}
 	if len(srcs) < 4 {
 		t.Fatalf("corpus too small (%d programs) — directories moved?", len(srcs))
+	}
+	for i := range bench.Suite {
+		p := &bench.Suite[i]
+		srcs["bench/"+p.Name+"/functional"] = p.Functional
+		srcs["bench/"+p.Name+"/imperative"] = p.Imperative
 	}
 	srcs["GenManyFns(8)"] = bench.GenManyFns(8)
 	srcs["GenChain(40)"] = bench.GenChain(40)

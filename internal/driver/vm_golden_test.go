@@ -1,4 +1,4 @@
-package driver
+package driver_test
 
 import (
 	"crypto/sha256"
@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/bench"
+	"thorin/internal/driver"
 	"thorin/internal/link"
 	"thorin/internal/transform"
 )
@@ -26,27 +28,36 @@ import (
 //	THORIN_UPDATE_GOLDEN=1 go test -run TestVMGoldenArtifacts ./internal/driver
 const vmGoldenFile = "testdata/vm_golden.json"
 
-// vmGoldenPrograms enumerates the corpus: examples, the linked module
-// example in both link modes, and every minimized crasher.
+// vmGoldenPrograms enumerates the corpus: examples, both variants of every
+// benchmark-suite program, the linked module example in both link modes,
+// and every minimized crasher.
 func vmGoldenPrograms(t *testing.T) map[string]func(spec string) ([]byte, error) {
 	t.Helper()
 	progs := map[string]func(spec string) ([]byte, error){}
 
-	single := func(path string) {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs[filepath.Base(path)] = func(spec string) ([]byte, error) {
-			res, err := CompileSpec(string(src), spec, analysis.ScheduleSmart, Config{Jobs: 1})
+	source := func(name, src string) {
+		progs[name] = func(spec string) ([]byte, error) {
+			res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{Jobs: 1})
 			if err != nil {
 				return nil, err
 			}
 			return json.Marshal(res.Program)
 		}
 	}
+	single := func(path string) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		source(filepath.Base(path), string(src))
+	}
 	single("../../examples/fib.imp")
 	single("../../examples/mapreduce.imp")
+	for i := range bench.Suite {
+		p := &bench.Suite[i]
+		source("bench/"+p.Name+"/functional", p.Functional)
+		source("bench/"+p.Name+"/imperative", p.Imperative)
+	}
 
 	crashers, err := filepath.Glob("testdata/crashers/*.imp")
 	if err != nil {
@@ -67,7 +78,7 @@ func vmGoldenPrograms(t *testing.T) map[string]func(spec string) ([]byte, error)
 	for _, lm := range []link.Mode{link.Trampoline, link.Mangle} {
 		lm := lm
 		progs["modules/"+string(lm)] = func(spec string) ([]byte, error) {
-			res, err := CompileModules(modSrcs, spec, analysis.ScheduleSmart, lm, Config{Jobs: 1})
+			res, err := driver.CompileModules(modSrcs, spec, analysis.ScheduleSmart, lm, driver.Config{Jobs: 1})
 			if err != nil {
 				return nil, err
 			}
@@ -77,10 +88,16 @@ func vmGoldenPrograms(t *testing.T) map[string]func(spec string) ([]byte, error)
 	return progs
 }
 
+// mangleOnlySpec isolates lambda mangling: CFF conversion plus slot
+// promotion, nothing else.
+const mangleOnlySpec = "cleanup,fix(cff,mem2reg),cleanup,closure"
+
 func TestVMGoldenArtifacts(t *testing.T) {
 	specs := map[string]string{
-		"O0": transform.O0,
-		"O2": transform.O2,
+		"O0":          transform.O0,
+		"O1":          transform.O1,
+		"O2":          transform.O2,
+		"mangle-only": mangleOnlySpec,
 	}
 	got := map[string]string{}
 	for name, compile := range vmGoldenPrograms(t) {

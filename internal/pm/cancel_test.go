@@ -111,10 +111,7 @@ type cancellingRewriter struct {
 	commits  atomic.Int64
 }
 
-func (r *cancellingRewriter) Name() string { return "cancelling" }
-func (r *cancellingRewriter) Run(*Context) (Result, error) {
-	return Result{}, errors.New("Run must not be called for a ScopeRewriter")
-}
+func (r *cancellingRewriter) Name() string                        { return "cancelling" }
 func (r *cancellingRewriter) Targets(*Context) []*ir.Continuation { return r.targets }
 func (r *cancellingRewriter) Analyze(_ *Context, c *ir.Continuation) (any, error) {
 	if r.analyzed.Add(1) == 1 && !r.inCommit {

@@ -27,8 +27,6 @@ package pm
 // printed IR — is byte-identical to a non-incremental run.
 
 import (
-	"os"
-
 	"thorin/internal/analysis"
 	"thorin/internal/ir"
 )
@@ -61,17 +59,6 @@ type passRecord struct {
 type planMemo struct {
 	scope *analysis.Scope
 	plan  any
-}
-
-// incrementalDefault reads the THORIN_INCREMENTAL environment variable:
-// "0"/"off"/"false" disable journal-driven skipping (every pass runs every
-// time it is named, as before PR 5); anything else leaves it on.
-func incrementalDefault() bool {
-	switch os.Getenv("THORIN_INCREMENTAL") {
-	case "0", "off", "false":
-		return false
-	}
-	return true
 }
 
 // noteDirty drains the world's change journal. If anything was journaled,

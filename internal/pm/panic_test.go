@@ -24,10 +24,6 @@ type panickyRewriter struct {
 
 func (p *panickyRewriter) Name() string { return "panicky" }
 
-func (p *panickyRewriter) Run(ctx *Context) (Result, error) {
-	return Result{}, errors.New("Run must not be called for a ScopeRewriter")
-}
-
 func (p *panickyRewriter) Targets(ctx *Context) []*ir.Continuation {
 	if p.phase == "targets" {
 		panic("boom in targets")

@@ -1,7 +1,6 @@
 package pm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,10 +21,6 @@ type fakeRewriter struct {
 }
 
 func (f *fakeRewriter) Name() string { return "fake" }
-
-func (f *fakeRewriter) Run(ctx *Context) (Result, error) {
-	return Result{}, errors.New("Run must not be called for a ScopeRewriter")
-}
 
 func (f *fakeRewriter) Targets(ctx *Context) []*ir.Continuation { return f.targets }
 

@@ -36,18 +36,26 @@ type Result struct {
 	Saturated bool
 }
 
-// Pass is one named unit of IR transformation (or inspection).
+// Pass is one named unit of IR transformation (or inspection). A pass runs
+// in exactly one of two ways, and Register rejects any other: a Runner
+// transforms the world in one call, and a ScopeRewriter is driven by the
+// runner through its per-scope phases.
 // Implementations must be stateless: the same Pass value is shared by every
 // pipeline that names it, and all per-run state lives in the Context.
 type Pass interface {
 	Name() string
+}
+
+// Runner is a pass that transforms the world in one call.
+type Runner interface {
+	Pass
 	Run(ctx *Context) (Result, error)
 }
 
-// ScopeRewriter is the optional interface of passes whose work decomposes
-// into independent per-scope units, which is what the paper's implicit-scope
-// design makes possible: each top-level continuation's scope is computable
-// from the dependency graph alone, so its analysis needs no global ordering.
+// ScopeRewriter is a pass whose work decomposes into independent per-scope
+// units, which is what the paper's implicit-scope design makes possible:
+// each top-level continuation's scope is computable from the dependency
+// graph alone, so its analysis needs no global ordering.
 //
 // The runner executes such passes in three phases:
 //
@@ -107,8 +115,8 @@ type Context struct {
 	// are recorded as Skipped instead of executed, and ScopeRewriter analysis
 	// plans are memoized per target keyed by scope pointer identity. The
 	// produced IR is byte-identical either way; only the work differs. On by
-	// default; THORIN_INCREMENTAL=0 (or off/false) disables it, as does the
-	// driver's -incremental=off escape hatch.
+	// default; driver.Config.DisableIncremental (thorinc -incremental=off)
+	// turns it off.
 	Incremental bool
 
 	data     map[string]any
@@ -131,7 +139,7 @@ func NewContext(w *ir.World) *Context {
 		World:       w,
 		Cache:       analysis.NewCache(),
 		Jobs:        jobs,
-		Incremental: incrementalDefault(),
+		Incremental: true,
 		data:        make(map[string]any),
 		passDone:    make(map[string]*passRecord),
 		memos:       make(map[string]map[*ir.Continuation]*planMemo),

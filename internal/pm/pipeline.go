@@ -125,9 +125,10 @@ func (p *Pipeline) runPass(ctx *Context, pass Pass, rep *Report, path string, it
 	var parallelism int
 	var memoHits int
 	var workers []WorkerStat
-	if sr, ok := pass.(ScopeRewriter); ok {
-		res, parallelism, workers, memoHits, err = runScoped(ctx, sr)
-	} else {
+	switch pass := pass.(type) {
+	case ScopeRewriter:
+		res, parallelism, workers, memoHits, err = runScoped(ctx, pass)
+	case Runner:
 		// Panic containment boundary for ordinary passes: a panicking pass
 		// fails its pipeline with a structured *PassPanicError instead of
 		// crashing the process. ScopeRewriter phases are guarded per target

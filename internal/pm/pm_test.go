@@ -271,11 +271,24 @@ func TestPassTotalsAggregatesIterations(t *testing.T) {
 	}
 }
 
+// namedOnly is neither a Runner nor a ScopeRewriter.
+type namedOnly struct{}
+
+func (namedOnly) Name() string { return "t-named-only" }
+
+// runningRewriter is both a Runner and a ScopeRewriter.
+type runningRewriter struct{ *fakeRewriter }
+
+func (runningRewriter) Name() string                 { return "t-both" }
+func (runningRewriter) Run(*Context) (Result, error) { return Result{}, nil }
+
 func TestRegisterPanics(t *testing.T) {
 	for name, p := range map[string]Pass{
 		"empty":     testPass{"", nil},
 		"reserved":  testPass{"fix", nil},
 		"duplicate": testPass{"t-nop", nil},
+		"no runner": namedOnly{},
+		"both":      runningRewriter{},
 	} {
 		func() {
 			defer func() {

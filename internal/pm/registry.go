@@ -15,8 +15,9 @@ var (
 )
 
 // Register adds p to the global registry. It panics on an empty or
-// duplicate name and on the reserved word "fix" — registration happens at
-// init time, where a clash is a programming error.
+// duplicate name, on the reserved word "fix" and on a pass that is not
+// exactly one of Runner and ScopeRewriter — registration happens at init
+// time, where a clash is a programming error.
 func Register(p Pass) {
 	name := p.Name()
 	if name == "" {
@@ -24,6 +25,11 @@ func Register(p Pass) {
 	}
 	if name == "fix" {
 		panic(`pm: pass name "fix" is reserved for the fixpoint combinator`)
+	}
+	_, runner := p.(Runner)
+	_, scoped := p.(ScopeRewriter)
+	if runner == scoped {
+		panic(fmt.Sprintf("pm: pass %q must be exactly one of Runner and ScopeRewriter", name))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

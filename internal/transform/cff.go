@@ -18,7 +18,7 @@ type CFFStats struct {
 // continuations.
 const maxCFFSpecializations = 4096
 
-// LowerToCFF converts the program towards control-flow form (the paper's
+// LowerToCFFWith converts the program towards control-flow form (the paper's
 // lambda-dropping step): every call that passes a statically known
 // continuation to a higher-order (non-return) parameter is rewritten to call
 // a specialized copy of the callee in which that parameter is dropped.
@@ -27,15 +27,12 @@ const maxCFFSpecializations = 4096
 // (first-order params only) or a global function (first-order params plus a
 // return continuation) — the forms a classical SSA backend can consume.
 // A mangling failure aborts the conversion with the stats so far.
-func LowerToCFF(w *ir.World) (CFFStats, error) {
-	return LowerToCFFWith(w, nil)
-}
-
-// LowerToCFFWith is LowerToCFF with scopes served from ac (nil = compute
-// fresh). The worklist keeps conversion cost proportional to the code it
-// actually touches: rewriting a jump enqueues the new callee's scope instead
-// of rescanning the whole world each round. The specialize-then-rescan
-// mechanics are shared with PartialEval through specializer.
+//
+// Scopes are served from ac (nil = compute fresh). The worklist keeps
+// conversion cost proportional to the code it actually touches: rewriting a
+// jump enqueues the new callee's scope instead of rescanning the whole world
+// each round. The specialize-then-rescan mechanics are shared with
+// PartialEvalWith through specializer.
 func LowerToCFFWith(w *ir.World, ac *analysis.Cache) (CFFStats, error) {
 	var stats CFFStats
 	wl := newContWorklist(w.Continuations())

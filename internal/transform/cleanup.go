@@ -19,19 +19,11 @@ func (s CleanupStats) changed() bool {
 	return s.RemovedConts != 0 || s.EtaReduced != 0 || s.DeadParams != 0 || s.DeadStores != 0
 }
 
-// Cleanup removes continuations unreachable from the extern roots,
+// CleanupWith removes continuations unreachable from the extern roots,
 // eta-reduces forwarder continuations, and eliminates dead parameters. It
-// iterates to a fixed point.
-func Cleanup(w *ir.World) CleanupStats {
-	s, err := CleanupWith(w, nil)
-	if err != nil {
-		panic(err) // unreachable: a nil cache recomputes and Rebuild handles every constructor-built kind
-	}
-	return s
-}
-
-// CleanupWith is Cleanup with scopes served from ac (nil = compute fresh).
-// A Rebuild failure inside eta-reduction aborts with the stats so far.
+// iterates to a fixed point, with scopes served from ac (nil = compute
+// fresh). A Rebuild failure inside eta-reduction aborts with the stats so
+// far.
 func CleanupWith(w *ir.World, ac *analysis.Cache) (CleanupStats, error) {
 	var total CleanupStats
 	const maxRounds = 32

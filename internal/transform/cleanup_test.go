@@ -27,7 +27,7 @@ func TestCleanupKillsDeadStore(t *testing.T) {
 	ld := w.Load(st3, pa)
 	f.Jump(ret, w.ExtractAt(ld, 0), w.ExtractAt(ld, 1))
 
-	st := Cleanup(w)
+	st := optimize(t, w, "cleanup").Cleanup
 	if st.DeadStores != 1 {
 		t.Fatalf("DeadStores=%d, want 1", st.DeadStores)
 	}
@@ -81,7 +81,7 @@ func TestCleanupKeepsStoreReadBeforeOverwrite(t *testing.T) {
 	sum := w.Arith(ir.OpAdd, lv, w.ExtractAt(ld2, 1))
 	f.Jump(ret, w.ExtractAt(ld2, 0), sum)
 
-	if st := Cleanup(w); st.DeadStores != 0 {
+	if st := optimize(t, w, "cleanup").Cleanup; st.DeadStores != 0 {
 		t.Fatalf("DeadStores=%d, want 0 — the intervening load reads the store", st.DeadStores)
 	}
 	if err := ir.Verify(w); err != nil {

@@ -14,19 +14,18 @@ type ClosureStats struct {
 	Saturated bool // round cap reached while still converting
 }
 
-// ClosureConvert lowers residual first-class continuations: every
+// ClosureConvertWith lowers residual first-class continuations: every
 // continuation that escapes as a value is lambda-lifted (its free values
 // become parameters, via mangling) and replaced at its value uses by a
 // Closure primop pairing the lifted code with the captured environment.
 //
 // Direct jumps are left untouched: in control-flow form they compile to
 // plain branches and calls. Only uses that survive as data require closure
-// records, so running the optimizer first (LowerToCFF) minimizes this
+// records, so running the optimizer first (LowerToCFFWith) minimizes this
 // pass's output.
-func ClosureConvert(w *ir.World) (ClosureStats, error) { return ClosureConvertWith(w, nil) }
-
-// ClosureConvertWith is ClosureConvert reading scopes through an optional
-// analysis cache; scopes of continuations that need no conversion stay
+//
+// Scopes are read through an optional analysis cache (nil = compute fresh);
+// scopes of continuations that need no conversion stay
 // cached, and a conversion's mutations stamp the defs they touch so the
 // cache evicts exactly the entries that went stale. A mangling failure
 // aborts the pass with the stats so far.

@@ -5,7 +5,7 @@ import (
 	"thorin/internal/ir"
 )
 
-// Contify turns functions whose every call site passes the *same* return
+// ContifyWith turns functions whose every call site passes the *same* return
 // continuation into local control flow of that continuation's scope: the
 // return parameter is dropped (one more instance of lambda mangling), so the
 // function's "returns" become direct jumps and the callee fuses into the
@@ -13,12 +13,8 @@ import (
 //
 // This is the classical contification optimization; in the mangling
 // framework it is a one-call specialization.
-func Contify(w *ir.World) (int, error) {
-	n, _, err := ContifyWith(w, nil)
-	return n, err
-}
-
-// ContifyWith is Contify reading scopes through an optional analysis cache.
+//
+// Scopes are read through an optional analysis cache (nil = compute fresh).
 // Cached scopes are validated against the change journal on every lookup, so
 // a specialization's mutations evict exactly the entries they staled and the
 // mutation-free probing stretches stay cache hits. The bool result reports

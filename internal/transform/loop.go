@@ -31,12 +31,7 @@ func Peel(s *analysis.Scope) *ir.Continuation {
 // PeelAt peels one iteration of the loop entered at entry and redirects
 // every external call site to the peeled copy. Returns the copy.
 func PeelAt(w *ir.World, entry *ir.Continuation) *ir.Continuation {
-	return PeelAtWith(w, nil, entry)
-}
-
-// PeelAtWith is PeelAt with the loop scope served from ac.
-func PeelAtWith(w *ir.World, ac *analysis.Cache, entry *ir.Continuation) *ir.Continuation {
-	s := ac.ScopeOf(entry)
+	s := analysis.NewScope(entry)
 	callers := externalCallers(entry, s) // snapshot before cloning!
 	peeled := Peel(s)
 	for _, caller := range callers {
@@ -67,17 +62,10 @@ func externalCallers(entry *ir.Continuation, s *analysis.Scope) []*ir.Continuati
 // is produced by Peel (back edges at the original entry), then the back
 // edges are re-pointed along the cycle.
 func Unroll(w *ir.World, entry *ir.Continuation, factor int) []*ir.Continuation {
-	return UnrollWith(w, nil, entry, factor)
-}
-
-// UnrollWith is Unroll with scopes served from ac (the per-copy back-edge
-// rescan is a fresh scope per copy either way; the entry scope is the reuse
-// opportunity).
-func UnrollWith(w *ir.World, ac *analysis.Cache, entry *ir.Continuation, factor int) []*ir.Continuation {
 	if factor < 2 {
 		return []*ir.Continuation{entry}
 	}
-	s := ac.ScopeOf(entry)
+	s := analysis.NewScope(entry)
 	callers := externalCallers(entry, s) // snapshot before cloning!
 	copies := make([]*ir.Continuation, factor)
 	for i := range copies {
@@ -88,7 +76,7 @@ func UnrollWith(w *ir.World, ac *analysis.Cache, entry *ir.Continuation, factor 
 	// jumps to copy (i+1) mod factor.
 	for i, c := range copies {
 		next := copies[(i+1)%factor]
-		cs := ac.ScopeOf(c)
+		cs := analysis.NewScope(c)
 		for _, cc := range cs.Conts {
 			if cc.HasBody() && cc.Callee() == entry {
 				cc.Jump(next, cc.Args()...)

@@ -245,15 +245,11 @@ func (m *Mangler) mangle(d ir.Def) ir.Def {
 	}
 }
 
-// InlineCall replaces caller's jump to callee with a specialized copy of
+// inlineCallWith replaces caller's jump to callee with a specialized copy of
 // callee's scope in which all parameters are bound to the call's arguments
 // (the mangling formulation of inlining: drop every parameter, then jump to
-// the parameterless result).
-func InlineCall(caller *ir.Continuation) bool {
-	return inlineCallWith(caller, nil)
-}
-
-// inlineCallWith is InlineCall with the callee's scope served from ac.
+// the parameterless result). The callee's scope is served from ac (nil =
+// compute fresh).
 func inlineCallWith(caller *ir.Continuation, ac *analysis.Cache) bool {
 	callee, ok := caller.Callee().(*ir.Continuation)
 	if !ok || !callee.HasBody() || callee.IsIntrinsic() || caller == callee {

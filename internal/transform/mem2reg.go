@@ -34,48 +34,23 @@ func (s *Mem2RegStats) add(o Mem2RegStats) {
 	s.SkippedUnpromotableType += o.SkippedUnpromotableType
 }
 
-// Mem2Reg promotes non-escaping stack slots to values flowing through
-// continuation parameters in every promotable top-level scope. This is the
-// paper's demonstration that SSA construction is an ordinary IR
-// transformation in Thorin: the φ-placement algorithm of Braun et al. runs
-// on the CPS graph, and φ-functions materialize as parameters of join-point
-// continuations.
-func Mem2Reg(w *ir.World) Mem2RegStats {
-	st, err := Mem2RegWith(w, nil)
-	if err != nil {
-		panic(err) // unreachable: a nil cache recomputes and Rebuild handles every constructor-built kind
-	}
-	return st
-}
-
-// Mem2RegWith is Mem2Reg reading scopes through an optional analysis cache.
-// Scopes of scanned-but-unchanged roots stay cached for later passes; a
-// promotion's mutations stamp the defs they touch, so the cache evicts
-// exactly the entries that went stale.
+// Slot promotion ("mem2reg") promotes non-escaping stack slots to values
+// flowing through continuation parameters in every promotable top-level
+// scope. This is the paper's demonstration that SSA construction is an
+// ordinary IR transformation in Thorin: the φ-placement algorithm of Braun
+// et al. runs on the CPS graph, and φ-functions materialize as parameters of
+// join-point continuations.
 //
-// The pass is structured as plan-all-then-commit: every root is analyzed
-// against the unmutated world first, then all plans are applied in root
-// order. Top-level scopes are pairwise disjoint (a def of one scope that
-// referenced another scope's parameter would make that parameter free,
-// contradicting top-levelness), so the split is equivalent to the old
-// interleaved loop — and it is what lets the pass manager run the analysis
-// phase on parallel workers.
-func Mem2RegWith(w *ir.World, ac *analysis.Cache) (Mem2RegStats, error) {
-	targets := m2rTargets(w)
-	plans := make([]*m2rPlan, len(targets))
-	for i, c := range targets {
-		plans[i] = m2rAnalyze(w, ac, c)
-	}
-	var stats Mem2RegStats
-	for _, plan := range plans {
-		st, err := m2rCommit(w, ac, plan)
-		stats.add(st)
-		if err != nil {
-			return stats, err
-		}
-	}
-	return stats, m2rFinish(w, ac)
-}
+// The pass runs only through the pass manager (mem2regPass in passes.go) as
+// a pm.ScopeRewriter: m2rTargets enumerates the roots, m2rAnalyze plans each
+// one against the unmutated world (on parallel workers), m2rCommit applies
+// the plans in root order and m2rFinish sweeps up. Top-level scopes are
+// pairwise disjoint (a def of one scope that referenced another scope's
+// parameter would make that parameter free, contradicting top-levelness), so
+// planning every root before committing any is equivalent to an interleaved
+// plan-commit loop. Scopes of scanned-but-unchanged roots stay cached for
+// later passes; a promotion's mutations stamp the defs they touch, so the
+// cache evicts exactly the entries that went stale.
 
 // m2rTargets enumerates the candidate promotion roots in creation order.
 func m2rTargets(w *ir.World) []*ir.Continuation {

@@ -32,7 +32,7 @@ func PipelineStats(ctx *pm.Context) Stats {
 	return Stats{}
 }
 
-// stdPass adapts a stats-accumulating function to pm.Pass. A returned error
+// stdPass adapts a stats-accumulating function to pm.Runner. A returned error
 // fails the enclosing pipeline, attributed to the pass by name.
 type stdPass struct {
 	name string
@@ -62,14 +62,6 @@ func (mem2regPass) Name() string { return "mem2reg" }
 // SelfFixpointing: one run promotes every promotable slot it can see, so an
 // immediate re-run on unchanged IR finds nothing left to do.
 func (mem2regPass) SelfFixpointing() {}
-
-// Run is the sequential fallback for callers that drive the pass directly;
-// the pipeline runner uses the three-phase protocol instead.
-func (p mem2regPass) Run(ctx *pm.Context) (pm.Result, error) {
-	s, err := Mem2RegWith(ctx.World, ctx.Cache)
-	ctxStats(ctx).Mem2Reg.add(s)
-	return pm.Result{Rewrites: s.PromotedSlots + s.PhiParams}, err
-}
 
 func (mem2regPass) Targets(ctx *pm.Context) []*ir.Continuation {
 	return m2rTargets(ctx.World)

@@ -20,19 +20,14 @@ const peSizeThreshold = 12
 // work shows naive online PE diverges on recursive programs).
 const maxPESpecializations = 2048
 
-// PartialEval is a simple online partial evaluator over the CPS graph: a
+// PartialEvalWith is a simple online partial evaluator over the CPS graph: a
 // call that binds literal values to parameters of a small (or
 // AlwaysInline-marked) callee is replaced by a call to a copy of the callee
 // specialized to those values. Because specialization uses lambda mangling,
 // constant folding inside the world simplifies the copy while it is built.
-// A mangling failure aborts the evaluator with the stats so far.
-func PartialEval(w *ir.World) (PEStats, error) {
-	return PartialEvalWith(w, nil)
-}
-
-// PartialEvalWith is PartialEval with scopes served from ac (nil = compute
-// fresh). The specialize-then-rescan mechanics are shared with LowerToCFF
-// through specializer.
+// Scopes are served from ac (nil = compute fresh). A mangling failure
+// aborts the evaluator with the stats so far. The specialize-then-rescan
+// mechanics are shared with LowerToCFFWith through specializer.
 func PartialEvalWith(w *ir.World, ac *analysis.Cache) (PEStats, error) {
 	var stats PEStats
 	wl := newContWorklist(w.Continuations())
@@ -102,20 +97,12 @@ func literalArgs(callee *ir.Continuation, args []ir.Def) []ir.Def {
 	return out
 }
 
-// InlineOnce inlines every continuation that is called from exactly one
-// place and not otherwise referenced — this never grows code. Returns the
-// number of call sites inlined.
-func InlineOnce(w *ir.World) int {
-	n, _, err := InlineOnceWith(w, nil)
-	if err != nil {
-		panic(err) // unreachable: a nil cache recomputes and Rebuild handles every constructor-built kind
-	}
-	return n
-}
-
-// InlineOnceWith is InlineOnce with scopes served from ac. The bool result
-// reports saturation: the round cap was reached while call sites were still
-// being inlined, so another run could make progress.
+// InlineOnceWith inlines every continuation that is called from exactly one
+// place and not otherwise referenced — this never grows code — with scopes
+// served from ac (nil = compute fresh). It returns the number of call sites
+// inlined. The bool result reports saturation: the round cap was reached
+// while call sites were still being inlined, so another run could make
+// progress.
 func InlineOnceWith(w *ir.World, ac *analysis.Cache) (int, bool, error) {
 	n := 0
 	const maxRounds = 16

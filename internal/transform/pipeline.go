@@ -1,17 +1,13 @@
 package transform
 
-import (
-	"fmt"
-
-	"thorin/internal/ir"
-)
+import "fmt"
 
 // The -O levels as named pass-manager specs. Each opens with cleanup and
 // closes with cleanup and closure conversion (backends need
 // closure-converted input); the optimization passes in between form a
 // single fix group iterated to a fixpoint. The post-mangling Cleanup of
 // the original hardcoded pipeline is gone — it was provably redundant
-// (LowerToCFF ends with an internal cleanup), and any residual work is
+// (LowerToCFFWith ends with an internal cleanup), and any residual work is
 // picked up by the next fix iteration.
 const (
 	// O0 runs only the lowering code generation needs. This is the paper's
@@ -46,58 +42,4 @@ type Stats struct {
 	Inlined   int
 	Contified int
 	Closure   ClosureStats
-}
-
-// LegacyOptions selects which passes OptimizeLegacy runs. The zero value
-// runs nothing but the always-required lowering (cleanup + closure
-// conversion).
-type LegacyOptions struct {
-	// Mangle enables conversion to control-flow form via lambda mangling.
-	Mangle bool
-	// Mem2Reg promotes stack slots to continuation parameters.
-	Mem2Reg bool
-	// PartialEval specializes calls with literal arguments.
-	PartialEval bool
-	// InlineOnce inlines continuations with a single call site.
-	InlineOnce bool
-	// Contify fuses functions whose call sites all share one return
-	// continuation into the caller's control flow.
-	Contify bool
-}
-
-// must unwraps a (value, error) pair for the legacy pipeline, where every
-// pass invocation is well-formed by construction.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic("transform: legacy pipeline failed: " + err.Error())
-	}
-	return v
-}
-
-// OptimizeLegacy is the frozen pre-pass-manager pipeline: every pass runs
-// exactly once in the original hardcoded order (including the redundant
-// post-mangling Cleanup). It is retained as the reference arm of the
-// pipeline-equivalence tests and must not be changed.
-func OptimizeLegacy(w *ir.World, opts LegacyOptions) Stats {
-	var st Stats
-	st.Cleanup = Cleanup(w)
-	if opts.PartialEval {
-		st.PE = must(PartialEval(w))
-	}
-	if opts.Mangle {
-		st.CFF = must(LowerToCFF(w))
-		Cleanup(w)
-	}
-	if opts.Contify {
-		st.Contified = must(Contify(w))
-	}
-	if opts.Mem2Reg {
-		st.Mem2Reg = Mem2Reg(w)
-	}
-	if opts.InlineOnce {
-		st.Inlined = InlineOnce(w)
-	}
-	Cleanup(w)
-	st.Closure = must(ClosureConvert(w))
-	return st
 }

@@ -113,7 +113,7 @@ func TestInlineCall(t *testing.T) {
 	main.Jump(d, main.Param(0), w.LitI64(7), k)
 	k.Jump(main.Param(1), k.Param(0), k.Param(1))
 
-	if !InlineCall(main) {
+	if !inlineCallWith(main, nil) {
 		t.Fatal("inline failed")
 	}
 	// After inlining, main jumps a parameterless copy whose body goes
@@ -149,10 +149,7 @@ func TestLowerToCFF(t *testing.T) {
 	if ir.IsCFFType(a.FnType()) {
 		t.Fatal("apply must violate CFF before lowering")
 	}
-	stats, err := LowerToCFF(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := optimize(t, w, "cff").CFF
 	if stats.Specialized == 0 {
 		t.Fatal("no call was specialized")
 	}
@@ -192,16 +189,10 @@ func TestPartialEvalUnrollsPower(t *testing.T) {
 	main.Jump(pow, main.Param(0), w.LitI64(3), w.LitI64(4), k)
 	k.Jump(main.Param(1), k.Param(0), k.Param(1))
 
-	stats, err := PartialEval(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Specialized == 0 {
+	if optimize(t, w, "pe").PE.Specialized == 0 {
 		t.Fatal("partial evaluation did nothing")
 	}
-	Cleanup(w)
-	InlineOnce(w)
-	Cleanup(w)
+	optimize(t, w, "cleanup,inline-once,cleanup")
 
 	// 3^4 = 81 must be computable; walk main's scope and require that no
 	// call to the general pow remains and the branch conditions are gone.
@@ -228,7 +219,7 @@ func TestCleanupRemovesUnreachable(t *testing.T) {
 	main.Jump(d, main.Param(0), w.LitI64(1), main.Param(1))
 
 	before := len(w.Continuations())
-	stats := Cleanup(w)
+	stats := optimize(t, w, "cleanup").Cleanup
 	if stats.RemovedConts == 0 {
 		t.Fatal("cleanup removed nothing")
 	}
@@ -257,7 +248,7 @@ func TestCleanupEtaReduces(t *testing.T) {
 	main.SetExtern(true)
 	main.Jump(fwd, main.Param(0), w.LitI64(3), main.Param(1))
 
-	stats := Cleanup(w)
+	stats := optimize(t, w, "cleanup").Cleanup
 	if stats.EtaReduced == 0 {
 		t.Fatal("eta reduction did not fire")
 	}
@@ -284,7 +275,7 @@ func TestCleanupEtaKeepsCapturedParams(t *testing.T) {
 	caller.SetExtern(true)
 	caller.Jump(k, caller.Param(0), w.LitI64(9))
 
-	Cleanup(w)
+	optimize(t, w, "cleanup")
 	if caller.Callee() != k {
 		t.Fatal("eta reduction must not fire when the callee captures the params")
 	}
@@ -302,7 +293,7 @@ func TestCleanupDeadParams(t *testing.T) {
 	main.SetExtern(true)
 	main.Jump(f, main.Param(0), w.LitI64(99), w.LitI64(5), main.Param(1))
 
-	stats := Cleanup(w)
+	stats := optimize(t, w, "cleanup").Cleanup
 	if stats.DeadParams == 0 {
 		t.Fatal("dead param elimination did not fire")
 	}
@@ -330,7 +321,7 @@ func TestMem2RegStraightLine(t *testing.T) {
 	ld := w.Load(m2, ptr)
 	f.Jump(f.Param(2), w.ExtractAt(ld, 0), w.ExtractAt(ld, 1))
 
-	stats := Mem2Reg(w)
+	stats := optimize(t, w, "mem2reg").Mem2Reg
 	if stats.PromotedSlots != 1 {
 		t.Fatalf("promoted %d slots, want 1", stats.PromotedSlots)
 	}
@@ -387,7 +378,7 @@ func buildSlotLoop(w *ir.World) *ir.Continuation {
 func TestMem2RegLoop(t *testing.T) {
 	w := ir.NewWorld()
 	f := buildSlotLoop(w)
-	stats := Mem2Reg(w)
+	stats := optimize(t, w, "mem2reg").Mem2Reg
 	if stats.PromotedSlots != 1 {
 		t.Fatalf("promoted %d slots, want 1", stats.PromotedSlots)
 	}
@@ -426,7 +417,7 @@ func TestMem2RegDoesNotPromoteEscaping(t *testing.T) {
 	ldk := w.Load(k.Param(0), ptr)
 	k.Jump(f.Param(1), w.ExtractAt(ldk, 0), w.ExtractAt(ldk, 1))
 
-	stats := Mem2Reg(w)
+	stats := optimize(t, w, "mem2reg").Mem2Reg
 	if stats.PromotedSlots != 0 {
 		t.Fatal("escaping slot must not be promoted")
 	}
@@ -457,10 +448,7 @@ func TestClosureConvert(t *testing.T) {
 		w.Arith(ir.OpAdd, adder.Param(1), main.Param(1))) // captures main's param
 	main.Jump(hof, main.Param(0), adder, main.Param(2))
 
-	stats, err := ClosureConvert(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := optimize(t, w, "closure").Closure
 	if stats.Closures != 1 {
 		t.Fatalf("closures = %d, want 1", stats.Closures)
 	}
@@ -499,10 +487,7 @@ func TestClosureConvertLeavesRetConts(t *testing.T) {
 	main.Jump(d, main.Param(0), w.LitI64(7), k)
 	k.Jump(main.Param(1), k.Param(0), k.Param(1))
 
-	stats, err := ClosureConvert(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := optimize(t, w, "closure").Closure
 	if stats.Closures != 0 {
 		t.Fatalf("return continuations must not become closures, got %d", stats.Closures)
 	}
@@ -584,11 +569,7 @@ func TestContify(t *testing.T) {
 	elseB.Jump(helper, elseB.Param(0), w.LitI64(2), join)
 	join.Jump(main.Param(2), join.Param(0), join.Param(1))
 
-	n, err := Contify(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
+	if n := optimize(t, w, "contify").Contified; n != 1 {
 		t.Fatalf("contified %d, want 1", n)
 	}
 	if err := ir.Verify(w); err != nil {
@@ -632,7 +613,7 @@ func TestContifySkipsDisagreeingSites(t *testing.T) {
 	k1.Jump(helper, k1.Param(0), k1.Param(1), k2)
 	k2.Jump(main.Param(2), k2.Param(0), k2.Param(1))
 
-	if n, _ := Contify(w); n != 0 {
+	if n := optimize(t, w, "contify").Contified; n != 0 {
 		t.Fatalf("contified %d, want 0 (sites disagree)", n)
 	}
 }
