@@ -277,7 +277,6 @@ const (
 	IntrinsicPrintI64
 	IntrinsicPrintF64
 	IntrinsicPrintChar
-	IntrinsicPE // partial-evaluation hint marker: run(f)
 )
 
 func (i Intrinsic) String() string {
@@ -290,8 +289,6 @@ func (i Intrinsic) String() string {
 		return "print_f64"
 	case IntrinsicPrintChar:
 		return "print_char"
-	case IntrinsicPE:
-		return "pe"
 	}
 	return "none"
 }

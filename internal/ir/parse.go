@@ -13,6 +13,11 @@ import (
 //
 // Intrinsic names (branch, print_i64, print_f64, print_char) resolve to the
 // corresponding compiler-known continuations.
+//
+// The parsed world is verified: textual IR comes from outside the program
+// (hand-written .thorin files, on-disk module artifacts), so a world that
+// parses but breaks an invariant is rejected here rather than blamed on
+// whichever pass first trips over it.
 func ParseWorld(src string) (*World, error) {
 	p := &worldParser{
 		w:     NewWorld(),
@@ -21,6 +26,9 @@ func ParseWorld(src string) (*World, error) {
 	}
 	if err := p.runGuarded(src); err != nil {
 		return nil, err
+	}
+	if err := Verify(p.w); err != nil {
+		return nil, fmt.Errorf("ir: parse: invalid IR: %w", err)
 	}
 	return p.w, nil
 }
@@ -236,9 +244,13 @@ func (p *worldParser) parseBinding(line string) error {
 	if err != nil {
 		return err
 	}
-	d, err := p.buildPrimOp(kindName, ty, args)
+	k, ok := kindByName[kindName]
+	if !ok {
+		return p.errf("unknown primop kind %q", kindName)
+	}
+	d, err := p.w.Rebuild(k, ty, args)
 	if err != nil {
-		return err
+		return p.errf("%s", strings.TrimPrefix(err.Error(), "ir: "))
 	}
 	if base := strings.SplitN(name, "_", 2)[0]; base != "" && !strings.HasPrefix(name, "_") {
 		d.SetName(base)
@@ -254,129 +266,6 @@ var kindByName = func() map[string]OpKind {
 	}
 	return m
 }()
-
-func (p *worldParser) buildPrimOp(kind string, ty Type, args []Def) (Def, error) {
-	k, ok := kindByName[kind]
-	if !ok {
-		return nil, p.errf("unknown primop kind %q", kind)
-	}
-	w := p.w
-	need := func(n int) error {
-		if len(args) != n {
-			return p.errf("%s expects %d operands, got %d", kind, n, len(args))
-		}
-		return nil
-	}
-	switch {
-	case k.IsArith():
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return w.Arith(k, args[0], args[1]), nil
-	case k.IsCmp():
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return w.Cmp(k, args[0], args[1]), nil
-	}
-	switch k {
-	case OpSelect:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return w.Select(args[0], args[1], args[2]), nil
-	case OpTuple:
-		return w.Tuple(args...), nil
-	case OpExtract:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return w.Extract(args[0], args[1]), nil
-	case OpInsert:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return w.Insert(args[0], args[1], args[2]), nil
-	case OpCast:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		pt, ok := ty.(*PrimType)
-		if !ok {
-			return nil, p.errf("cast to non-primitive %s", ty)
-		}
-		return w.Cast(pt, args[0]), nil
-	case OpBitcast:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return w.Bitcast(ty, args[0]), nil
-	case OpSlot:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		tt, ok := ty.(*TupleType)
-		if !ok || len(tt.ElemTypes) != 2 {
-			return nil, p.errf("slot result must be (mem, T*)")
-		}
-		return w.Slot(args[0], tt.ElemTypes[1].(*PtrType).Pointee), nil
-	case OpAlloc:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		tt, ok := ty.(*TupleType)
-		if !ok || len(tt.ElemTypes) != 2 {
-			return nil, p.errf("alloc result must be (mem, [T]*)")
-		}
-		elem := tt.ElemTypes[1].(*PtrType).Pointee.(*IndefArrayType).Elem
-		return w.Alloc(args[0], elem, args[1]), nil
-	case OpLoad:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return w.Load(args[0], args[1]), nil
-	case OpStore:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return w.Store(args[0], args[1], args[2]), nil
-	case OpLea:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return w.Lea(args[0], args[1]), nil
-	case OpALen:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return w.ALen(args[0]), nil
-	case OpGlobal:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return w.Global(args[0]), nil
-	case OpClosure:
-		if len(args) < 1 {
-			return nil, p.errf("closure needs a code operand")
-		}
-		ft, ok := ty.(*FnType)
-		if !ok {
-			return nil, p.errf("closure type must be a function type")
-		}
-		return w.Closure(ft, args[0], args[1:]...), nil
-	case OpRun:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return w.Run(args[0]), nil
-	case OpHlt:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return w.Hlt(args[0]), nil
-	}
-	return nil, p.errf("cannot build primop %q", kind)
-}
 
 // resolveArgs parses a comma-separated argument list.
 func (p *worldParser) resolveArgs(src string) ([]Def, error) {

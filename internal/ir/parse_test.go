@@ -191,25 +191,44 @@ func TestPrintDisambiguatesDuplicateNames(t *testing.T) {
 }
 
 // TestParseWorldMalformedIsError feeds textual IR that satisfies the grammar
-// but violates node-constructor invariants (an i64/bool operand mix). The
-// constructors panic on such input; ParseWorld must convert that into an
-// error — a hand-written .thorin file is user input, not a compiler bug.
+// but is not a valid world: an i64/bool operand mix, which a node
+// constructor rejects, and a slot over a non-mem operand and a call with too
+// many arguments, which only the verifier sees. ParseWorld must return an
+// error for each — a hand-written .thorin file is user input, and a broken
+// one must not reach the optimizer to be blamed on it.
 func TestParseWorldMalformedIsError(t *testing.T) {
-	src := `
+	cases := map[string]string{
+		"arith operand mismatch": `
 extern main(m: mem, n: i64, ret: fn(mem, i64)) = {
     b = bool lt(n, 1:i64)
     v = i64 add(b, n)
     ret(m, v)
 }
-`
-	w, err := ParseWorld(src)
-	if err == nil {
-		t.Fatal("type-mismatched arith must fail to parse")
+`,
+		"slot of non-mem": `
+extern main(m: mem, n: i64, ret: fn(mem, i64)) = {
+    s = (mem, i64*) slot(n)
+    m1 = mem extract(s, 0:i64)
+    ret(m1, n)
+}
+`,
+		"call arity": `
+extern main(m: mem, n: i64, ret: fn(mem, i64)) = {
+    ret(m, n, n)
+}
+`,
 	}
-	if w != nil {
-		t.Error("failed parse must not return a world")
-	}
-	if !strings.Contains(err.Error(), "invalid IR") && !strings.Contains(err.Error(), "mismatch") {
-		t.Errorf("unexpected error %v", err)
+	for name, src := range cases {
+		w, err := ParseWorld(src)
+		if err == nil {
+			t.Errorf("%s: must fail to parse", name)
+			continue
+		}
+		if w != nil {
+			t.Errorf("%s: failed parse must not return a world", name)
+		}
+		if !strings.Contains(err.Error(), "invalid IR") {
+			t.Errorf("%s: unexpected error %v", name, err)
+		}
 	}
 }

@@ -7,13 +7,26 @@ import (
 
 // opShape is the operand contract of one primop kind: arity bounds and
 // which operand positions must carry a memory token. The table is consulted
-// by Verify for every reachable primop; a kind missing from it is itself a
-// verification error, and an exhaustiveness test keeps it in sync with the
-// OpKind enum.
+// by Verify for every reachable primop and by World.Rebuild before it
+// constructs one; a kind missing from it is itself a verification error,
+// and an exhaustiveness test keeps it in sync with the OpKind enum.
 type opShape struct {
 	minOps int
 	maxOps int   // -1 = unbounded
 	memIdx []int // operand indices that must be MemType
+}
+
+// admits reports whether n operands satisfy the arity bounds.
+func (sh opShape) admits(n int) bool {
+	return n >= sh.minOps && (sh.maxOps < 0 || n <= sh.maxOps)
+}
+
+// arity renders the arity bounds for error messages.
+func (sh opShape) arity() string {
+	if sh.maxOps < 0 {
+		return fmt.Sprintf("%d or more", sh.minOps)
+	}
+	return fmt.Sprintf("%d..%d", sh.minOps, sh.maxOps)
 }
 
 var opShapes = map[OpKind]opShape{
@@ -161,9 +174,9 @@ func verifyShape(c *Continuation, p *PrimOp) error {
 	if !ok {
 		return fmt.Errorf("ir: primop %s in %s: kind missing from opShapes table", p.kind, c.name)
 	}
-	if p.NumOps() < sh.minOps || (sh.maxOps >= 0 && p.NumOps() > sh.maxOps) {
-		return fmt.Errorf("ir: primop %s in %s: %d operands (want %d..%d)",
-			p.kind, c.name, p.NumOps(), sh.minOps, sh.maxOps)
+	if !sh.admits(p.NumOps()) {
+		return fmt.Errorf("ir: primop %s in %s: %d operands (want %s)",
+			p.kind, c.name, p.NumOps(), sh.arity())
 	}
 	for _, i := range sh.memIdx {
 		if op := p.Op(i); !IsMemType(op.Type()) {

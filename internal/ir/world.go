@@ -726,6 +726,91 @@ func (w *World) Run(d Def) Def { return w.cse(OpRun, d.Type(), d) }
 // Hlt marks def to be left alone by the partial evaluator.
 func (w *World) Hlt(d Def) Def { return w.cse(OpHlt, d.Type(), d) }
 
+// Rebuild constructs a primop of kind k over ops through k's smart
+// constructor, so folding and hash-consing apply; it is the one place that
+// maps a kind to its constructor. ty, a type of w, is read only by the kinds
+// whose result type the operands do not imply: cast, bitcast, slot, alloc
+// and closure. Slots, allocs and globals built this way get fresh identity.
+// An operand count outside the kind's opShapes contract, a result type of
+// the wrong shape or an unknown kind is an error rather than a panic.
+func (w *World) Rebuild(k OpKind, ty Type, ops []Def) (Def, error) {
+	sh, ok := opShapes[k]
+	if !ok {
+		return nil, fmt.Errorf("ir: cannot rebuild primop %s (kind %d)", k, int(k))
+	}
+	if !sh.admits(len(ops)) {
+		return nil, fmt.Errorf("ir: %s: %d operands (want %s)", k, len(ops), sh.arity())
+	}
+	switch {
+	case k.IsArith():
+		return w.Arith(k, ops[0], ops[1]), nil
+	case k.IsCmp():
+		return w.Cmp(k, ops[0], ops[1]), nil
+	}
+	switch k {
+	case OpSelect:
+		return w.Select(ops[0], ops[1], ops[2]), nil
+	case OpTuple:
+		return w.Tuple(ops...), nil
+	case OpExtract:
+		return w.Extract(ops[0], ops[1]), nil
+	case OpInsert:
+		return w.Insert(ops[0], ops[1], ops[2]), nil
+	case OpCast:
+		if pt, ok := ty.(*PrimType); ok {
+			return w.Cast(pt, ops[0]), nil
+		}
+		return nil, fmt.Errorf("ir: cast to non-primitive type %s", ty)
+	case OpBitcast:
+		return w.Bitcast(ty, ops[0]), nil
+	case OpSlot:
+		if t, ok := memPtrPointee(ty); ok {
+			return w.Slot(ops[0], t), nil
+		}
+		return nil, fmt.Errorf("ir: slot result type %s is not (mem, T*)", ty)
+	case OpAlloc:
+		if t, ok := memPtrPointee(ty); ok {
+			if at, ok := t.(*IndefArrayType); ok {
+				return w.Alloc(ops[0], at.Elem, ops[1]), nil
+			}
+		}
+		return nil, fmt.Errorf("ir: alloc result type %s is not (mem, [T]*)", ty)
+	case OpLoad:
+		return w.Load(ops[0], ops[1]), nil
+	case OpStore:
+		return w.Store(ops[0], ops[1], ops[2]), nil
+	case OpLea:
+		return w.Lea(ops[0], ops[1]), nil
+	case OpALen:
+		return w.ALen(ops[0]), nil
+	case OpGlobal:
+		return w.Global(ops[0]), nil
+	case OpClosure:
+		if ft, ok := ty.(*FnType); ok {
+			return w.Closure(ft, ops[0], ops[1:]...), nil
+		}
+		return nil, fmt.Errorf("ir: closure type %s is not a function type", ty)
+	case OpRun:
+		return w.Run(ops[0]), nil
+	case OpHlt:
+		return w.Hlt(ops[0]), nil
+	}
+	return nil, fmt.Errorf("ir: cannot rebuild primop %s (kind %d)", k, int(k))
+}
+
+// memPtrPointee returns T for the (mem, T*) result type of a slot or alloc.
+func memPtrPointee(ty Type) (Type, bool) {
+	tt, ok := ty.(*TupleType)
+	if !ok || len(tt.ElemTypes) != 2 || !IsMemType(tt.ElemTypes[0]) {
+		return nil, false
+	}
+	pt, ok := tt.ElemTypes[1].(*PtrType)
+	if !ok {
+		return nil, false
+	}
+	return pt.Pointee, true
+}
+
 // MemParam returns the first parameter of c if it is a memory token; this is
 // the conventional position in every frontend-generated continuation.
 func MemParam(c *Continuation) *Param {

@@ -100,8 +100,11 @@ func (cp *copier) copyDef(d ir.Def) (ir.Def, error) {
 			}
 			ops[i] = cop
 		}
+		// The source node's type is interned in the source world; the
+		// destination reads only its re-interned twin. Unlike a rewrite,
+		// the copy clones globals.
 		var err error
-		if n, err = cp.rebuild(d, ops); err != nil {
+		if n, err = cp.dst.Rebuild(d.OpKind(), cp.copyType(d.Type()), ops); err != nil {
 			return nil, err
 		}
 		if d.Name() != "" {
@@ -142,58 +145,6 @@ func (cp *copier) intrinsic(c *ir.Continuation) *ir.Continuation {
 		return cp.dst.PrintChar()
 	}
 	panic(fmt.Sprintf("link: unknown intrinsic %s", c.Intrinsic()))
-}
-
-// rebuild mirrors transform.Rebuild but maps result types into the
-// destination world (Rebuild reuses the source node's types, which would
-// leak foreign interned types across worlds) and clones globals instead of
-// reusing them.
-func (cp *copier) rebuild(p *ir.PrimOp, ops []ir.Def) (ir.Def, error) {
-	w := cp.dst
-	k := p.OpKind()
-	switch {
-	case k.IsArith():
-		return w.Arith(k, ops[0], ops[1]), nil
-	case k.IsCmp():
-		return w.Cmp(k, ops[0], ops[1]), nil
-	}
-	switch k {
-	case ir.OpSelect:
-		return w.Select(ops[0], ops[1], ops[2]), nil
-	case ir.OpTuple:
-		return w.Tuple(ops...), nil
-	case ir.OpExtract:
-		return w.Extract(ops[0], ops[1]), nil
-	case ir.OpInsert:
-		return w.Insert(ops[0], ops[1], ops[2]), nil
-	case ir.OpCast:
-		return w.Cast(cp.copyType(p.Type()).(*ir.PrimType), ops[0]), nil
-	case ir.OpBitcast:
-		return w.Bitcast(cp.copyType(p.Type()), ops[0]), nil
-	case ir.OpSlot:
-		pointee := cp.copyType(p.Type()).(*ir.TupleType).ElemTypes[1].(*ir.PtrType).Pointee
-		return w.Slot(ops[0], pointee), nil
-	case ir.OpAlloc:
-		elem := cp.copyType(p.Type()).(*ir.TupleType).ElemTypes[1].(*ir.PtrType).Pointee.(*ir.IndefArrayType).Elem
-		return w.Alloc(ops[0], elem, ops[1]), nil
-	case ir.OpLoad:
-		return w.Load(ops[0], ops[1]), nil
-	case ir.OpStore:
-		return w.Store(ops[0], ops[1], ops[2]), nil
-	case ir.OpLea:
-		return w.Lea(ops[0], ops[1]), nil
-	case ir.OpALen:
-		return w.ALen(ops[0]), nil
-	case ir.OpGlobal:
-		return w.Global(ops[0]), nil
-	case ir.OpClosure:
-		return w.Closure(cp.copyType(p.Type()).(*ir.FnType), ops[0], ops[1:]...), nil
-	case ir.OpRun:
-		return w.Run(ops[0]), nil
-	case ir.OpHlt:
-		return w.Hlt(ops[0]), nil
-	}
-	return nil, fmt.Errorf("link: cannot copy primop %s", k)
 }
 
 // copyType re-interns a source-world type in the destination world.

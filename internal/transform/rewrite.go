@@ -5,64 +5,20 @@
 // evaluation, closure conversion and cleanup.
 package transform
 
-import (
-	"fmt"
-
-	"thorin/internal/ir"
-)
+import "thorin/internal/ir"
 
 // Rebuild reconstructs primop p with new operands through the World's
-// smart constructors, so folding and hash-consing apply to the copy.
-// Slots, allocs and globals copied this way get fresh identity. An operand
-// kind Rebuild does not know how to reconstruct yields an error — a
-// PassError-compatible condition that fails the running pass by name rather
-// than tripping the pass manager's panic isolator.
+// smart constructors (ir.World.Rebuild), so folding and hash-consing apply
+// to the copy. Slots and allocs copied this way get fresh identity; globals
+// are top-level entities, and a rewrite never clones them. A kind the world
+// cannot rebuild yields an error — a PassError-compatible condition that
+// fails the running pass by name rather than tripping the pass manager's
+// panic isolator.
 func Rebuild(w *ir.World, p *ir.PrimOp, ops []ir.Def) (ir.Def, error) {
-	k := p.OpKind()
-	switch {
-	case k.IsArith():
-		return w.Arith(k, ops[0], ops[1]), nil
-	case k.IsCmp():
-		return w.Cmp(k, ops[0], ops[1]), nil
-	}
-	switch k {
-	case ir.OpSelect:
-		return w.Select(ops[0], ops[1], ops[2]), nil
-	case ir.OpTuple:
-		return w.Tuple(ops...), nil
-	case ir.OpExtract:
-		return w.Extract(ops[0], ops[1]), nil
-	case ir.OpInsert:
-		return w.Insert(ops[0], ops[1], ops[2]), nil
-	case ir.OpCast:
-		return w.Cast(p.Type().(*ir.PrimType), ops[0]), nil
-	case ir.OpBitcast:
-		return w.Bitcast(p.Type(), ops[0]), nil
-	case ir.OpSlot:
-		pointee := p.Type().(*ir.TupleType).ElemTypes[1].(*ir.PtrType).Pointee
-		return w.Slot(ops[0], pointee), nil
-	case ir.OpAlloc:
-		elem := p.Type().(*ir.TupleType).ElemTypes[1].(*ir.PtrType).Pointee.(*ir.IndefArrayType).Elem
-		return w.Alloc(ops[0], elem, ops[1]), nil
-	case ir.OpLoad:
-		return w.Load(ops[0], ops[1]), nil
-	case ir.OpStore:
-		return w.Store(ops[0], ops[1], ops[2]), nil
-	case ir.OpLea:
-		return w.Lea(ops[0], ops[1]), nil
-	case ir.OpALen:
-		return w.ALen(ops[0]), nil
-	case ir.OpGlobal:
-		// Globals are top-level entities; a rewrite never clones them.
+	if p.OpKind() == ir.OpGlobal {
 		return p, nil
-	case ir.OpClosure:
-		return w.Closure(p.Type().(*ir.FnType), ops[0], ops[1:]...), nil
-	case ir.OpRun:
-		return w.Run(ops[0]), nil
-	case ir.OpHlt:
-		return w.Hlt(ops[0]), nil
 	}
-	return nil, fmt.Errorf("transform: cannot rebuild primop %s (kind %d)", k, int(k))
+	return w.Rebuild(p.OpKind(), p.Type(), ops)
 }
 
 // ReplaceUses rewrites every (transitive) user of old to refer to new
