@@ -26,7 +26,7 @@
 //	    -emit=pass-report prog.imp         # custom pipeline + per-pass table
 //	thorinc -verify-each prog.imp          # ir.Verify after every pass
 //	thorinc -incremental=off prog.imp      # disable journal-driven pass skipping
-//	thorinc -budget "time=30s,nodes=500000" prog.imp   # bounded compile
+//	thorinc -budget "nodes=500000" -deadline 30s prog.imp  # bounded compile
 //	thorinc -on-failure=degrade -run prog.imp 10       # survive a buggy pass
 //	thorinc -replay .thorin-crash/crash-ab12cd34ef56   # re-run a crash bundle
 //	thorinc -cpuprofile cpu.pprof prog.imp             # profile the compile
@@ -89,7 +89,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	fs.BoolVar(&f.run, "run", false, "execute main with the trailing integer arguments")
 	fs.BoolVar(&f.stats, "stats", false, "print compilation and execution statistics")
 	fs.StringVar(&f.schedule, "schedule", "smart", "primop schedule: early | late | smart")
-	fs.StringVar(&f.budget, "budget", "", "compilation budget, e.g. \"iters=8,nodes=200000,time=30s\" (any subset of keys)")
+	fs.StringVar(&f.budget, "budget", "", "compilation budget, e.g. \"iters=8,nodes=200000\" (either key or both)")
 	fs.StringVar(&f.onFailure, "on-failure", "fail", "pass-failure policy: fail (abort with a crash bundle) | degrade (strip the faulting pass and finish unoptimized)")
 	fs.StringVar(&f.crashDir, "crash-dir", ".thorin-crash", "directory for crash reproduction bundles (empty disables)")
 	fs.StringVar(&f.replay, "replay", "", "re-run the compilation recorded in a crash bundle directory and exit")
@@ -107,6 +107,11 @@ func newFlags(fs *flag.FlagSet) *flags {
 // sources. thorinc compiles exactly this request, in process or on a
 // daemon, and driver.Request.Resolve interprets it in both cases.
 func (f *flags) request() (*driver.Request, error) {
+	if f.verifyEach && f.server != "" {
+		// A daemon request has no verify-each field; the daemon would
+		// compile without it.
+		return nil, fmt.Errorf("-verify-each is not available with -server (the daemon runs its own pipeline)")
+	}
 	req := &driver.Request{
 		Link:       f.link,
 		Spec:       f.passes,

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"strings"
 	"testing"
-	"time"
 
 	"thorin/internal/driver"
 )
@@ -26,8 +26,8 @@ func TestFlagsResolveLikeDaemonRequests(t *testing.T) {
 		{[]string{"-O", "0", "-passes", "cleanup,fix(cff),cleanup,closure"}, `{"spec": "cleanup,fix(cff),cleanup,closure"}`},
 		{[]string{"-target=wasm", "-schedule=late"}, `{"target": "wasm", "schedule": "late"}`},
 		{[]string{"-link=mangle"}, `{"link": "mangle"}`},
-		{[]string{"-on-failure=degrade", "-budget", "iters=8,nodes=200000,time=30s"},
-			`{"on_failure": "degrade", "budget": "iters=8,nodes=200000,time=30s"}`},
+		{[]string{"-on-failure=degrade", "-budget", "iters=8,nodes=200000"},
+			`{"on_failure": "degrade", "budget": "iters=8,nodes=200000"}`},
 		{[]string{"-deadline", "250ms", "-incremental=off"}, `{"deadline_ms": 250, "disable_incremental": true}`},
 	}
 	for _, tc := range cases {
@@ -59,11 +59,6 @@ func TestFlagsResolveLikeDaemonRequests(t *testing.T) {
 		// -jobs defaults to GOMAXPROCS and the daemon to its own default;
 		// neither changes the output, so jobs is not compared.
 		cli.Config.Jobs, wire.Config.Jobs = 0, 0
-		// A time= budget becomes an absolute deadline at resolution.
-		if d := cli.Config.Budget.Deadline.Sub(wire.Config.Budget.Deadline); d < -time.Second || d > time.Second {
-			t.Errorf("%v: budget deadlines %v apart", tc.flags, d)
-		}
-		cli.Config.Budget.Deadline, wire.Config.Budget.Deadline = time.Time{}, time.Time{}
 		if cli.Spec != wire.Spec || cli.Mode != wire.Mode || cli.Link != wire.Link ||
 			cli.Config != wire.Config || cli.Deadline != wire.Deadline {
 			t.Errorf("%v resolves to\n  %+v\nbut daemon request %s resolves to\n  %+v", tc.flags, cli, tc.wire, wire)
@@ -96,5 +91,19 @@ func TestFlagsRejectBadValues(t *testing.T) {
 		if _, err := req.Resolve(""); err == nil {
 			t.Errorf("%v accepted", args)
 		}
+	}
+}
+
+// TestVerifyEachRejectedWithServer: a daemon request cannot carry
+// -verify-each, so the combination is an error instead of a compile that
+// silently skips the per-pass verification.
+func TestVerifyEachRejectedWithServer(t *testing.T) {
+	fs := flag.NewFlagSet("thorinc", flag.ContinueOnError)
+	f := newFlags(fs)
+	if err := fs.Parse([]string{"-verify-each", "-server", "127.0.0.1:7491"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.request(); err == nil || !strings.Contains(err.Error(), "-verify-each") {
+		t.Errorf("request() = %v, want an error naming -verify-each", err)
 	}
 }

@@ -37,16 +37,6 @@ func NewAliasOracle() *AliasOracle {
 	}
 }
 
-// IsAllocSite reports whether p allocates a memory cell: a stack slot, a
-// heap array, or a global.
-func IsAllocSite(p *ir.PrimOp) bool {
-	switch p.OpKind() {
-	case ir.OpSlot, ir.OpAlloc, ir.OpGlobal:
-		return true
-	}
-	return false
-}
-
 // SiteOf traces ptr to the allocation site it points into: through lea
 // chains to the base pointer, through the address projection of a slot or
 // alloc, or to a global node itself. It returns nil for pointers with no

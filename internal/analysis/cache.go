@@ -9,8 +9,8 @@ import (
 
 // CacheStats counts how a Cache was used over its lifetime. Hits and
 // Misses are per lookup (one ScopeOf call is one lookup); Invalidations
-// counts InvalidateAll/Invalidate calls that actually dropped entries; Stale
-// counts entries dropped by generation validation because a scope member was
+// counts InvalidateAll calls that actually dropped entries; Stale counts
+// entries dropped by generation validation because a scope member was
 // touched after the entry was computed.
 type CacheStats struct {
 	Hits          int `json:"hits"`
@@ -19,22 +19,18 @@ type CacheStats struct {
 	Stale         int `json:"stale"`
 }
 
-// contEntry holds every memoized analysis of one continuation. All fields
-// are guarded by mu; holding one entry's lock never requires another
-// entry's lock, so parallel workers analyzing different scopes proceed
+// contEntry holds the memoized scope of one continuation. All fields are
+// guarded by mu; holding one entry's lock never requires another entry's
+// lock, so parallel workers analyzing different scopes proceed
 // independently while workers asking for the same scope serialize and share
 // one computation.
 type contEntry struct {
 	mu    sync.Mutex
 	scope *Scope
-	cfg   *CFG
-	dom   *DomTree
-	pdom  *DomTree
 	// stamp is the world's rewrite generation read immediately before the
-	// scope was computed: the scope (and everything derived from it) is
-	// valid iff no scope member was touched after stamp. Reading the
-	// generation *before* NewScope makes a concurrent touch look stale
-	// rather than silently valid.
+	// scope was computed: the scope is valid iff no scope member was touched
+	// after stamp. Reading the generation *before* NewScope makes a
+	// concurrent touch look stale rather than silently valid.
 	stamp int64
 	// validatedAt caches the most recent generation at which the stamp walk
 	// succeeded, so back-to-back lookups with no interleaving mutation skip
@@ -42,27 +38,23 @@ type contEntry struct {
 	validatedAt int64
 }
 
-func (e *contEntry) empty() bool {
-	return e.scope == nil && e.cfg == nil && e.dom == nil && e.pdom == nil
-}
-
-// Cache memoizes per-continuation analysis results — scopes, CFGs and
-// (post-)dominator trees — across the passes of one pipeline run. The
-// analyses are pure functions of the IR; every lookup validates the entry
+// Cache memoizes per-continuation scopes across the passes of one pipeline
+// run; passes derive CFGs and dominator trees from the scope themselves.
+// Scopes are pure functions of the IR; every lookup validates the entry
 // against the world's change journal (no def in the cached scope's closure
 // may carry a stamp newer than the entry's), so entries survive unrelated
 // mutations and go stale precisely when their own scope was touched. Callers
-// may additionally force recomputation with Invalidate/InvalidateAll (the
-// pass manager does this after changed passes when incremental mode is off).
-// Cached values are shared snapshots: callers must treat them as immutable.
+// may additionally force recomputation with InvalidateAll (the pass manager
+// does this after changed passes when incremental mode is off). Cached
+// scopes are shared snapshots: callers must treat them as immutable.
 //
 // A Cache is safe for concurrent lookups: the entry map is guarded by a
-// cache-wide mutex and each continuation's analyses by a per-continuation
-// lock, so parallel scope workers share memoized results without computing
-// them twice. Invalidation must not race with lookups — the pass manager
+// cache-wide mutex and each continuation's scope by a per-continuation
+// lock, so parallel scope workers share a memoized scope without computing
+// it twice. Invalidation must not race with lookups — the pass manager
 // only invalidates between (not during) parallel phases.
 //
-// A nil *Cache is valid and simply computes every request from scratch
+// A nil *Cache is valid and simply computes every scope from scratch
 // without storing anything, so transformation code can thread an optional
 // cache unconditionally.
 type Cache struct {
@@ -92,9 +84,9 @@ func (c *Cache) entryFor(entry *ir.Continuation) *contEntry {
 	return e
 }
 
-// validateLocked drops e's memoized analyses if a member of the cached
-// scope has been touched since the scope was computed. e.mu must be held;
-// call it before serving any field of e.
+// validateLocked drops e's memoized scope if one of its members has been
+// touched since the scope was computed. e.mu must be held; call it before
+// serving e.scope.
 func (c *Cache) validateLocked(e *contEntry, entry *ir.Continuation) {
 	if e.scope == nil {
 		return
@@ -107,34 +99,9 @@ func (c *Cache) validateLocked(e *contEntry, entry *ir.Continuation) {
 		e.validatedAt = cur
 		return
 	}
-	e.scope, e.cfg, e.dom, e.pdom = nil, nil, nil, nil
+	e.scope = nil
 	e.stamp, e.validatedAt = 0, 0
 	c.stale.Add(1)
-}
-
-// scopeLocked returns e's scope, computing it on a miss. e.mu must be held
-// and validateLocked must have run.
-func (c *Cache) scopeLocked(e *contEntry, entry *ir.Continuation) *Scope {
-	if e.scope != nil {
-		c.hits.Add(1)
-		return e.scope
-	}
-	c.misses.Add(1)
-	gen := entry.World().RewriteGen()
-	e.scope = NewScope(entry)
-	e.stamp, e.validatedAt = gen, gen
-	return e.scope
-}
-
-// cfgLocked returns e's CFG, computing it on a miss. e.mu must be held.
-func (c *Cache) cfgLocked(e *contEntry, entry *ir.Continuation) *CFG {
-	if e.cfg != nil {
-		c.hits.Add(1)
-		return e.cfg
-	}
-	c.misses.Add(1)
-	e.cfg = NewCFG(c.scopeLocked(e, entry))
-	return e.cfg
 }
 
 // ScopeOf returns the scope of entry, computing and memoizing it on a miss.
@@ -146,75 +113,15 @@ func (c *Cache) ScopeOf(entry *ir.Continuation) *Scope {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c.validateLocked(e, entry)
-	return c.scopeLocked(e, entry)
-}
-
-// CFGOf returns the control-flow graph of entry's scope.
-func (c *Cache) CFGOf(entry *ir.Continuation) *CFG {
-	if c == nil {
-		return NewCFG(NewScope(entry))
-	}
-	e := c.entryFor(entry)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c.validateLocked(e, entry)
-	return c.cfgLocked(e, entry)
-}
-
-// DomTreeOf returns the dominator tree of entry's CFG.
-func (c *Cache) DomTreeOf(entry *ir.Continuation) *DomTree {
-	if c == nil {
-		return NewDomTree(NewCFG(NewScope(entry)))
-	}
-	e := c.entryFor(entry)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c.validateLocked(e, entry)
-	if e.dom != nil {
+	if e.scope != nil {
 		c.hits.Add(1)
-		return e.dom
+		return e.scope
 	}
 	c.misses.Add(1)
-	e.dom = NewDomTree(c.cfgLocked(e, entry))
-	return e.dom
-}
-
-// PostDomTreeOf returns the post-dominator tree of entry's CFG.
-func (c *Cache) PostDomTreeOf(entry *ir.Continuation) *DomTree {
-	if c == nil {
-		return NewPostDomTree(NewCFG(NewScope(entry)))
-	}
-	e := c.entryFor(entry)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c.validateLocked(e, entry)
-	if e.pdom != nil {
-		c.hits.Add(1)
-		return e.pdom
-	}
-	c.misses.Add(1)
-	e.pdom = NewPostDomTree(c.cfgLocked(e, entry))
-	return e.pdom
-}
-
-// Invalidate drops every entry keyed by entry. Note that a mutation inside
-// one scope can affect enclosing scopes too; use InvalidateAll unless the
-// caller knows the mutation is contained.
-func (c *Cache) Invalidate(entry *ir.Continuation) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[entry]; ok {
-		e.mu.Lock()
-		populated := !e.empty()
-		e.mu.Unlock()
-		if populated {
-			c.invalidations.Add(1)
-		}
-		delete(c.entries, entry)
-	}
+	gen := entry.World().RewriteGen()
+	e.scope = NewScope(entry)
+	e.stamp, e.validatedAt = gen, gen
+	return e.scope
 }
 
 // InvalidateAll drops every cached result. Stamp validation makes this
@@ -230,9 +137,7 @@ func (c *Cache) InvalidateAll() {
 	populated := false
 	for _, e := range c.entries {
 		e.mu.Lock()
-		if !e.empty() {
-			populated = true
-		}
+		populated = e.scope != nil
 		e.mu.Unlock()
 		if populated {
 			break

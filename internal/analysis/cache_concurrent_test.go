@@ -8,10 +8,10 @@ import (
 	"thorin/internal/ir"
 )
 
-// TestCacheConcurrentLookups races many goroutines asking for the analyses of
+// TestCacheConcurrentLookups races many goroutines asking for the scopes of
 // a shared set of continuations: every caller must observe the same memoized
-// result, and each analysis must be computed exactly once (misses == number
-// of distinct analyses).
+// scope, and each scope must be computed exactly once (misses == number of
+// continuations).
 func TestCacheConcurrentLookups(t *testing.T) {
 	w := ir.NewWorld()
 	mem := w.MemType()
@@ -28,19 +28,14 @@ func TestCacheConcurrentLookups(t *testing.T) {
 	c := NewCache()
 	const workers = 8
 	scopes := make([][]*Scope, workers)
-	cfgs := make([][]*CFG, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			scopes[g] = make([]*Scope, funcs)
-			cfgs[g] = make([]*CFG, funcs)
 			for i, f := range conts {
 				scopes[g][i] = c.ScopeOf(f)
-				cfgs[g][i] = c.CFGOf(f)
-				_ = c.DomTreeOf(f)
-				_ = c.PostDomTreeOf(f)
 			}
 		}(g)
 	}
@@ -51,21 +46,16 @@ func TestCacheConcurrentLookups(t *testing.T) {
 			if scopes[g][i] != scopes[0][i] {
 				t.Fatalf("worker %d got a different scope for f%d", g, i)
 			}
-			if cfgs[g][i] != cfgs[0][i] {
-				t.Fatalf("worker %d got a different CFG for f%d", g, i)
-			}
 		}
 	}
 
 	st := c.Stats()
-	// 4 analyses per continuation, each computed exactly once.
-	if want := funcs * 4; st.Misses != want {
-		t.Errorf("misses = %d, want %d (each analysis computed once)", st.Misses, want)
+	// One scope per continuation, each computed exactly once.
+	if want := funcs; st.Misses != want {
+		t.Errorf("misses = %d, want %d (each scope computed once)", st.Misses, want)
 	}
-	// Each non-first worker hits all 4 analyses; the computing worker also
-	// records 3 nested hits per continuation (a CFG miss reuses the cached
-	// scope, each dominator-tree miss reuses the cached CFG).
-	if want := funcs*4*(workers-1) + funcs*3; st.Hits != want {
+	// Every other lookup is a hit.
+	if want := funcs * (workers - 1); st.Hits != want {
 		t.Errorf("hits = %d, want %d", st.Hits, want)
 	}
 }

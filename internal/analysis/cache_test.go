@@ -39,24 +39,22 @@ func TestCacheScopeMemoization(t *testing.T) {
 	}
 }
 
+// TestCacheDerivedAnalyses: the cache memoizes scopes only, so analyses
+// derived from one cached scope are built fresh by each caller, while the
+// scope itself is shared.
 func TestCacheDerivedAnalyses(t *testing.T) {
 	_, main := cacheWorld()
 	c := NewCache()
-	g1 := c.CFGOf(main)
-	if g2 := c.CFGOf(main); g2 != g1 {
-		t.Error("CFGOf must memoize")
+	s := c.ScopeOf(main)
+	g := NewCFG(c.ScopeOf(main))
+	if g.Scope != s {
+		t.Error("a CFG built from the cached scope must reference that scope")
 	}
-	d1 := c.DomTreeOf(main)
-	if d2 := c.DomTreeOf(main); d2 != d1 {
-		t.Error("DomTreeOf must memoize")
+	if NewDomTree(g) == nil || NewPostDomTree(g) == nil {
+		t.Fatal("dominator trees must build from a cached scope's CFG")
 	}
-	p1 := c.PostDomTreeOf(main)
-	if p2 := c.PostDomTreeOf(main); p2 != p1 {
-		t.Error("PostDomTreeOf must memoize")
-	}
-	c.Invalidate(main)
-	if c.CFGOf(main) == g1 {
-		t.Error("CFGOf after Invalidate must recompute")
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss (only scopes are counted)", st)
 	}
 }
 
@@ -86,13 +84,6 @@ func TestCacheGenerationValidation(t *testing.T) {
 	}
 	if st := c.Stats(); st.Stale == 0 {
 		t.Errorf("stats = %+v, want a stale eviction recorded", st)
-	}
-
-	// Derived analyses are dropped together with the scope.
-	g := c.CFGOf(main)
-	main.Jump(main.Param(1), main.Param(0))
-	if c.CFGOf(main) == g {
-		t.Error("CFG derived from a stale scope must be recomputed")
 	}
 }
 
@@ -126,11 +117,9 @@ func TestScopeBuildCount(t *testing.T) {
 func TestNilCacheComputes(t *testing.T) {
 	_, main := cacheWorld()
 	var c *Cache
-	if c.ScopeOf(main) == nil || c.CFGOf(main) == nil ||
-		c.DomTreeOf(main) == nil || c.PostDomTreeOf(main) == nil {
-		t.Fatal("nil cache must still compute analyses")
+	if c.ScopeOf(main) == nil {
+		t.Fatal("nil cache must still compute scopes")
 	}
-	c.Invalidate(main)
 	c.InvalidateAll() // must not panic
 	if c.Stats() != (CacheStats{}) {
 		t.Error("nil cache has zero stats")

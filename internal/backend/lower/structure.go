@@ -63,10 +63,6 @@ func (s *Structure) IsBackEdge(p, n *analysis.Node) bool {
 	return s.f.Sched.Dom.Dominates(n, p)
 }
 
-// IsMerge reports whether n has two or more forward in-edges and therefore
-// needs an enclosing block label.
-func (s *Structure) IsMerge(n *analysis.Node) bool { return s.merge[n] }
-
 // IsLoopHeader reports whether n has a back in-edge and therefore needs an
 // enclosing loop label.
 func (s *Structure) IsLoopHeader(n *analysis.Node) bool { return s.header[n] }

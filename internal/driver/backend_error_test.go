@@ -12,6 +12,7 @@ import (
 	"thorin/internal/analysis"
 	"thorin/internal/backend"
 	"thorin/internal/ir"
+	"thorin/internal/pm"
 	"thorin/internal/transform"
 )
 
@@ -79,6 +80,58 @@ func TestBackendErrorCrashBundle(t *testing.T) {
 
 	if _, rerr := Replay(bundle); !errors.As(rerr, &berr) || berr.Target != backend.Wasm {
 		t.Errorf("replay did not reproduce the wasm backend failure: %v", rerr)
+	}
+}
+
+// thirdRunPanics rewrites on each run and panics on its third run in one
+// pipeline, so an iters=2 budget keeps it from failing.
+type thirdRunPanics struct{}
+
+func (thirdRunPanics) Name() string { return "d-third-run" }
+func (thirdRunPanics) Run(ctx *pm.Context) (pm.Result, error) {
+	n, _ := ctx.Get("d-third-run.runs").(int)
+	ctx.Put("d-third-run.runs", n+1)
+	if n+1 == 3 {
+		panic("third run")
+	}
+	return pm.Result{Rewrites: 1}, nil
+}
+
+func init() { pm.Register(thirdRunPanics{}) }
+
+// TestCrashBundlePerConfiguration: the same source and spec failing under
+// two configurations — a wasm backend failure under an iters=2 budget, and
+// a pass failure on the vm without it — leave two bundles, and each replays
+// its own failure.
+func TestCrashBundlePerConfiguration(t *testing.T) {
+	restore := backend.Override(failingBackend{})
+	defer restore()
+
+	dir := t.TempDir()
+	src := "fn main(n: i64) -> i64 { n + 1 }"
+	const spec = "cleanup,fix(d-third-run),cleanup,closure"
+	_, werr := CompileSpec(src, spec, analysis.ScheduleSmart, Config{
+		Target:   backend.Wasm,
+		Budget:   pm.Budget{MaxFixpointIters: 2},
+		CrashDir: dir,
+	})
+	_, verr := CompileSpec(src, spec, analysis.ScheduleSmart, Config{Target: backend.VM, CrashDir: dir})
+	wasmBundle, ok1 := CrashBundle(werr)
+	vmBundle, ok2 := CrashBundle(verr)
+	if !ok1 || !ok2 {
+		t.Fatalf("want two bundled failures, got %v and %v", werr, verr)
+	}
+	if wasmBundle == vmBundle {
+		t.Fatalf("both configurations wrote %s", wasmBundle)
+	}
+	var berr *backend.Error
+	if _, err := Replay(wasmBundle); !errors.As(err, &berr) || berr.Target != backend.Wasm {
+		t.Errorf("wasm bundle replayed to %v, want the wasm backend failure", err)
+	}
+	if _, err := Replay(vmBundle); err == nil {
+		t.Error("vm bundle replay succeeded, want the pass failure")
+	} else if pass, _ := pm.FailedPass(err); pass != "d-third-run" {
+		t.Errorf("vm bundle replayed to %v, want a d-third-run failure", err)
 	}
 }
 

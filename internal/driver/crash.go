@@ -24,8 +24,11 @@ import (
 //	  input.imp     the Impala source that was being compiled
 //	  input.thorin  frontend IR before the pipeline ran (best effort)
 //
-// The hash covers source and spec, so recompiling the same broken input
-// overwrites its bundle instead of accumulating duplicates.
+// The hash covers the source and every setting Replay reads except the jobs
+// level, which does not change output: recompiling the same broken input
+// under the same configuration overwrites its bundle instead of
+// accumulating duplicates, and a failure under another target, schedule or
+// budget gets a bundle of its own.
 
 // BundledError is a fail-fast pass failure that left a crash bundle on
 // disk. It wraps the underlying pipeline error (so pm.FailedPass and
@@ -89,11 +92,6 @@ type crashManifest struct {
 // WriteCrashBundle writes a reproduction bundle for a pass failure and
 // returns the bundle directory.
 func WriteCrashBundle(dir, src, spec string, mode analysis.Mode, cfg Config, pass string, failure error) (string, error) {
-	sum := sha256.Sum256([]byte(src + "\x00" + spec))
-	bundle := filepath.Join(dir, fmt.Sprintf("crash-%x", sum[:6]))
-	if err := os.MkdirAll(bundle, 0o755); err != nil {
-		return "", err
-	}
 	// Record the canonical target name, so "" and "vm" write the same
 	// bundle.
 	target, _ := backend.ParseTarget(string(cfg.Target))
@@ -101,13 +99,20 @@ func WriteCrashBundle(dir, src, spec string, mode analysis.Mode, cfg Config, pas
 		Spec:             spec,
 		Target:           string(target),
 		Schedule:         mode.String(),
-		Jobs:             cfg.Jobs,
 		VerifyEach:       cfg.VerifyEach,
 		MaxFixpointIters: cfg.Budget.MaxFixpointIters,
 		MaxNodes:         cfg.Budget.MaxNodes,
-		Pass:             pass,
-		Error:            failure.Error(),
 	}
+	key, err := json.Marshal(man)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(append([]byte(src+"\x00"), key...))
+	bundle := filepath.Join(dir, fmt.Sprintf("crash-%x", sum[:6]))
+	if err := os.MkdirAll(bundle, 0o755); err != nil {
+		return "", err
+	}
+	man.Jobs, man.Pass, man.Error = cfg.Jobs, pass, failure.Error()
 	js, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return "", err

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"time"
 
 	"thorin/internal/analysis"
 	"thorin/internal/backend"
@@ -92,8 +91,8 @@ type Config struct {
 	// OnPassFailure picks between aborting (FailFast, the default) and
 	// graceful degradation when a pass fails.
 	OnPassFailure FailurePolicy
-	// Budget bounds the optimizer run (fixpoint iterations, IR size,
-	// wall-clock deadline). The zero value means unlimited.
+	// Budget bounds the optimizer run (fixpoint iterations, IR size); Ctx
+	// bounds its wall clock. The zero value means unlimited.
 	Budget pm.Budget
 	// CrashDir, when non-empty, is the directory where a reproduction
 	// bundle is written on pass failure (see WriteCrashBundle).
@@ -171,11 +170,8 @@ func CompileSpec(src, spec string, mode analysis.Mode, cfg Config) (*Result, err
 		return nil, err
 	}
 	// Graceful degradation: recompile from source with the faulting pass
-	// stripped. A blown deadline must not turn a recoverable pass fault
-	// into a hard failure, so retries keep the node budget but not the
-	// deadline.
-	degCfg := cfg
-	degCfg.Budget.Deadline = time.Time{}
+	// stripped. Retries keep the budget and the run context, so a request
+	// deadline still stops them.
 	tried := make(map[string]bool)
 	var failed []string
 	cur := spec
@@ -201,7 +197,7 @@ func CompileSpec(src, spec string, mode analysis.Mode, cfg Config) (*Result, err
 		} else {
 			break
 		}
-		res, rerr := compileOnce(src, cur, mode, degCfg)
+		res, rerr := compileOnce(src, cur, mode, cfg)
 		if rerr == nil {
 			res.Degraded = true
 			res.FailedPasses = failed

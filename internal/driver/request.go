@@ -60,13 +60,13 @@ type Request struct {
 	// OnFailure picks the pass-failure policy: "fail" (default) or
 	// "degrade".
 	OnFailure string `json:"on_failure,omitempty"`
-	// Budget is a pm.ParseBudget spec, e.g. "iters=8,nodes=200000,time=30s".
+	// Budget is a pm.ParseBudget spec, e.g. "iters=8,nodes=200000".
 	Budget string `json:"budget,omitempty"`
 	// DeadlineMs, when positive, bounds the request's wall-clock compile
 	// time in milliseconds: the compile is run under a context with this
 	// timeout and stops cooperatively at the next pass boundary when it
-	// expires (pm.ErrDeadline; the server answers 504). Like the nodes/time
-	// budgets it never enters the cache key — a deadline can only fail a
+	// expires (pm.ErrDeadline; the server answers 504). Like the nodes
+	// budget it never enters the cache key — a deadline can only fail a
 	// compile, never change a successful one's output.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 	// DisableIncremental turns off journal-driven pass skipping. Like

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -447,6 +446,3 @@ func (c *Continuation) IsBasicBlockLike() bool {
 }
 
 func (c *Continuation) String() string { return c.name }
-
-// MakeF64 packs a float64 into a Literal payload.
-func MakeF64(f float64) int64 { return int64(math.Float64bits(f)) }

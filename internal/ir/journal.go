@@ -58,12 +58,3 @@ func (w *World) DrainDirty() []*Continuation {
 	w.dirtyMu.Unlock()
 	return out
 }
-
-// DirtyCount returns the number of continuations currently journaled,
-// without draining them.
-func (w *World) DirtyCount() int {
-	w.dirtyMu.Lock()
-	n := len(w.dirtyList)
-	w.dirtyMu.Unlock()
-	return n
-}

@@ -47,12 +47,6 @@ func Print(out io.Writer, w *World) {
 	}
 }
 
-// PrintContinuation writes one continuation (header, let-bound primops, and
-// the terminating jump) to out.
-func PrintContinuation(out io.Writer, c *Continuation) {
-	newPrinter(out, c.world.Continuations()).printContinuation(c)
-}
-
 func (p *printer) printContinuation(c *Continuation) {
 	ps := make([]string, len(c.params))
 	for i, prm := range c.params {

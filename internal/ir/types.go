@@ -437,9 +437,6 @@ func (w *World) FrameType() *FrameType {
 	return tt.add(h, &FrameType{}).(*FrameType)
 }
 
-// IsFnType reports whether t is a function type.
-func IsFnType(t Type) bool { _, ok := t.(*FnType); return ok }
-
 // IsMemType reports whether t is the memory token type.
 func IsMemType(t Type) bool { _, ok := t.(*MemType); return ok }
 
@@ -461,15 +458,6 @@ func ReturnsValue(fn *FnType) bool {
 		return false
 	}
 	return IsRetContType(fn.Params[len(fn.Params)-1])
-}
-
-// RetType returns the type of the return continuation parameter of fn, or
-// nil if fn has none.
-func RetType(fn *FnType) *FnType {
-	if !ReturnsValue(fn) {
-		return nil
-	}
-	return fn.Params[len(fn.Params)-1].(*FnType)
 }
 
 // IsCFFType reports whether a continuation of this type is admissible in

@@ -7,11 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// numShards is the number of interning shards for primops and literals.
-// Sharding by key hash lets concurrent workers construct nodes without
-// funnelling every hash-cons lookup through one lock.
-const numShards = 64
-
 // FNV-1a constants for the structural interning hashes.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -30,41 +25,14 @@ func hashU64(h, v uint64) uint64 {
 	return h
 }
 
-// shardIndex maps a structural hash onto an interning shard.
-func shardIndex(h uint64) uint32 {
-	return uint32((h ^ h>>32) % numShards)
-}
-
-// primopShard is one lock-striped slice of the primop interning table.
-// Buckets are keyed by the full 64-bit structural hash; entries that
-// collide on the hash are disambiguated by structural equality (see
-// (*PrimOp).structEq). The interning statistics live per shard, guarded by
-// the shard mutex that every construction already holds — so a Stats()
-// snapshot is consistent (requested == hits + nodes at all times) without
-// putting another atomic RMW on the construction hot path.
-type primopShard struct {
-	mu sync.Mutex
-	m  map[uint64][]*PrimOp
-
-	requested int64 // constructions routed to this shard
-	consHits  int64 // served from the table
-	nodes     int64 // distinct nodes interned
-}
-
-// literalShard is one lock-striped slice of the literal interning table.
-type literalShard struct {
-	mu sync.Mutex
-	m  map[uint64][]*Literal
-}
-
 // World owns all types and defs of one program. It provides the only way to
 // construct IR nodes and guarantees hash-consing: structurally identical
 // primops (same kind, type and operands) are represented by a single node,
 // which makes global value numbering a side effect of IR construction.
 //
-// A World is safe for concurrent node construction: the interning tables are
-// sharded with per-shard mutexes, the id/salt/statistics counters are
-// atomic, and the use lists are guarded by a world-wide reader/writer lock.
+// A World is safe for concurrent node construction: the interning tables and
+// their statistics share one mutex, the id/salt counters are atomic, and the
+// use lists are guarded by striped reader/writer locks.
 // Note that hash-consing makes concurrent interning order-independent for
 // node identity (both racers get the same node), but gid assignment still
 // depends on arrival order — parallel phases that must stay deterministic
@@ -73,11 +41,18 @@ type literalShard struct {
 // Continuations remain single-writer: Jump/Unset on one continuation must
 // not race with other mutations of the same continuation.
 type World struct {
-	types    *typeTable
-	primops  [numShards]primopShard
-	literals [numShards]literalShard
-	nextGID  atomic.Int64
-	salt     atomic.Int64 // uniquifier for non-consed primops (slot/alloc/global)
+	types   *typeTable
+	nextGID atomic.Int64
+	salt    atomic.Int64 // uniquifier for non-consed primops (slot/alloc/global)
+
+	// internMu guards both interning tables and the interning statistics.
+	// Buckets are keyed by the full 64-bit structural hash; entries that
+	// collide on the hash are disambiguated by structural equality (see
+	// (*PrimOp).structEq).
+	internMu sync.Mutex
+	primops  map[uint64][]*PrimOp
+	literals map[uint64][]*Literal
+	stats    InternStats
 
 	contsMu sync.RWMutex
 	conts   []*Continuation
@@ -109,14 +84,10 @@ type World struct {
 func NewWorld() *World {
 	w := &World{
 		types:      newTypeTable(),
+		primops:    make(map[uint64][]*PrimOp),
+		literals:   make(map[uint64][]*Literal),
 		intrinsics: make(map[Intrinsic]*Continuation),
 		dirtySet:   make(map[*Continuation]struct{}),
-	}
-	for i := range w.primops {
-		w.primops[i].m = make(map[uint64][]*PrimOp)
-	}
-	for i := range w.literals {
-		w.literals[i].m = make(map[uint64][]*Literal)
 	}
 	return w
 }
@@ -154,38 +125,19 @@ func (w *World) Find(name string) *Continuation {
 	return nil
 }
 
-// InternStats is a consistent snapshot of the hash-consing counters.
-// Requested == ConsHits + Nodes holds for every snapshot, even one taken
-// while other goroutines are mid-construction: each shard updates its three
-// counters together under the shard lock the construction already holds,
-// and the snapshot sums them under those same locks. This is what keeps
-// pass-report cons-hit rates coherent under -jobs>1.
+// InternStats is a snapshot of the hash-consing counters; Requested ==
+// ConsHits + Nodes holds for every snapshot.
 type InternStats struct {
 	Requested int `json:"requested"` // primop constructions requested
 	ConsHits  int `json:"cons_hits"` // served from the hash-cons table
 	Nodes     int `json:"nodes"`     // distinct primop nodes interned
 }
 
-// HitRate returns the fraction of constructions served from the table.
-func (s InternStats) HitRate() float64 {
-	if s.Requested == 0 {
-		return 0
-	}
-	return float64(s.ConsHits) / float64(s.Requested)
-}
-
-// InternStats snapshots the interning counters in one pass over the shards.
+// InternStats snapshots the interning counters.
 func (w *World) InternStats() InternStats {
-	var s InternStats
-	for i := range w.primops {
-		sh := &w.primops[i]
-		sh.mu.Lock()
-		s.Requested += int(sh.requested)
-		s.ConsHits += int(sh.consHits)
-		s.Nodes += int(sh.nodes)
-		sh.mu.Unlock()
-	}
-	return s
+	w.internMu.Lock()
+	defer w.internMu.Unlock()
+	return w.stats
 }
 
 // Stats returns (primop constructions requested, hash-cons hits, live
@@ -332,16 +284,15 @@ func (w *World) literal(t Type, i int64, f float64, bottom bool) *Literal {
 	if bottom {
 		h = hashU64(h, 1)
 	}
-	sh := &w.literals[shardIndex(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, l := range sh.m[h] {
+	w.internMu.Lock()
+	defer w.internMu.Unlock()
+	for _, l := range w.literals[h] {
 		if l.typ == t && l.I == i && math.Float64bits(l.F) == fbits && l.Bottom == bottom {
 			return l
 		}
 	}
 	l := &Literal{defBase: defBase{world: w, gid: w.newGID(), typ: t}, I: i, F: f, Bottom: bottom}
-	sh.m[h] = append(sh.m[h], l)
+	w.literals[h] = append(w.literals[h], l)
 	return l
 }
 
@@ -386,14 +337,6 @@ func (w *World) Zero(tag PrimTypeTag) *Literal {
 		return w.LitFloat(tag, 0)
 	}
 	return w.LitInt(tag, 0)
-}
-
-// One returns the one literal of a primitive type.
-func (w *World) One(tag PrimTypeTag) *Literal {
-	if tag.IsFloat() {
-		return w.LitFloat(tag, 1)
-	}
-	return w.LitInt(tag, 1)
 }
 
 func truncInt(tag PrimTypeTag, v int64) int64 {
@@ -462,13 +405,12 @@ func (w *World) cseSalted(kind OpKind, t Type, salt int, ops ...Def) *PrimOp {
 		salt = int(w.salt.Add(1))
 	}
 	h := primopHash(kind, t, salt, ops)
-	sh := &w.primops[shardIndex(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.requested++
-	for _, p := range sh.m[h] {
+	w.internMu.Lock()
+	defer w.internMu.Unlock()
+	w.stats.Requested++
+	for _, p := range w.primops[h] {
 		if p.structEq(kind, t, salt, ops) {
-			sh.consHits++
+			w.stats.ConsHits++
 			return p
 		}
 	}
@@ -478,8 +420,8 @@ func (w *World) cseSalted(kind OpKind, t Type, salt int, ops ...Def) *PrimOp {
 		salt:    salt,
 	}
 	registerUses(p)
-	sh.m[h] = append(sh.m[h], p)
-	sh.nodes++
+	w.primops[h] = append(w.primops[h], p)
+	w.stats.Nodes++
 	return p
 }
 
@@ -809,13 +751,4 @@ func memPtrPointee(ty Type) (Type, bool) {
 		return nil, false
 	}
 	return pt.Pointee, true
-}
-
-// MemParam returns the first parameter of c if it is a memory token; this is
-// the conventional position in every frontend-generated continuation.
-func MemParam(c *Continuation) *Param {
-	if len(c.params) > 0 && IsMemType(c.params[0].Type()) {
-		return c.params[0]
-	}
-	return nil
 }

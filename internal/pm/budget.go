@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Budget bounds the resources one pipeline run may consume. The zero value
 // imposes no limits beyond the pipeline's default fixpoint bound. Budgets
 // make the optimizer total: a diverging rewrite combination stops with
-// Saturated, a code-size explosion from partial evaluation/inlining stops
-// with ErrNodeBudget, and a wall-clock overrun stops with ErrDeadline —
-// in every case with valid IR and a structured error instead of a hung or
-// OOM-killed compile.
+// Saturated and a code-size explosion from partial evaluation/inlining
+// stops with ErrNodeBudget, with valid IR and a structured error instead
+// of a hung or OOM-killed compile. Wall clock is bounded by the run
+// context (Context.Ctx), which stops the pipeline with ErrDeadline.
 type Budget struct {
 	// MaxFixpointIters overrides the pipeline's fix(...) iteration bound
 	// (0 keeps the pipeline default). A group that hits the bound stops and
@@ -24,16 +23,13 @@ type Budget struct {
 	// MaxNodes bounds the world's node allocation count (its Generation).
 	// Checked between passes; 0 means unlimited.
 	MaxNodes int
-	// Deadline is the wall-clock instant after which no further pass may
-	// start. The zero time means no deadline.
-	Deadline time.Time
 }
 
 // ErrNodeBudget is returned (wrapped) when the world outgrows Budget.MaxNodes.
 var ErrNodeBudget = errors.New("pm: node budget exceeded")
 
-// ErrDeadline is returned (wrapped) when Budget.Deadline passes mid-pipeline,
-// or when the run's Context.Ctx reaches its deadline.
+// ErrDeadline is returned (wrapped) when the run's Context.Ctx reaches its
+// deadline.
 var ErrDeadline = errors.New("pm: compilation deadline exceeded")
 
 // ErrCanceled is returned (wrapped) when the run's Context.Ctx is canceled
@@ -51,9 +47,6 @@ var ErrCanceled = errors.New("pm: compilation canceled")
 func (b Budget) check(ctx *Context, label string) error {
 	if err := ctx.interrupted(label); err != nil {
 		return err
-	}
-	if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-		return fmt.Errorf("%w at %s", ErrDeadline, label)
 	}
 	if b.MaxNodes > 0 && ctx.World.Generation() > b.MaxNodes {
 		return fmt.Errorf("%w at %s: %d nodes over limit %d",
@@ -81,9 +74,8 @@ func (c *Context) interrupted(label string) error {
 }
 
 // ParseBudget parses the -budget flag syntax: comma-separated key=value
-// pairs among iters=N (fixpoint iterations), nodes=N (IR node allocations)
-// and time=DURATION (wall clock, Go duration syntax). The empty string is
-// the zero Budget.
+// pairs among iters=N (fixpoint iterations) and nodes=N (IR node
+// allocations). The empty string is the zero Budget.
 func ParseBudget(s string) (Budget, error) {
 	var b Budget
 	if strings.TrimSpace(s) == "" {
@@ -107,14 +99,8 @@ func ParseBudget(s string) (Budget, error) {
 				return Budget{}, fmt.Errorf("pm: bad budget nodes %q", val)
 			}
 			b.MaxNodes = n
-		case "time":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return Budget{}, fmt.Errorf("pm: bad budget time %q", val)
-			}
-			b.Deadline = time.Now().Add(d)
 		default:
-			return Budget{}, fmt.Errorf("pm: unknown budget key %q (want iters, nodes or time)", key)
+			return Budget{}, fmt.Errorf("pm: unknown budget key %q (want iters or nodes)", key)
 		}
 	}
 	return b, nil

@@ -1,6 +1,7 @@
 package pm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,10 @@ func analyzeOne(ctx *Context, sr ScopeRewriter, c *ir.Continuation, memo map[*ir
 // (in parallel when ctx.Jobs > 1), then commit sequentially in target order
 // and finish. Analysis errors — including recovered panics — are surfaced
 // in deterministic target order so a failing pipeline reports the same
-// error at every jobs level.
+// error at every jobs level. An analysis phase that created a node or
+// rewrote the graph fails the pass before any commit: node creation racing
+// across workers would make gid assignment, and so the printed IR, depend
+// on the worker schedule.
 func runScoped(ctx *Context, sr ScopeRewriter) (res Result, parallelism int, stats []WorkerStat, memoHits int, err error) {
 	var targets []*ir.Continuation
 	if err := guard(sr.Name(), "", func() error {
@@ -83,6 +87,7 @@ func runScoped(ctx *Context, sr ScopeRewriter) (res Result, parallelism int, sta
 	hits := make([]bool, len(targets))
 	errs := make([]error, len(targets))
 	stats = make([]WorkerStat, jobs)
+	gen, rewriteGen := ctx.World.Generation(), ctx.World.RewriteGen()
 
 	// Cancellation seam for the analysis phase: each worker re-checks the
 	// run context between targets, so an abandoned request stops consuming
@@ -137,6 +142,11 @@ func runScoped(ctx *Context, sr ScopeRewriter) (res Result, parallelism int, sta
 		if errs[i] != nil {
 			return total, jobs, stats, memoHits, errs[i]
 		}
+	}
+	if g, rg := ctx.World.Generation(), ctx.World.RewriteGen(); g != gen || rg != rewriteGen {
+		return total, jobs, stats, memoHits, fmt.Errorf(
+			"analysis phase mutated the world (generation %d -> %d, rewrite generation %d -> %d); Analyze must be read-only",
+			gen, g, rewriteGen, rg)
 	}
 	for i, c := range targets {
 		c := c

@@ -2,6 +2,7 @@ package pm
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,5 +139,50 @@ func TestRunScopedNoTargets(t *testing.T) {
 	}
 	if res.Rewrites != 10 || fr.finished != 1 {
 		t.Fatal("finish must still run once with no targets")
+	}
+}
+
+// buildingRewriter is a ScopeRewriter whose Analyze breaks the read-only
+// contract by interning a literal. It counts its commits on the blackboard.
+type buildingRewriter struct{}
+
+func (buildingRewriter) Name() string { return "t-analyze-builds" }
+
+func (buildingRewriter) Targets(ctx *Context) []*ir.Continuation { return ctx.World.Continuations() }
+
+func (buildingRewriter) Analyze(ctx *Context, c *ir.Continuation) (any, error) {
+	return ctx.World.LitI64(int64(c.GID())), nil
+}
+
+func (buildingRewriter) Commit(ctx *Context, c *ir.Continuation, plan any) (Result, error) {
+	bump(ctx, "t-analyze-builds.commits")
+	return Result{}, nil
+}
+
+func (buildingRewriter) Finish(ctx *Context) (Result, error) { return Result{}, nil }
+
+func init() { Register(buildingRewriter{}) }
+
+// TestAnalyzeMustNotBuild: a pass whose analysis phase creates a node fails
+// by name before any commit runs, at every jobs level.
+func TestAnalyzeMustNotBuild(t *testing.T) {
+	p, err := Parse("t-nop,t-analyze-builds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 4} {
+		w, _ := fakeWorldTargets(8)
+		ctx := NewContext(w)
+		ctx.Jobs = jobs
+		_, err := p.Run(ctx)
+		if name, ok := FailedPass(err); !ok || name != "t-analyze-builds" {
+			t.Fatalf("jobs=%d: FailedPass = %q,%v (err %v), want t-analyze-builds", jobs, name, ok, err)
+		}
+		if !strings.Contains(err.Error(), "Analyze must be read-only") {
+			t.Errorf("jobs=%d: err = %v, want the read-only contract named", jobs, err)
+		}
+		if n, _ := ctx.Get("t-analyze-builds.commits").(int); n != 0 {
+			t.Errorf("jobs=%d: %d commits ran after a mutating analysis", jobs, n)
+		}
 	}
 }

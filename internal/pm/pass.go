@@ -88,8 +88,8 @@ type ScopeRewriter interface {
 // pass-family state (e.g. accumulated typed statistics).
 type Context struct {
 	World *ir.World
-	// Cache memoizes ScopeOf/CFG/domtree per continuation, validating every
-	// lookup against the world's rewrite generation (stale entries rebuild
+	// Cache memoizes scopes per continuation, validating every lookup
+	// against the world's rewrite generation (stale entries rebuild
 	// themselves). In non-incremental mode the runner additionally
 	// invalidates it wholesale after every pass that changed the IR.
 	Cache *analysis.Cache
@@ -100,8 +100,8 @@ type Context struct {
 	// ScopeRewriter passes. Values below 2 run sequentially. The result is
 	// identical at every jobs level; only wall-clock time changes.
 	Jobs int
-	// Budget bounds the run's fixpoint iterations, IR size and wall-clock
-	// time. The zero value imposes no extra limits.
+	// Budget bounds the run's fixpoint iterations and IR size. The zero
+	// value imposes no extra limits.
 	Budget Budget
 	// Ctx, when non-nil, cancels the run cooperatively: the pipeline checks
 	// it at every budget seam — before and after each pass (hence between

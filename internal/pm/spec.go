@@ -188,13 +188,3 @@ func stripItems(items []item, name string) ([]item, bool) {
 	}
 	return out, removed
 }
-
-// MustParse is Parse for known-good specs (the canonical ones the driver
-// builds); it panics on error.
-func MustParse(spec string) *Pipeline {
-	p, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

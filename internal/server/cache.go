@@ -28,7 +28,7 @@ import (
 // distinct field tuples can collide by concatenation, and the digest
 // depends on nothing else — in particular not on -jobs or -incremental,
 // which are execution knobs with a byte-identical-output guarantee, and
-// not on the failure policy or the nodes/time budgets, which can only fail
+// not on the failure policy or the nodes budget, which can only fail
 // a compile, never change a successful one's output (degraded results are
 // never cached; see Cache).
 //

@@ -43,7 +43,6 @@ func TestCacheKeyStability(t *testing.T) {
 		{Source: fibSrc, DisableIncremental: true},
 		{Source: fibSrc, OnFailure: "degrade"},
 		{Source: fibSrc, Budget: "nodes=500000"},
-		{Source: fibSrc, Budget: "time=1h"},
 		{Source: fibSrc, Budget: "iters=32"}, // == pm.DefaultMaxFixIters
 		{Source: fibSrc, Target: "vm"},       // explicit default target
 	} {

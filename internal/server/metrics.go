@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -230,15 +229,4 @@ func (m *metrics) snapshot(cache CacheStats, queueDepth int64) Metrics {
 		}
 	}
 	return out
-}
-
-// PassNames returns the recorded pass names in sorted order (for stable
-// textual rendering of a Metrics value).
-func (mt Metrics) PassNames() []string {
-	names := make([]string, 0, len(mt.Passes))
-	for n := range mt.Passes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

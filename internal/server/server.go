@@ -229,15 +229,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown gracefully drains the daemon: new and queued /compile requests
 // are refused with 503 from this point on, the listener closes, in-flight
 // requests run to completion (bounded by ctx), and only then does

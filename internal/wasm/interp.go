@@ -315,9 +315,6 @@ func (in *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	return append([]uint64(nil), in.stack[:in.sp]...), nil
 }
 
-// Memory exposes the instance's linear memory (nil if none).
-func (in *Instance) Memory() []byte { return in.mem }
-
 // grow makes room for n values above sp on the value stack and returns it.
 func (in *Instance) grow(sp, n int) []uint64 {
 	if sp+n > len(in.stack) {
