@@ -104,8 +104,9 @@ bench:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./internal/bench
 
 # bench-diff is the wall-clock regression gate: a same-host A/B of the
-# Optimize benchmarks, BASE against the working tree in 10 alternating
-# pairs; it fails if either median ns/op is more than 10% over BASE's (see
+# Optimize benchmarks and the ExecVM/ExecWasm execution benchmarks, BASE
+# against the working tree in 10 alternating pairs; it fails if any median
+# ns/op is more than 10% over BASE's, and skips a benchmark BASE lacks (see
 # scripts/bench-diff.sh). Deterministic counts (scope builds, skipped
 # runs, VM instructions, wasm fuel) are exact go tests in internal/bench.
 BASE ?= HEAD~1

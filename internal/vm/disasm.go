@@ -26,8 +26,12 @@ func Disassemble(out io.Writer, p *Program) {
 	}
 }
 
+// formatInstr prints in in its own operand shape: a result register for
+// ops that have one, then only the operands the op reads.
 func formatInstr(in *Instr) string {
 	switch in.Op {
+	case OpNop:
+		return "nop"
 	case OpConstI:
 		return fmt.Sprintf("r%d = const.i %d", in.A, in.Imm)
 	case OpConstF:
@@ -54,11 +58,28 @@ func formatInstr(in *Instr) string {
 		return fmt.Sprintf("r%d = tuple %v", in.A, in.Args)
 	case OpTupleGet:
 		return fmt.Sprintf("r%d = r%d.%d", in.A, in.B, in.Imm)
+	case OpTupleSet:
+		return fmt.Sprintf("r%d = r%d with .%d = r%d", in.A, in.B, in.Imm, in.C)
 	case OpSelect:
 		return fmt.Sprintf("r%d = r%d ? r%d : r%d", in.A, in.B, in.C, in.Imm)
+	case OpPtrLoad:
+		return fmt.Sprintf("r%d = *r%d", in.A, in.B)
+	case OpPtrStore:
+		return fmt.Sprintf("*r%d = r%d", in.A, in.B)
+	case OpSlotNew:
+		return fmt.Sprintf("r%d = slot", in.A)
+	case OpGlobalPtr:
+		return fmt.Sprintf("r%d = global %d", in.A, in.Imm)
+	case OpCastII, OpCastFF:
+		return fmt.Sprintf("r%d = %s r%d %d", in.A, in.Op, in.B, in.Imm)
+	case OpArrayNew, OpArrayLen, OpCastIF, OpCastFI:
+		return fmt.Sprintf("r%d = %s r%d", in.A, in.Op, in.B)
+	case OpPrintI64, OpPrintF64, OpPrintChar:
+		return fmt.Sprintf("%s r%d", in.Op, in.A)
 	case OpHalt:
 		return fmt.Sprintf("halt %v", in.Args)
 	default:
-		return fmt.Sprintf("r%d = %s r%d r%d (imm=%d)", in.A, in.Op, in.B, in.C, in.Imm)
+		// Binary arithmetic, comparisons and lea.
+		return fmt.Sprintf("r%d = %s r%d r%d", in.A, in.Op, in.B, in.C)
 	}
 }

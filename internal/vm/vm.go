@@ -144,7 +144,8 @@ type Instr struct {
 }
 
 // Value is a VM value: integers and booleans in I, floats in F, and heap
-// entities (closures, arrays, tuples, pointers) in Ref.
+// entities (closures, arrays, tuples, pointers) in Ref. An element
+// pointer keeps its index in I.
 type Value struct {
 	I   int64
 	F   float64
@@ -162,33 +163,46 @@ type Array struct {
 	Elems []Value
 }
 
-// Ptr points either at a single cell or at an array element.
-type Ptr struct {
-	Cell *Value
-	Arr  *Array
-	Idx  int
-}
+// Pointers are pointer-shaped values, so forming one allocates nothing: a
+// slot or global pointer is Value{Ref: *Value}, and an element pointer is
+// Value{Ref: elemRef(arr), I: idx}. Bounds are checked at the access, not
+// when the address is formed.
 
-func (p Ptr) check() error {
-	if p.Cell == nil && (p.Idx < 0 || p.Idx >= len(p.Arr.Elems)) {
-		return fmt.Errorf("index %d out of bounds [0,%d)", p.Idx, len(p.Arr.Elems))
+// elemRef is the Ref of an element pointer: its base array. A distinct
+// type keeps an element pointer apart from the array value itself.
+type elemRef *Array
+
+// deref returns the cell p addresses, or nil if p is not a pointer or an
+// element pointer out of bounds.
+func deref(p Value) *Value {
+	switch ref := p.Ref.(type) {
+	case *Value:
+		return ref
+	case elemRef:
+		if uint64(p.I) < uint64(len(ref.Elems)) {
+			return &ref.Elems[p.I]
+		}
 	}
 	return nil
 }
 
-func (p Ptr) load() Value {
-	if p.Cell != nil {
-		return *p.Cell
+// derefError explains why access ("load" or "store") through p failed.
+func derefError(fn *Func, access string, p Value) error {
+	if ref, ok := p.Ref.(elemRef); ok {
+		return fmt.Errorf("vm: %s: %s: index %d out of bounds [0,%d)", fn.Name, access, p.I, len(ref.Elems))
 	}
-	return p.Arr.Elems[p.Idx]
+	return fmt.Errorf("vm: %s: %s through non-pointer", fn.Name, access)
 }
 
-func (p Ptr) store(v Value) {
-	if p.Cell != nil {
-		*p.Cell = v
-		return
+// baseArray returns the array v holds or an element pointer into, or nil.
+func baseArray(v Value) *Array {
+	switch ref := v.Ref.(type) {
+	case *Array:
+		return ref
+	case elemRef:
+		return ref
 	}
-	p.Arr.Elems[p.Idx] = v
+	return nil
 }
 
 // Block is the metadata of one basic block within a function.
@@ -326,24 +340,29 @@ func (m *VM) unwind() {
 }
 
 // run executes from the start of fn, the innermost frame's function with
-// registers r, until the outermost frame returns.
-func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
+// registers r, until the outermost frame returns. The instruction count
+// lives in a local and is written back on every exit.
+func (m *VM) run(fn *Func, r []Value) (vals []Value, err error) {
 	code := fn.Code
 	pc := 0
+	steps := m.Counters.Instructions
 	limit := m.MaxSteps
 	if limit <= 0 {
 		limit = math.MaxInt64
 	}
 
+loop:
 	for {
-		if m.Counters.Instructions >= limit {
-			return nil, ErrStepLimit
+		if steps >= limit {
+			err = ErrStepLimit
+			break
 		}
 		if pc >= len(code) {
-			return nil, fmt.Errorf("vm: %s: fell off code end", fn.Name)
+			err = fmt.Errorf("vm: %s: fell off code end", fn.Name)
+			break
 		}
 		in := &code[pc]
-		m.Counters.Instructions++
+		steps++
 
 		switch in.Op {
 		case OpNop:
@@ -362,7 +381,8 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 			r[in.A] = Value{I: r[in.B].I * r[in.C].I}
 		case OpDivI:
 			if r[in.C].I == 0 {
-				return nil, fmt.Errorf("vm: %s: division by zero", fn.Name)
+				err = fmt.Errorf("vm: %s: division by zero", fn.Name)
+				break loop
 			}
 			if r[in.B].I == math.MinInt64 && r[in.C].I == -1 {
 				// Two's-complement wrap, matching the constant folder; the
@@ -373,7 +393,8 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 			}
 		case OpRemI:
 			if r[in.C].I == 0 {
-				return nil, fmt.Errorf("vm: %s: remainder by zero", fn.Name)
+				err = fmt.Errorf("vm: %s: remainder by zero", fn.Name)
+				break loop
 			}
 			if r[in.C].I == -1 {
 				r[in.A] = Value{I: 0}
@@ -475,7 +496,8 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 		case OpCallClosure, OpTailCallClosure:
 			clo, ok := r[in.B].Ref.(*Closure)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: call through non-closure", fn.Name)
+				err = fmt.Errorf("vm: %s: call through non-closure", fn.Name)
+				break loop
 			}
 			tail := in.Op == OpTailCallClosure
 			m.Counters.IndirectCalls++
@@ -490,15 +512,13 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 		case OpRet:
 			f := &m.frames[len(m.frames)-1]
 			if len(m.frames) == 1 || f.retBlock < 0 {
-				vals := make([]Value, len(in.Args))
-				for i, a := range in.Args {
-					vals[i] = r[a]
-				}
-				return vals, nil
+				vals = results(r, in.Args)
+				break loop
 			}
 			if len(in.Args) != len(f.rets) {
-				return nil, fmt.Errorf("vm: %s returned %d values, caller expects %d",
+				err = fmt.Errorf("vm: %s returned %d values, caller expects %d",
 					fn.Name, len(in.Args), len(f.rets))
+				break loop
 			}
 			caller := &m.frames[len(m.frames)-2]
 			fn, code = caller.fn, caller.fn.Code
@@ -512,10 +532,7 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 			continue
 
 		case OpClosureNew:
-			env := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				env[i] = r[a]
-			}
+			env := results(r, in.Args)
 			m.Counters.ClosureAllocs++
 			m.Counters.HeapWords += int64(len(env)) + 1
 			r[in.A] = Value{Ref: &Closure{Fn: int(in.Imm), Env: env}}
@@ -523,85 +540,74 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 		case OpArrayNew:
 			n := r[in.B].I
 			if n < 0 {
-				return nil, fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
+				err = fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
+				break loop
 			}
 			m.Counters.ArrayAllocs++
 			m.Counters.HeapWords += n
 			r[in.A] = Value{Ref: &Array{Elems: make([]Value, n)}}
 
 		case OpArrayLen:
-			arr, ok := r[in.B].Ref.(*Array)
-			if !ok {
-				if p, pok := r[in.B].Ref.(Ptr); pok && p.Arr != nil {
-					arr = p.Arr
-				} else {
-					return nil, fmt.Errorf("vm: %s: len of non-array", fn.Name)
-				}
+			arr := baseArray(r[in.B])
+			if arr == nil {
+				err = fmt.Errorf("vm: %s: len of non-array", fn.Name)
+				break loop
 			}
 			r[in.A] = Value{I: int64(len(arr.Elems))}
 
 		case OpLea:
 			// Address computation is speculatable (optimizers may hoist it
 			// above the guarding branch); bounds are checked at the access.
-			arr, ok := r[in.B].Ref.(*Array)
-			if !ok {
-				if p, ok := r[in.B].Ref.(Ptr); ok && p.Arr != nil {
-					arr = p.Arr
-				} else {
-					return nil, fmt.Errorf("vm: %s: lea into non-array", fn.Name)
-				}
+			arr := baseArray(r[in.B])
+			if arr == nil {
+				err = fmt.Errorf("vm: %s: lea into non-array", fn.Name)
+				break loop
 			}
-			r[in.A] = Value{Ref: Ptr{Arr: arr, Idx: int(r[in.C].I)}}
+			r[in.A] = Value{I: r[in.C].I, Ref: elemRef(arr)}
 
 		case OpSlotNew:
 			m.Counters.HeapWords++
-			r[in.A] = Value{Ref: Ptr{Cell: new(Value)}}
+			r[in.A] = Value{Ref: new(Value)}
 
 		case OpGlobalPtr:
-			r[in.A] = Value{Ref: Ptr{Cell: &m.globals[in.Imm]}}
+			r[in.A] = Value{Ref: &m.globals[in.Imm]}
 
 		case OpPtrLoad:
-			p, ok := r[in.B].Ref.(Ptr)
-			if !ok {
-				return nil, fmt.Errorf("vm: %s: load through non-pointer", fn.Name)
-			}
-			if err := p.check(); err != nil {
-				return nil, fmt.Errorf("vm: %s: load: %w", fn.Name, err)
+			c := deref(r[in.B])
+			if c == nil {
+				err = derefError(fn, "load", r[in.B])
+				break loop
 			}
 			m.Counters.Loads++
-			r[in.A] = p.load()
+			r[in.A] = *c
 
 		case OpPtrStore:
-			p, ok := r[in.A].Ref.(Ptr)
-			if !ok {
-				return nil, fmt.Errorf("vm: %s: store through non-pointer", fn.Name)
-			}
-			if err := p.check(); err != nil {
-				return nil, fmt.Errorf("vm: %s: store: %w", fn.Name, err)
+			c := deref(r[in.A])
+			if c == nil {
+				err = derefError(fn, "store", r[in.A])
+				break loop
 			}
 			m.Counters.Stores++
-			p.store(r[in.B])
+			*c = r[in.B]
 
 		case OpTupleNew:
-			vals := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				vals[i] = r[a]
-			}
 			m.Counters.TupleAllocs++
-			m.Counters.HeapWords += int64(len(vals))
-			r[in.A] = Value{Ref: vals}
+			m.Counters.HeapWords += int64(len(in.Args))
+			r[in.A] = Value{Ref: results(r, in.Args)}
 
 		case OpTupleGet:
 			tup, ok := r[in.B].Ref.([]Value)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: tuple.get on non-tuple", fn.Name)
+				err = fmt.Errorf("vm: %s: tuple.get on non-tuple", fn.Name)
+				break loop
 			}
 			r[in.A] = tup[in.Imm]
 
 		case OpTupleSet:
 			tup, ok := r[in.B].Ref.([]Value)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: tuple.set on non-tuple", fn.Name)
+				err = fmt.Errorf("vm: %s: tuple.set on non-tuple", fn.Name)
+				break loop
 			}
 			nv := make([]Value, len(tup))
 			copy(nv, tup)
@@ -617,17 +623,26 @@ func (m *VM) run(fn *Func, r []Value) ([]Value, error) {
 			fmt.Fprintf(m.out, "%c", rune(r[in.A].I))
 
 		case OpHalt:
-			vals := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				vals[i] = r[a]
-			}
-			return vals, nil
+			vals = results(r, in.Args)
+			break loop
 
 		default:
-			return nil, fmt.Errorf("vm: %s: bad opcode %v", fn.Name, in.Op)
+			err = fmt.Errorf("vm: %s: bad opcode %v", fn.Name, in.Op)
+			break loop
 		}
 		pc++
 	}
+	m.Counters.Instructions = steps
+	return vals, err
+}
+
+// results copies the registers args of r into a new slice.
+func results(r []Value, args []int) []Value {
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		vals[i] = r[a]
+	}
+	return vals
 }
 
 // jump transfers control within the current frame, performing a parallel

@@ -35,11 +35,47 @@ type instr struct {
 	y   int32 // if: else index, or -1
 }
 
+// Fused opcodes. Each stands for the first instr of an adjacent pair that
+// predecode fused; the second instr stays in place after it. They use byte
+// values no wasm opcode uses and occur only in predecoded code. The pairs
+// are the most frequent adjacent pairs executed by the benchmark suite.
+const (
+	opLocalGetLocalGet = 0xE0 + iota
+	opLocalGetI64Const
+	opLocalSetLocalGet
+	opI64ConstI64Add
+)
+
+// fusedPairs maps each fused opcode to the pair of opcodes it runs.
+var fusedPairs = [...]struct{ fused, first, second byte }{
+	{opLocalGetLocalGet, OpLocalGet, OpLocalGet},
+	{opLocalGetI64Const, OpLocalGet, OpI64Const},
+	{opLocalSetLocalGet, OpLocalSet, OpLocalGet},
+	{opI64ConstI64Add, OpI64Const, OpI64Add},
+}
+
+// fuse replaces the first instr of each non-overlapping listed pair, from
+// left to right, with its fused opcode. The fused instr runs both halves
+// and skips the second, which stays in place, so a branch that lands on
+// the second instr runs it alone.
+func fuse(code []instr) {
+	for i := 0; i+1 < len(code); i++ {
+		for _, p := range fusedPairs {
+			if code[i].op == p.first && code[i+1].op == p.second {
+				code[i].op = p.fused
+				i++
+				break
+			}
+		}
+	}
+}
+
 // fnBody is a pre-decoded function body.
 type fnBody struct {
 	nParams  int
 	nResults int
 	nLocals  int // declared locals beyond parameters
+	depth    int // deepest block/loop/if nesting: the most labels a frame holds
 	code     []instr
 }
 
@@ -113,7 +149,7 @@ func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 		in.sigs = append(in.sigs, in.typeIDs[im.TypeIdx])
 	}
 	for i := range m.Funcs {
-		body, err := predecode(m.Funcs[i].Code)
+		body, depth, err := predecode(m.Funcs[i].Code)
 		if err != nil {
 			return nil, fmt.Errorf("wasm: function %d: %w", len(m.Imports)+i, err)
 		}
@@ -123,6 +159,7 @@ func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 			nParams:  len(sig.Params),
 			nResults: len(sig.Results),
 			nLocals:  len(m.Funcs[i].Locals),
+			depth:    depth,
 			code:     body,
 		})
 	}
@@ -185,35 +222,38 @@ func constValue(init []byte) (uint64, error) {
 	return 0, fmt.Errorf("wasm: unsupported constant expression")
 }
 
-// predecode turns body bytes into instrs with block/if ends resolved.
-func predecode(code []byte) ([]instr, error) {
+// predecode turns body bytes into instrs with block/if ends resolved and
+// adjacent pairs fused. It also returns the deepest block nesting.
+func predecode(code []byte) ([]instr, int, error) {
 	var out []instr
 	var open []int // indices of unpatched block/loop/if instrs
+	depth := 0
 	r := &reader{data: code}
 	for !r.done() {
 		op, err := r.byte()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		ins := instr{op: op, y: -1}
 		switch op {
 		case OpBlock, OpLoop, OpIf:
 			bt, err := r.byte()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if bt != BlockEmpty {
 				switch ValType(bt) {
 				case I32, I64, F32, F64:
 					ins.imm = 1 // arity
 				default:
-					return nil, fmt.Errorf("invalid block type")
+					return nil, 0, fmt.Errorf("invalid block type")
 				}
 			}
 			open = append(open, len(out))
+			depth = max(depth, len(open))
 		case OpElse:
 			if len(open) == 0 {
-				return nil, fmt.Errorf("else outside if")
+				return nil, 0, fmt.Errorf("else outside if")
 			}
 			out[open[len(open)-1]].y = int32(len(out))
 		case OpEnd:
@@ -231,41 +271,41 @@ func predecode(code []byte) ([]instr, error) {
 			OpGlobalGet, OpGlobalSet:
 			v, err := r.u32()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			ins.imm = int64(v)
 		case OpCallIndirect:
 			v, err := r.u32()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			ins.imm = int64(v)
 			if _, err := r.byte(); err != nil { // table index
-				return nil, err
+				return nil, 0, err
 			}
 		case OpI32Load, OpI64Load, OpF64Load, OpI32Store, OpI64Store, OpF64Store:
 			if _, err := r.u32(); err != nil { // align
-				return nil, err
+				return nil, 0, err
 			}
 			off, err := r.u32()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			ins.imm = int64(off)
 		case OpMemSize, OpMemGrow:
 			if _, err := r.byte(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		case OpI32Const, OpI64Const:
 			v, err := r.sleb()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			ins.imm = v
 		case OpF64Const:
 			b, err := r.bytes(8)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			ins.imm = int64(binary.LittleEndian.Uint64(b))
 		default:
@@ -273,16 +313,17 @@ func predecode(code []byte) ([]instr, error) {
 				switch op {
 				case OpUnreachable, OpNop, OpReturn, OpDrop, OpSelect:
 				default:
-					return nil, fmt.Errorf("unknown opcode 0x%02x", op)
+					return nil, 0, fmt.Errorf("unknown opcode 0x%02x", op)
 				}
 			}
 		}
 		out = append(out, ins)
 	}
 	if len(open) != 0 {
-		return nil, fmt.Errorf("unclosed block")
+		return nil, 0, fmt.Errorf("unclosed block")
 	}
-	return out, nil
+	fuse(out)
+	return out, depth, nil
 }
 
 // Invoke calls an exported function by name.
@@ -356,6 +397,14 @@ func (in *Instance) callHost(fi int) error {
 	return nil
 }
 
+// pushLabel pushes c onto cs, which run has sized to hold every label of
+// the frame.
+func pushLabel(cs []rtCtrl, c rtCtrl) []rtCtrl {
+	cs = cs[:len(cs)+1]
+	cs[len(cs)-1] = c
+	return cs
+}
+
 // branch transfers control to label depth d of the control stack cs,
 // moving the label's results down to its entry height. It returns the new
 // pc, stack pointer and control stack.
@@ -374,7 +423,14 @@ func branch(st []uint64, sp int, cs []rtCtrl, d int) (int, int, []rtCtrl) {
 // Go stack: its locals are a slice of the shared locals arena and its
 // labels the part of the shared control stack above cb. The value stack
 // and control stack are held in local variables and written back to the
-// instance around calls and on return.
+// instance around calls and on return. So is the fuel, which is also
+// written back, with the stack pointer, when this frame traps or runs out.
+//
+// The dispatch loop calls nothing on its hot paths but in.call: labels go
+// into a control stack sized on entry, and a trap only records its
+// message for the exit to build the error. A call the loop could return
+// from in many places would make the compiler save the loop's state on
+// every dispatch.
 func (in *Instance) run(body *fnBody) error {
 	code := body.code
 	st, sp := in.stack, in.sp
@@ -395,32 +451,41 @@ func (in *Instance) run(body *fnBody) error {
 	sp = base
 	cs := in.ctrl
 	cb := len(cs)
+	if cb+body.depth > cap(cs) {
+		cs = make([]rtCtrl, cb, max(2*cap(cs), cb+body.depth, 64))
+		copy(cs, in.ctrl)
+	}
 	pc := 0
+	fuel := in.Fuel
+	var err error
+	var trap string
 loop:
 	for pc < len(code) {
-		if in.Fuel <= 0 {
-			return ErrFuel
+		if fuel <= 0 {
+			err = ErrFuel
+			break
 		}
-		in.Fuel--
+		fuel--
 		ins := &code[pc]
 		pc++
 		switch ins.op {
 		case OpUnreachable:
-			return trapf("unreachable executed")
+			trap = "unreachable executed"
+			break loop
 		case OpNop:
 		case OpBlock:
-			cs = append(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+			cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
 		case OpLoop:
-			cs = append(cs, rtCtrl{
+			cs = pushLabel(cs, rtCtrl{
 				isLoop: true, start: int32(pc), cont: ins.x + 1,
 				arity: int8(ins.imm), height: int32(sp),
 			})
 		case OpIf:
 			sp--
 			if uint32(st[sp]) != 0 {
-				cs = append(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
 			} else if ins.y >= 0 {
-				cs = append(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
 				pc = int(ins.y) + 1
 			} else {
 				pc = int(ins.x) + 1
@@ -454,23 +519,27 @@ loop:
 				sp--
 				idx := uint32(st[sp])
 				if int(idx) >= len(in.table) {
-					return trapf("undefined element")
+					trap = "undefined element"
+					break loop
 				}
 				target := in.table[idx]
 				if target < 0 {
-					return trapf("uninitialized element")
+					trap = "uninitialized element"
+					break loop
 				}
 				if in.sigs[target] != in.typeIDs[fi] {
-					return trapf("indirect call type mismatch")
+					trap = "indirect call type mismatch"
+					break loop
 				}
 				fi = int(target)
 			}
-			in.sp, in.ctrl = sp, cs
-			if err := in.call(fi); err != nil {
-				return err
+			in.sp, in.ctrl, in.Fuel = sp, cs, fuel
+			if e := in.call(fi); e != nil {
+				// The callee left the state where it stopped.
+				return e
 			}
 			// The callee may have grown any of the shared stacks.
-			st, sp, cs = in.stack, in.sp, in.ctrl
+			st, sp, cs, fuel = in.stack, in.sp, in.ctrl, in.Fuel
 			loc = in.locals[lb : lb+nl : lb+nl]
 		case OpDrop:
 			sp--
@@ -500,29 +569,33 @@ loop:
 			sp--
 			in.globals[ins.imm] = st[sp]
 		case OpI32Load:
-			a, err := in.effAddr(st[sp-1], ins, 4)
-			if err != nil {
-				return err
+			a, ok := in.effAddr(st[sp-1], ins, 4)
+			if !ok {
+				trap = "out of bounds memory access"
+				break loop
 			}
 			st[sp-1] = uint64(binary.LittleEndian.Uint32(in.mem[a:]))
 		case OpI64Load, OpF64Load:
-			a, err := in.effAddr(st[sp-1], ins, 8)
-			if err != nil {
-				return err
+			a, ok := in.effAddr(st[sp-1], ins, 8)
+			if !ok {
+				trap = "out of bounds memory access"
+				break loop
 			}
 			st[sp-1] = binary.LittleEndian.Uint64(in.mem[a:])
 		case OpI32Store:
 			sp -= 2
-			a, err := in.effAddr(st[sp], ins, 4)
-			if err != nil {
-				return err
+			a, ok := in.effAddr(st[sp], ins, 4)
+			if !ok {
+				trap = "out of bounds memory access"
+				break loop
 			}
 			binary.LittleEndian.PutUint32(in.mem[a:], uint32(st[sp+1]))
 		case OpI64Store, OpF64Store:
 			sp -= 2
-			a, err := in.effAddr(st[sp], ins, 8)
-			if err != nil {
-				return err
+			a, ok := in.effAddr(st[sp], ins, 8)
+			if !ok {
+				trap = "out of bounds memory access"
+				break loop
 			}
 			binary.LittleEndian.PutUint64(in.mem[a:], st[sp+1])
 		case OpMemSize:
@@ -555,6 +628,62 @@ loop:
 			}
 			st[sp] = v
 			sp++
+
+		// A fused instr runs its first half, charged by the loop header,
+		// then charges and runs the second half, which is the next instr.
+		// Running out of fuel between the halves stops before the second,
+		// as it would unfused.
+		case opLocalGetLocalGet:
+			if sp+2 > len(st) {
+				st = in.grow(sp, 2)
+			}
+			st[sp] = loc[ins.imm]
+			sp++
+			if fuel <= 0 {
+				err = ErrFuel
+				break loop
+			}
+			fuel--
+			st[sp] = loc[code[pc].imm]
+			sp++
+			pc++
+		case opLocalGetI64Const:
+			if sp+2 > len(st) {
+				st = in.grow(sp, 2)
+			}
+			st[sp] = loc[ins.imm]
+			sp++
+			if fuel <= 0 {
+				err = ErrFuel
+				break loop
+			}
+			fuel--
+			st[sp] = uint64(code[pc].imm)
+			sp++
+			pc++
+		case opLocalSetLocalGet:
+			loc[ins.imm] = st[sp-1]
+			if fuel <= 0 {
+				sp--
+				err = ErrFuel
+				break loop
+			}
+			fuel--
+			st[sp-1] = loc[code[pc].imm]
+			pc++
+		case opI64ConstI64Add:
+			if fuel <= 0 {
+				if sp == len(st) {
+					st = in.grow(sp, 1)
+				}
+				st[sp] = uint64(ins.imm)
+				sp++
+				err = ErrFuel
+				break loop
+			}
+			fuel--
+			st[sp-1] += uint64(ins.imm)
+			pc++
 
 		case OpI32Eqz:
 			st[sp-1] = b2i(uint32(st[sp-1]) == 0)
@@ -639,23 +768,27 @@ loop:
 			sp--
 			b, c := int64(st[sp-1]), int64(st[sp])
 			if c == 0 {
-				return trapf("integer divide by zero")
+				trap = "integer divide by zero"
+				break loop
 			}
 			if b == math.MinInt64 && c == -1 {
-				return trapf("integer overflow")
+				trap = "integer overflow"
+				break loop
 			}
 			st[sp-1] = uint64(b / c)
 		case OpI64DivU:
 			sp--
 			if st[sp] == 0 {
-				return trapf("integer divide by zero")
+				trap = "integer divide by zero"
+				break loop
 			}
 			st[sp-1] /= st[sp]
 		case OpI64RemS:
 			sp--
 			b, c := int64(st[sp-1]), int64(st[sp])
 			if c == 0 {
-				return trapf("integer divide by zero")
+				trap = "integer divide by zero"
+				break loop
 			}
 			if c == -1 {
 				st[sp-1] = 0
@@ -665,7 +798,8 @@ loop:
 		case OpI64RemU:
 			sp--
 			if st[sp] == 0 {
-				return trapf("integer divide by zero")
+				trap = "integer divide by zero"
+				break loop
 			}
 			st[sp-1] %= st[sp]
 		case OpI64And:
@@ -719,8 +853,17 @@ loop:
 		case OpI64ReinterpretF64, OpF64ReinterpretI64:
 			// Bit pattern is the representation: no-op.
 		default:
-			return trapf("unimplemented opcode 0x%02x", ins.op)
+			err = trapf("unimplemented opcode 0x%02x", ins.op)
+			break loop
 		}
+	}
+	in.Fuel = fuel
+	if trap != "" {
+		err = &Trap{Msg: trap}
+	}
+	if err != nil {
+		in.sp = sp
+		return err
 	}
 	ar := body.nResults
 	copy(st[base:], st[sp-ar:sp])
@@ -728,13 +871,11 @@ loop:
 	return nil
 }
 
-// effAddr bounds-checks a size-byte access at base plus ins's offset.
-func (in *Instance) effAddr(base uint64, ins *instr, size uint64) (uint64, error) {
+// effAddr returns the address of a size-byte access at base plus ins's
+// offset, and whether it is in bounds.
+func (in *Instance) effAddr(base uint64, ins *instr, size uint64) (uint64, bool) {
 	a := uint64(uint32(base)) + uint64(ins.imm)
-	if a+size > uint64(len(in.mem)) {
-		return 0, trapf("out of bounds memory access")
-	}
-	return a, nil
+	return a, a+size <= uint64(len(in.mem))
 }
 
 func f64(v uint64) float64 { return math.Float64frombits(v) }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # bench-diff.sh is the wall-clock regression gate: a same-host A/B of the
-# optimizer benchmarks, a base revision against the working tree.
+# optimizer and execution benchmarks, a base revision against the working
+# tree.
 #
 #	sh scripts/bench-diff.sh [BASE]        # or: make bench-diff BASE=<rev>
 #
@@ -8,17 +9,19 @@
 # internal/bench test binaries of BASE and of the working tree are built
 # once, then run in 10 alternating pairs with the flags of
 #
-#	go test -short -run '^$' -bench '^BenchmarkOptimize(Fuzz)?$' -count 1 ./internal/bench
+#	go test -short -run '^$' -bench '^Benchmark(Optimize(Fuzz)?|Exec(VM|Wasm))$' -count 1 ./internal/bench
 #
 # The script prints each side's median ns/op with its interquartile range
 # and fails if the working tree's median is more than 10% over BASE's on
-# either benchmark. Both sides run on the same host in the same minutes,
-# so the verdict tracks the change, not the machine.
+# any benchmark. A benchmark BASE does not have is skipped, and the script
+# says so. Both sides run on the same host in the same minutes, so the
+# verdict tracks the change, not the machine.
 set -eu
 
 base=${1:-HEAD~1}
 pairs=10
 bound_pct=10
+pattern='^Benchmark(Optimize(Fuzz)?|Exec(VM|Wasm))$'
 
 cd "$(git rev-parse --show-toplevel)"
 tmp=$(mktemp -d)
@@ -35,7 +38,7 @@ go test -c -o "$tmp/change.test" ./internal/bench
 # run SIDE appends "benchmark ns/op" lines of one run to $tmp/SIDE.txt.
 run() {
 	"$tmp/$1.test" -test.short -test.run '^$' \
-		-test.bench '^BenchmarkOptimize(Fuzz)?$' -test.count 1 |
+		-test.bench "$pattern" -test.count 1 |
 		awk '$1 ~ /^Benchmark/ { for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") { sub(/-[0-9]+$/, "", $1); print $1, $i } }' \
 			>>"$tmp/$1.txt"
 }
@@ -57,11 +60,15 @@ stats() {
 
 fail=0
 printf '%-22s %10s  %-23s %10s  %-23s %7s\n' benchmark base "(IQR) ns/op" change "(IQR) ns/op" delta
-for name in BenchmarkOptimize BenchmarkOptimizeFuzz; do
+for name in BenchmarkOptimize BenchmarkOptimizeFuzz BenchmarkExecVM BenchmarkExecWasm; do
 	b=$(stats base "$name")
 	c=$(stats change "$name")
-	if [ -z "$b" ] || [ -z "$c" ]; then
-		echo "bench-diff: $name did not run on both sides" >&2
+	if [ -z "$b" ]; then
+		echo "bench-diff: $name: $base has no such benchmark, skipped" >&2
+		continue
+	fi
+	if [ -z "$c" ]; then
+		echo "bench-diff: $name did not run on the working tree" >&2
 		fail=1
 		continue
 	fi
