@@ -48,9 +48,11 @@ modules:
 # wasm is the WebAssembly backend gate: every example differentially
 # executed against the VM at -O0/-O2 × jobs 1/4 plus multi-module linking
 # under both targets, the crasher corpus replayed through the wasm arms of
-# diffArms (TestCrashers), explicit module validation, and a CLI round trip
-# through -target=wasm, plus the VM and wasm engine tests (zeroed frames,
-# allocation-free calls, reset after a trap).
+# diffArms (TestCrashers), explicit module validation, ExecWasm refusing
+# modules that do not validate, and a CLI round trip through -target=wasm,
+# plus the VM and wasm engine tests (zeroed frames, allocation-free calls,
+# reset after a trap, every invalid module refused by Validate and
+# NewInstance alike).
 wasm:
 	$(GO) test -run 'TestWasm|TestCrashers' -count=1 ./internal/driver
 	$(GO) test -count=1 ./internal/wasm ./internal/vm

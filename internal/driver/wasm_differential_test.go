@@ -334,6 +334,32 @@ func TestWasmModulesValidate(t *testing.T) {
 	}
 }
 
+// TestWasmRejectsInvalidModules sends modules that decode but do not
+// validate through ExecWasm. Each body would make the interpreter index
+// out of range, so ExecWasm must return an error instead of running it.
+func TestWasmRejectsInvalidModules(t *testing.T) {
+	for name, code := range map[string][]byte{
+		"i64.add on an empty stack": {wasm.OpI64Add, wasm.OpEnd},
+		"local.get 9":               {wasm.OpLocalGet, 9, wasm.OpEnd},
+		"br 5":                      {wasm.OpBr, 5, wasm.OpEnd},
+	} {
+		m := &wasm.Module{}
+		ti := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
+		m.Funcs = append(m.Funcs, wasm.Func{TypeIdx: ti, Code: code})
+		m.Exports = append(m.Exports, wasm.Export{Name: "main", Kind: wasm.ExtFunc, Idx: 0})
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("ExecWasm panicked: %v", r)
+				}
+			}()
+			if _, err := ExecWasm(m.Encode(), io.Discard, 0, 1); err == nil {
+				t.Error("ExecWasm ran a module that does not validate")
+			}
+		})
+	}
+}
+
 // TestWasmLinkedModules: separate compilation works for the wasm target —
 // a multi-module program links and runs identically on both backends under
 // both cross-module resolution modes. Covers a synthetic two-module set and

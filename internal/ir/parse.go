@@ -57,6 +57,21 @@ func (p *worldParser) errf(format string, args ...any) error {
 	return fmt.Errorf("ir: parse line %d: %s", p.line, fmt.Sprintf(format, args...))
 }
 
+// paramName inverts the printer's name for parameter i of the
+// continuation printed as cont: `<cont>.p<i>` is an unnamed parameter, and
+// `<name>_<gid>` is one named name.
+func paramName(cont string, i int, printed string) string {
+	if printed == fmt.Sprintf("%s.p%d", cont, i) {
+		return ""
+	}
+	if j := strings.LastIndexByte(printed, '_'); j >= 0 {
+		if _, err := strconv.ParseUint(printed[j+1:], 10, 64); err == nil {
+			return printed[:j]
+		}
+	}
+	return printed
+}
+
 // header describes one continuation declaration from pass 1.
 type contHeader struct {
 	name   string
@@ -83,7 +98,7 @@ func (p *worldParser) run(src string) error {
 		p.conts[h.name] = c
 		p.defs[h.name] = c
 		for i, pn := range h.params {
-			c.Param(i).SetName(strings.SplitN(pn, "_", 2)[0])
+			c.Param(i).SetName(paramName(h.name, i, pn))
 			if _, dup := p.defs[pn]; dup {
 				p.line = h.line
 				return p.errf("parameter %q redefined", pn)

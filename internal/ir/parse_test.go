@@ -60,6 +60,22 @@ extern main(m: mem, n: i64, ret: fn(mem, i64)) = {
 	}
 }
 
+// TestParseParamNames checks that the parser inverts the printer's
+// parameter names: `<cont>.p<i>` is unnamed, and only a trailing `_<gid>`
+// is dropped from a named one.
+func TestParseParamNames(t *testing.T) {
+	w, err := ParseWorld("k(k.p0: i64, a_b_12: i64, x: i64, k.p0_3: i64, __4: i64) = <unset>\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := w.Find("k")
+	for i, want := range []string{"", "a_b", "x", "k.p0", "_"} {
+		if got := k.Param(i).Name(); got != want {
+			t.Errorf("param %d named %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestParseWorldBranchAndBlocks(t *testing.T) {
 	src := `
 extern abs(m: mem, x: i64, ret: fn(mem, i64)) = {

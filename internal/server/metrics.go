@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -75,48 +76,36 @@ type Metrics struct {
 	Passes map[string]PassTotal `json:"passes,omitempty"`
 }
 
-// metrics is the mutable accumulator behind Metrics.
+// metrics is the mutable accumulator behind Metrics: every counter lives
+// in the embedded Metrics under mu, and snapshot fills in the sampled
+// fields.
 type metrics struct {
-	mu               sync.Mutex
-	start            time.Time
-	requests         int64
-	ok               int64
-	errors           int64
-	degraded         int64
-	inFlight         int64
-	cacheHits        int64
-	coalesced        int64
-	sheds            int64
-	canceled         int64
-	deadlineExceeded int64
-	drainRefused     int64
-	retriesObserved  int64
-	compileNs        time.Duration
-	intern           InternTotals
-	passes           map[string]PassTotal
+	mu    sync.Mutex
+	start time.Time
+	Metrics
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now(), passes: make(map[string]PassTotal)}
+	return &metrics{start: time.Now(), Metrics: Metrics{Passes: make(map[string]PassTotal)}}
 }
 
 func (m *metrics) begin() {
 	m.mu.Lock()
-	m.requests++
-	m.inFlight++
+	m.Requests++
+	m.InFlight++
 	m.mu.Unlock()
 }
 
 func (m *metrics) end() {
 	m.mu.Lock()
-	m.inFlight--
+	m.InFlight--
 	m.mu.Unlock()
 }
 
 func (m *metrics) hit() {
 	m.mu.Lock()
-	m.ok++
-	m.cacheHits++
+	m.OK++
+	m.CacheHits++
 	m.mu.Unlock()
 }
 
@@ -124,50 +113,50 @@ func (m *metrics) hit() {
 // identical in-flight compilation.
 func (m *metrics) coalescedHit() {
 	m.mu.Lock()
-	m.ok++
-	m.cacheHits++
-	m.coalesced++
+	m.OK++
+	m.CacheHits++
+	m.Coalesced++
 	m.mu.Unlock()
 }
 
 func (m *metrics) failed() {
 	m.mu.Lock()
-	m.errors++
+	m.Errors++
 	m.mu.Unlock()
 }
 
 // shed records a request refused by admission control (429).
 func (m *metrics) shed() {
 	m.mu.Lock()
-	m.sheds++
+	m.Sheds++
 	m.mu.Unlock()
 }
 
 // canceledReq records a request abandoned by its client.
 func (m *metrics) canceledReq() {
 	m.mu.Lock()
-	m.canceled++
+	m.Canceled++
 	m.mu.Unlock()
 }
 
 // deadlined records a request that blew its deadline budget.
 func (m *metrics) deadlined() {
 	m.mu.Lock()
-	m.deadlineExceeded++
+	m.DeadlineExceeded++
 	m.mu.Unlock()
 }
 
 // drainRefusal records a request refused because the daemon is draining.
 func (m *metrics) drainRefusal() {
 	m.mu.Lock()
-	m.drainRefused++
+	m.DrainRefused++
 	m.mu.Unlock()
 }
 
 // retryObserved records a request that arrived with a retry attempt header.
 func (m *metrics) retryObserved() {
 	m.mu.Lock()
-	m.retriesObserved++
+	m.RetriesObserved++
 	m.mu.Unlock()
 }
 
@@ -175,26 +164,26 @@ func (m *metrics) retryObserved() {
 func (m *metrics) compiled(elapsed time.Duration, degraded bool, rep *pm.Report, st ir.InternStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ok++
+	m.OK++
 	if degraded {
-		m.degraded++
+		m.Degraded++
 	}
-	m.compileNs += elapsed
-	m.intern.Requested += int64(st.Requested)
-	m.intern.ConsHits += int64(st.ConsHits)
-	m.intern.Nodes += int64(st.Nodes)
+	m.CompileNs += elapsed
+	m.Intern.Requested += int64(st.Requested)
+	m.Intern.ConsHits += int64(st.ConsHits)
+	m.Intern.Nodes += int64(st.Nodes)
 	if rep == nil {
 		return
 	}
 	for _, run := range rep.Runs {
-		t := m.passes[run.Name]
+		t := m.Passes[run.Name]
 		t.Runs++
 		if run.Skipped {
 			t.Skipped++
 		}
 		t.Rewrites += run.Rewrites
 		t.TimeNs += run.Time
-		m.passes[run.Name] = t
+		m.Passes[run.Name] = t
 	}
 }
 
@@ -203,30 +192,13 @@ func (m *metrics) compiled(elapsed time.Duration, degraded bool, rep *pm.Report,
 func (m *metrics) snapshot(cache CacheStats, queueDepth int64) Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := Metrics{
-		UptimeNs:         time.Since(m.start),
-		Requests:         m.requests,
-		OK:               m.ok,
-		Errors:           m.errors,
-		Degraded:         m.degraded,
-		InFlight:         m.inFlight,
-		CacheHits:        m.cacheHits,
-		Coalesced:        m.coalesced,
-		Sheds:            m.sheds,
-		Canceled:         m.canceled,
-		DeadlineExceeded: m.deadlineExceeded,
-		DrainRefused:     m.drainRefused,
-		RetriesObserved:  m.retriesObserved,
-		QueueDepth:       queueDepth,
-		CompileNs:        m.compileNs,
-		Cache:            cache,
-		Intern:           m.intern,
-	}
-	if len(m.passes) > 0 {
-		out.Passes = make(map[string]PassTotal, len(m.passes))
-		for name, t := range m.passes {
-			out.Passes[name] = t
-		}
+	out := m.Metrics
+	out.UptimeNs = time.Since(m.start)
+	out.QueueDepth = queueDepth
+	out.Cache = cache
+	out.Passes = nil
+	if len(m.Passes) > 0 {
+		out.Passes = maps.Clone(m.Passes)
 	}
 	return out
 }

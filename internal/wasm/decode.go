@@ -1,6 +1,9 @@
 package wasm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Decode parses an encoded module. It accepts exactly the feature subset
 // Encode produces (function imports, one table, one memory, active
@@ -272,34 +275,97 @@ func decodeMemory(r *reader, m *Module) error {
 	return nil
 }
 
-// decodeConstExpr reads a single-instruction constant expression and
-// returns its raw bytes (including the end opcode).
-func decodeConstExpr(r *reader) ([]byte, error) {
-	start := r.pos
+// readInstr decodes the instruction at r into an instr with its opcode
+// and immediate: an index or depth, a memarg's offset, a constant (f64 as
+// bits) or a block type. It rejects an unknown opcode, a malformed
+// immediate, an alignment beyond the natural one and a nonzero table or
+// memory index.
+func readInstr(r *reader) (instr, error) {
 	op, err := r.byte()
 	if err != nil {
-		return nil, err
+		return instr{}, err
 	}
-	switch op {
-	case OpI32Const, OpI64Const:
-		if _, err := r.sleb(); err != nil {
-			return nil, err
+	ins := instr{op: op, y: -1}
+	var v uint32
+	switch opTable[op].imm {
+	case immNone:
+		if opTable[op].name == "" {
+			return ins, fmt.Errorf("unknown opcode 0x%02x", op)
 		}
-	case OpF64Const:
-		if _, err := r.bytes(8); err != nil {
-			return nil, err
+	case immBlock:
+		b, err := r.byte()
+		if err != nil {
+			return ins, err
 		}
-	default:
-		return nil, fmt.Errorf("wasm: unsupported constant expression opcode 0x%02x", op)
+		if blockResults[b] == nil {
+			return ins, fmt.Errorf("invalid block type 0x%02x", b)
+		}
+		ins.imm = int64(b)
+	case immIdx, immTable:
+		v, err = r.u32()
+		ins.imm = int64(v)
+		if err == nil && op == OpCallIndirect {
+			err = r.zero("table")
+		}
+	case immMem:
+		if v, err = r.u32(); err != nil {
+			return ins, err
+		}
+		natural := uint32(3)
+		if op == OpI32Load || op == OpI32Store {
+			natural = 2
+		}
+		if v > natural {
+			return ins, fmt.Errorf("alignment 2^%d exceeds natural alignment", v)
+		}
+		v, err = r.u32()
+		ins.imm = int64(v)
+	case immZero:
+		err = r.zero("memory")
+	case immI32, immI64:
+		ins.imm, err = r.sleb()
+	case immF64:
+		var b []byte
+		b, err = r.bytes(8)
+		if err == nil {
+			ins.imm = int64(binary.LittleEndian.Uint64(b))
+		}
 	}
-	end, err := r.byte()
+	return ins, err
+}
+
+// readConst reads a constant expression, one i32, i64 or f64 const and an
+// end, and returns its type and value: an i32 zero-extended, an f64 as
+// bits.
+func readConst(r *reader) (ValType, uint64, error) {
+	ins, err := readInstr(r)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	if end != OpEnd {
-		return nil, fmt.Errorf("wasm: constant expression not terminated")
+	var t ValType
+	switch ins.op {
+	case OpI32Const:
+		t, ins.imm = I32, int64(uint32(ins.imm))
+	case OpI64Const:
+		t = I64
+	case OpF64Const:
+		t = F64
+	default:
+		return 0, 0, fmt.Errorf("wasm: unsupported constant expression opcode 0x%02x", ins.op)
 	}
-	return r.data[start:r.pos], nil
+	if end, err := r.byte(); err != nil || end != OpEnd {
+		return 0, 0, fmt.Errorf("wasm: constant expression not terminated")
+	}
+	return t, uint64(ins.imm), nil
+}
+
+// readOffset reads a segment's offset, an i32 constant expression.
+func readOffset(r *reader, what string, i int) (int32, error) {
+	t, v, err := readConst(r)
+	if err == nil && t != I32 {
+		err = fmt.Errorf("wasm: %s segment %d offset must be i32.const", what, i)
+	}
+	return int32(v), err
 }
 
 func decodeGlobals(r *reader, m *Module) error {
@@ -319,10 +385,11 @@ func decodeGlobals(r *reader, m *Module) error {
 		if mut > 1 {
 			return fmt.Errorf("wasm: global %d has invalid mutability", i)
 		}
-		init, err := decodeConstExpr(r)
-		if err != nil {
+		start := r.pos
+		if _, _, err := readConst(r); err != nil {
 			return err
 		}
+		init := r.data[start:r.pos]
 		m.Globals = append(m.Globals, Global{Type: t, Mut: mut == 1, Init: init})
 	}
 	return nil
@@ -364,14 +431,7 @@ func decodeElems(r *reader, m *Module) error {
 		if flag != 0 {
 			return fmt.Errorf("wasm: element segment %d: only active table-0 segments supported", i)
 		}
-		expr, err := decodeConstExpr(r)
-		if err != nil {
-			return err
-		}
-		if expr[0] != OpI32Const {
-			return fmt.Errorf("wasm: element segment %d offset must be i32.const", i)
-		}
-		off, err := (&reader{data: expr[1:]}).sleb()
+		off, err := readOffset(r, "element", i)
 		if err != nil {
 			return err
 		}
@@ -379,7 +439,7 @@ func decodeElems(r *reader, m *Module) error {
 		if err != nil {
 			return err
 		}
-		e := Elem{Offset: int32(off)}
+		e := Elem{Offset: off}
 		for j := 0; j < int(cnt); j++ {
 			f, err := r.u32()
 			if err != nil {
@@ -453,14 +513,7 @@ func decodeData(r *reader, m *Module) error {
 		if flag != 0 {
 			return fmt.Errorf("wasm: data segment %d: only active memory-0 segments supported", i)
 		}
-		expr, err := decodeConstExpr(r)
-		if err != nil {
-			return err
-		}
-		if expr[0] != OpI32Const {
-			return fmt.Errorf("wasm: data segment %d offset must be i32.const", i)
-		}
-		off, err := (&reader{data: expr[1:]}).sleb()
+		off, err := readOffset(r, "data", i)
 		if err != nil {
 			return err
 		}
@@ -472,7 +525,7 @@ func decodeData(r *reader, m *Module) error {
 		if err != nil {
 			return err
 		}
-		m.Data = append(m.Data, Data{Offset: int32(off), Bytes: append([]byte(nil), b...)})
+		m.Data = append(m.Data, Data{Offset: off, Bytes: append([]byte(nil), b...)})
 	}
 	return nil
 }

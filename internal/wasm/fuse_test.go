@@ -121,8 +121,8 @@ func TestFusedPairsChargeExactly(t *testing.T) {
 // TestBranchIntoSecondHalf runs a branch that lands on the second instr of
 // a fused pair, which must then run alone. No valid body branches there:
 // every branch target follows a block, loop, if, else or end, and none of
-// those starts a pair. So the body is predecoded by hand, with the block's
-// end resolved to the pair's first instr.
+// those starts a pair. So the body is written as decoded instrs by hand,
+// with the block's end resolved to the pair's first instr.
 func TestBranchIntoSecondHalf(t *testing.T) {
 	code := func() []instr {
 		return []instr{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrFuel is returned when execution exceeds the instance's fuel budget.
@@ -27,7 +28,7 @@ type HostFunc struct {
 	Fn   func(args []uint64) ([]uint64, error)
 }
 
-// instr is one pre-decoded instruction.
+// instr is one decoded instruction (see readInstr and checker).
 type instr struct {
 	op  byte
 	imm int64 // index / depth / constant (f64 as bits) / memarg offset
@@ -36,9 +37,10 @@ type instr struct {
 }
 
 // Fused opcodes. Each stands for the first instr of an adjacent pair that
-// predecode fused; the second instr stays in place after it. They use byte
-// values no wasm opcode uses and occur only in predecoded code. The pairs
-// are the most frequent adjacent pairs executed by the benchmark suite.
+// NewInstance fused; the second instr stays in place after it. They use
+// byte values no wasm opcode uses and occur only in an instance's code.
+// The pairs are the most frequent adjacent pairs executed by the
+// benchmark suite.
 const (
 	opLocalGetLocalGet = 0xE0 + iota
 	opLocalGetI64Const
@@ -70,7 +72,7 @@ func fuse(code []instr) {
 	}
 }
 
-// fnBody is a pre-decoded function body.
+// fnBody is a decoded function body.
 type fnBody struct {
 	nParams  int
 	nResults int
@@ -120,11 +122,27 @@ type Instance struct {
 
 const maxFrames = 20000
 
-// NewInstance decodes bodies, resolves imports against hosts (keyed
-// "module.name"), and applies global, data, and element initialization.
-// The module must have been validated.
+// NewInstance validates m as Validate does, keeping each body as the
+// validator decoded it with adjacent pairs fused, resolves imports
+// against hosts (keyed "module.name"), and applies global, data, and
+// element initialization.
 func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
-	in := &Instance{m: m, Fuel: 1 << 62}
+	in := &Instance{m: m, Fuel: 1 << 62, bodies: make([]fnBody, 0, len(m.Funcs))}
+	err := m.validate(func(fi int, code []instr, depth int) {
+		f := &m.Funcs[fi]
+		body := fnBody{
+			nParams:  len(m.Types[f.TypeIdx].Params),
+			nResults: len(m.Types[f.TypeIdx].Results),
+			nLocals:  len(f.Locals),
+			depth:    depth,
+			code:     slices.Clone(code),
+		}
+		fuse(body.code)
+		in.bodies = append(in.bodies, body)
+	})
+	if err != nil {
+		return nil, err
+	}
 	for i, t := range m.Types {
 		id := i
 		for j := range i {
@@ -148,35 +166,17 @@ func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 		in.hosts = append(in.hosts, &hc)
 		in.sigs = append(in.sigs, in.typeIDs[im.TypeIdx])
 	}
-	for i := range m.Funcs {
-		body, depth, err := predecode(m.Funcs[i].Code)
-		if err != nil {
-			return nil, fmt.Errorf("wasm: function %d: %w", len(m.Imports)+i, err)
-		}
-		sig := m.Types[m.Funcs[i].TypeIdx]
-		in.sigs = append(in.sigs, in.typeIDs[m.Funcs[i].TypeIdx])
-		in.bodies = append(in.bodies, fnBody{
-			nParams:  len(sig.Params),
-			nResults: len(sig.Results),
-			nLocals:  len(m.Funcs[i].Locals),
-			depth:    depth,
-			code:     body,
-		})
+	for _, f := range m.Funcs {
+		in.sigs = append(in.sigs, in.typeIDs[f.TypeIdx])
 	}
 	for _, g := range m.Globals {
-		v, err := constValue(g.Init)
-		if err != nil {
-			return nil, err
-		}
+		_, v, _ := readConst(&reader{data: g.Init})
 		in.globals = append(in.globals, v)
 	}
 	if m.HasMemory {
 		in.mem = make([]byte, m.MemMin*PageSize)
 	}
 	for _, d := range m.Data {
-		if int(d.Offset)+len(d.Bytes) > len(in.mem) {
-			return nil, fmt.Errorf("wasm: data segment out of bounds")
-		}
 		copy(in.mem[d.Offset:], d.Bytes)
 	}
 	if m.HasTable {
@@ -186,144 +186,11 @@ func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 		}
 	}
 	for _, e := range m.Elems {
-		if int(e.Offset)+len(e.Funcs) > len(in.table) {
-			return nil, fmt.Errorf("wasm: element segment out of bounds")
-		}
 		for i, f := range e.Funcs {
 			in.table[int(e.Offset)+i] = int32(f)
 		}
 	}
 	return in, nil
-}
-
-func constValue(init []byte) (uint64, error) {
-	r := &reader{data: init}
-	op, _ := r.byte()
-	switch op {
-	case OpI32Const:
-		v, err := r.sleb()
-		if err != nil {
-			return 0, err
-		}
-		return uint64(uint32(v)), nil
-	case OpI64Const:
-		v, err := r.sleb()
-		if err != nil {
-			return 0, err
-		}
-		return uint64(v), nil
-	case OpF64Const:
-		b, err := r.bytes(8)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b), nil
-	}
-	return 0, fmt.Errorf("wasm: unsupported constant expression")
-}
-
-// predecode turns body bytes into instrs with block/if ends resolved and
-// adjacent pairs fused. It also returns the deepest block nesting.
-func predecode(code []byte) ([]instr, int, error) {
-	var out []instr
-	var open []int // indices of unpatched block/loop/if instrs
-	depth := 0
-	r := &reader{data: code}
-	for !r.done() {
-		op, err := r.byte()
-		if err != nil {
-			return nil, 0, err
-		}
-		ins := instr{op: op, y: -1}
-		switch op {
-		case OpBlock, OpLoop, OpIf:
-			bt, err := r.byte()
-			if err != nil {
-				return nil, 0, err
-			}
-			if bt != BlockEmpty {
-				switch ValType(bt) {
-				case I32, I64, F32, F64:
-					ins.imm = 1 // arity
-				default:
-					return nil, 0, fmt.Errorf("invalid block type")
-				}
-			}
-			open = append(open, len(out))
-			depth = max(depth, len(open))
-		case OpElse:
-			if len(open) == 0 {
-				return nil, 0, fmt.Errorf("else outside if")
-			}
-			out[open[len(open)-1]].y = int32(len(out))
-		case OpEnd:
-			if len(open) > 0 {
-				i := open[len(open)-1]
-				open = open[:len(open)-1]
-				out[i].x = int32(len(out))
-				if out[i].y >= 0 {
-					// The else instr also needs the end index to jump over
-					// the false arm when the true arm finishes.
-					out[out[i].y].x = int32(len(out))
-				}
-			}
-		case OpBr, OpBrIf, OpCall, OpLocalGet, OpLocalSet, OpLocalTee,
-			OpGlobalGet, OpGlobalSet:
-			v, err := r.u32()
-			if err != nil {
-				return nil, 0, err
-			}
-			ins.imm = int64(v)
-		case OpCallIndirect:
-			v, err := r.u32()
-			if err != nil {
-				return nil, 0, err
-			}
-			ins.imm = int64(v)
-			if _, err := r.byte(); err != nil { // table index
-				return nil, 0, err
-			}
-		case OpI32Load, OpI64Load, OpF64Load, OpI32Store, OpI64Store, OpF64Store:
-			if _, err := r.u32(); err != nil { // align
-				return nil, 0, err
-			}
-			off, err := r.u32()
-			if err != nil {
-				return nil, 0, err
-			}
-			ins.imm = int64(off)
-		case OpMemSize, OpMemGrow:
-			if _, err := r.byte(); err != nil {
-				return nil, 0, err
-			}
-		case OpI32Const, OpI64Const:
-			v, err := r.sleb()
-			if err != nil {
-				return nil, 0, err
-			}
-			ins.imm = v
-		case OpF64Const:
-			b, err := r.bytes(8)
-			if err != nil {
-				return nil, 0, err
-			}
-			ins.imm = int64(binary.LittleEndian.Uint64(b))
-		default:
-			if _, ok := simpleOps[op]; !ok {
-				switch op {
-				case OpUnreachable, OpNop, OpReturn, OpDrop, OpSelect:
-				default:
-					return nil, 0, fmt.Errorf("unknown opcode 0x%02x", op)
-				}
-			}
-		}
-		out = append(out, ins)
-	}
-	if len(open) != 0 {
-		return nil, 0, fmt.Errorf("unclosed block")
-	}
-	fuse(out)
-	return out, depth, nil
 }
 
 // Invoke calls an exported function by name.
@@ -618,7 +485,7 @@ loop:
 				st[sp-1] = uint64(uint32(cur))
 			}
 		case OpI32Const, OpI64Const, OpF64Const:
-			// Predecoding left i32 constants sign-extended in imm.
+			// readInstr left i32 constants sign-extended in imm.
 			v := uint64(ins.imm)
 			if ins.op == OpI32Const {
 				v = uint64(uint32(ins.imm))

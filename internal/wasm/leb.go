@@ -56,6 +56,15 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
+// zero reads a table or memory index, which must be 0.
+func (r *reader) zero(what string) error {
+	b, err := r.byte()
+	if err == nil && b != 0 {
+		err = fmt.Errorf("%s index must be 0", what)
+	}
+	return err
+}
+
 // uleb decodes an unsigned LEB128 value (at most 64 bits).
 func (r *reader) uleb() (uint64, error) {
 	var x uint64

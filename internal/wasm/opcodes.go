@@ -158,110 +158,137 @@ const (
 	OpF64ReinterpretI64 = 0xBF
 )
 
-// sig describes a simple value instruction: pops then pushes.
-type sig struct {
-	pop  []ValType
-	push []ValType
+// Immediate kinds: what follows an opcode in a body.
+const (
+	immNone  = iota
+	immBlock // block type: BlockEmpty or one value type
+	immIdx   // u32 index or branch depth
+	immTable // call_indirect: u32 type index, then table index 0
+	immMem   // memarg: u32 alignment exponent, then u32 offset
+	immZero  // memory index 0
+	immI32   // signed LEB128
+	immI64   // signed LEB128
+	immF64   // 8 bytes, little-endian IEEE bits
+)
+
+// opInfo describes an opcode: its WAT mnemonic, its immediate, and the
+// fixed signature it pops and pushes, if it has one. The validator types
+// control, variable, call, drop and select instructions structurally.
+type opInfo struct {
+	name      string
+	imm       byte
+	pop, push []ValType
 }
 
-// simpleOps types every instruction with a fixed, context-free signature.
-// Control, variable, memory, const, and call instructions are handled
-// structurally by the validator and do not appear here.
-var simpleOps = map[byte]sig{
-	OpDrop: {}, // handled specially (polymorphic)
+var (
+	tI32    = []ValType{I32}
+	tI64    = []ValType{I64}
+	tF32    = []ValType{F32}
+	tF64    = []ValType{F64}
+	tI32x2  = []ValType{I32, I32}
+	tI64x2  = []ValType{I64, I64}
+	tF64x2  = []ValType{F64, F64}
+	tI32I64 = []ValType{I32, I64}
+	tI32F64 = []ValType{I32, F64}
+)
 
-	OpI32Eqz: {pop: []ValType{I32}, push: []ValType{I32}},
-	OpI32Eq:  {pop: []ValType{I32, I32}, push: []ValType{I32}},
-	OpI32Ne:  {pop: []ValType{I32, I32}, push: []ValType{I32}},
-	OpI32Add: {pop: []ValType{I32, I32}, push: []ValType{I32}},
-	OpI32Sub: {pop: []ValType{I32, I32}, push: []ValType{I32}},
-	OpI32And: {pop: []ValType{I32, I32}, push: []ValType{I32}},
-	OpI32Or:  {pop: []ValType{I32, I32}, push: []ValType{I32}},
+// blockResults maps each block type to its result types; a nil entry is
+// not a block type.
+var blockResults = [256][]ValType{BlockEmpty: {}, I32: tI32, I64: tI64, F32: tF32, F64: tF64}
 
-	OpI64Eqz: {pop: []ValType{I64}, push: []ValType{I32}},
-	OpI64Eq:  {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64Ne:  {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64LtS: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64LtU: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64GtS: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64GtU: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64LeS: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64LeU: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64GeS: {pop: []ValType{I64, I64}, push: []ValType{I32}},
-	OpI64GeU: {pop: []ValType{I64, I64}, push: []ValType{I32}},
+// opTable describes every opcode this package reads; an opcode without a
+// name is unknown.
+var opTable = [256]opInfo{
+	OpUnreachable:  {name: "unreachable"},
+	OpNop:          {name: "nop"},
+	OpBlock:        {name: "block", imm: immBlock},
+	OpLoop:         {name: "loop", imm: immBlock},
+	OpIf:           {name: "if", imm: immBlock},
+	OpElse:         {name: "else"},
+	OpEnd:          {name: "end"},
+	OpBr:           {name: "br", imm: immIdx},
+	OpBrIf:         {name: "br_if", imm: immIdx},
+	OpReturn:       {name: "return"},
+	OpCall:         {name: "call", imm: immIdx},
+	OpCallIndirect: {name: "call_indirect", imm: immTable},
+	OpDrop:         {name: "drop"},
+	OpSelect:       {name: "select"},
 
-	OpF64Eq: {pop: []ValType{F64, F64}, push: []ValType{I32}},
-	OpF64Ne: {pop: []ValType{F64, F64}, push: []ValType{I32}},
-	OpF64Lt: {pop: []ValType{F64, F64}, push: []ValType{I32}},
-	OpF64Gt: {pop: []ValType{F64, F64}, push: []ValType{I32}},
-	OpF64Le: {pop: []ValType{F64, F64}, push: []ValType{I32}},
-	OpF64Ge: {pop: []ValType{F64, F64}, push: []ValType{I32}},
+	OpLocalGet:  {name: "local.get", imm: immIdx},
+	OpLocalSet:  {name: "local.set", imm: immIdx},
+	OpLocalTee:  {name: "local.tee", imm: immIdx},
+	OpGlobalGet: {name: "global.get", imm: immIdx},
+	OpGlobalSet: {name: "global.set", imm: immIdx},
 
-	OpI64Add:  {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64Sub:  {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64Mul:  {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64DivS: {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64DivU: {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64RemS: {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64RemU: {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64And:  {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64Or:   {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64Xor:  {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64Shl:  {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64ShrS: {pop: []ValType{I64, I64}, push: []ValType{I64}},
-	OpI64ShrU: {pop: []ValType{I64, I64}, push: []ValType{I64}},
+	OpI32Load:  {"i32.load", immMem, tI32, tI32},
+	OpI64Load:  {"i64.load", immMem, tI32, tI64},
+	OpF64Load:  {"f64.load", immMem, tI32, tF64},
+	OpI32Store: {"i32.store", immMem, tI32x2, nil},
+	OpI64Store: {"i64.store", immMem, tI32I64, nil},
+	OpF64Store: {"f64.store", immMem, tI32F64, nil},
+	OpMemSize:  {"memory.size", immZero, nil, tI32},
+	OpMemGrow:  {"memory.grow", immZero, tI32, tI32},
 
-	OpF64Abs:  {pop: []ValType{F64}, push: []ValType{F64}},
-	OpF64Neg:  {pop: []ValType{F64}, push: []ValType{F64}},
-	OpF64Sqrt: {pop: []ValType{F64}, push: []ValType{F64}},
-	OpF64Add:  {pop: []ValType{F64, F64}, push: []ValType{F64}},
-	OpF64Sub:  {pop: []ValType{F64, F64}, push: []ValType{F64}},
-	OpF64Mul:  {pop: []ValType{F64, F64}, push: []ValType{F64}},
-	OpF64Div:  {pop: []ValType{F64, F64}, push: []ValType{F64}},
+	OpI32Const: {"i32.const", immI32, nil, tI32},
+	OpI64Const: {"i64.const", immI64, nil, tI64},
+	OpF64Const: {"f64.const", immF64, nil, tF64},
 
-	OpI32WrapI64:        {pop: []ValType{I64}, push: []ValType{I32}},
-	OpI64ExtendI32S:     {pop: []ValType{I32}, push: []ValType{I64}},
-	OpI64ExtendI32U:     {pop: []ValType{I32}, push: []ValType{I64}},
-	OpF32DemoteF64:      {pop: []ValType{F64}, push: []ValType{F32}},
-	OpF64ConvertI64S:    {pop: []ValType{I64}, push: []ValType{F64}},
-	OpF64ConvertI64U:    {pop: []ValType{I64}, push: []ValType{F64}},
-	OpF64PromoteF32:     {pop: []ValType{F32}, push: []ValType{F64}},
-	OpI64ReinterpretF64: {pop: []ValType{F64}, push: []ValType{I64}},
-	OpF64ReinterpretI64: {pop: []ValType{I64}, push: []ValType{F64}},
-}
+	OpI32Eqz: {"i32.eqz", immNone, tI32, tI32},
+	OpI32Eq:  {"i32.eq", immNone, tI32x2, tI32},
+	OpI32Ne:  {"i32.ne", immNone, tI32x2, tI32},
+	OpI32Add: {"i32.add", immNone, tI32x2, tI32},
+	OpI32Sub: {"i32.sub", immNone, tI32x2, tI32},
+	OpI32And: {"i32.and", immNone, tI32x2, tI32},
+	OpI32Or:  {"i32.or", immNone, tI32x2, tI32},
 
-// opNames maps opcodes to their WAT mnemonics.
-var opNames = map[byte]string{
-	OpUnreachable: "unreachable", OpNop: "nop", OpBlock: "block",
-	OpLoop: "loop", OpIf: "if", OpElse: "else", OpEnd: "end",
-	OpBr: "br", OpBrIf: "br_if", OpReturn: "return", OpCall: "call",
-	OpCallIndirect: "call_indirect", OpDrop: "drop", OpSelect: "select",
-	OpLocalGet: "local.get", OpLocalSet: "local.set", OpLocalTee: "local.tee",
-	OpGlobalGet: "global.get", OpGlobalSet: "global.set",
-	OpI32Load: "i32.load", OpI64Load: "i64.load", OpF64Load: "f64.load",
-	OpI32Store: "i32.store", OpI64Store: "i64.store", OpF64Store: "f64.store",
-	OpMemSize: "memory.size", OpMemGrow: "memory.grow",
-	OpI32Const: "i32.const", OpI64Const: "i64.const", OpF64Const: "f64.const",
-	OpI32Eqz: "i32.eqz", OpI32Eq: "i32.eq", OpI32Ne: "i32.ne",
-	OpI32Add: "i32.add", OpI32Sub: "i32.sub", OpI32And: "i32.and",
-	OpI32Or:  "i32.or",
-	OpI64Eqz: "i64.eqz", OpI64Eq: "i64.eq", OpI64Ne: "i64.ne",
-	OpI64LtS: "i64.lt_s", OpI64LtU: "i64.lt_u", OpI64GtS: "i64.gt_s",
-	OpI64GtU: "i64.gt_u", OpI64LeS: "i64.le_s", OpI64LeU: "i64.le_u",
-	OpI64GeS: "i64.ge_s", OpI64GeU: "i64.ge_u",
-	OpF64Eq: "f64.eq", OpF64Ne: "f64.ne", OpF64Lt: "f64.lt",
-	OpF64Gt: "f64.gt", OpF64Le: "f64.le", OpF64Ge: "f64.ge",
-	OpI64Add: "i64.add", OpI64Sub: "i64.sub", OpI64Mul: "i64.mul",
-	OpI64DivS: "i64.div_s", OpI64DivU: "i64.div_u", OpI64RemS: "i64.rem_s",
-	OpI64RemU: "i64.rem_u", OpI64And: "i64.and", OpI64Or: "i64.or",
-	OpI64Xor: "i64.xor", OpI64Shl: "i64.shl", OpI64ShrS: "i64.shr_s",
-	OpI64ShrU: "i64.shr_u",
-	OpF64Abs:  "f64.abs", OpF64Neg: "f64.neg", OpF64Sqrt: "f64.sqrt",
-	OpF64Add: "f64.add", OpF64Sub: "f64.sub", OpF64Mul: "f64.mul",
-	OpF64Div:     "f64.div",
-	OpI32WrapI64: "i32.wrap_i64", OpI64ExtendI32S: "i64.extend_i32_s",
-	OpI64ExtendI32U: "i64.extend_i32_u", OpF32DemoteF64: "f32.demote_f64",
-	OpF64ConvertI64S: "f64.convert_i64_s", OpF64ConvertI64U: "f64.convert_i64_u",
-	OpF64PromoteF32: "f64.promote_f32", OpI64ReinterpretF64: "i64.reinterpret_f64",
-	OpF64ReinterpretI64: "f64.reinterpret_i64",
+	OpI64Eqz: {"i64.eqz", immNone, tI64, tI32},
+	OpI64Eq:  {"i64.eq", immNone, tI64x2, tI32},
+	OpI64Ne:  {"i64.ne", immNone, tI64x2, tI32},
+	OpI64LtS: {"i64.lt_s", immNone, tI64x2, tI32},
+	OpI64LtU: {"i64.lt_u", immNone, tI64x2, tI32},
+	OpI64GtS: {"i64.gt_s", immNone, tI64x2, tI32},
+	OpI64GtU: {"i64.gt_u", immNone, tI64x2, tI32},
+	OpI64LeS: {"i64.le_s", immNone, tI64x2, tI32},
+	OpI64LeU: {"i64.le_u", immNone, tI64x2, tI32},
+	OpI64GeS: {"i64.ge_s", immNone, tI64x2, tI32},
+	OpI64GeU: {"i64.ge_u", immNone, tI64x2, tI32},
+
+	OpF64Eq: {"f64.eq", immNone, tF64x2, tI32},
+	OpF64Ne: {"f64.ne", immNone, tF64x2, tI32},
+	OpF64Lt: {"f64.lt", immNone, tF64x2, tI32},
+	OpF64Gt: {"f64.gt", immNone, tF64x2, tI32},
+	OpF64Le: {"f64.le", immNone, tF64x2, tI32},
+	OpF64Ge: {"f64.ge", immNone, tF64x2, tI32},
+
+	OpI64Add:  {"i64.add", immNone, tI64x2, tI64},
+	OpI64Sub:  {"i64.sub", immNone, tI64x2, tI64},
+	OpI64Mul:  {"i64.mul", immNone, tI64x2, tI64},
+	OpI64DivS: {"i64.div_s", immNone, tI64x2, tI64},
+	OpI64DivU: {"i64.div_u", immNone, tI64x2, tI64},
+	OpI64RemS: {"i64.rem_s", immNone, tI64x2, tI64},
+	OpI64RemU: {"i64.rem_u", immNone, tI64x2, tI64},
+	OpI64And:  {"i64.and", immNone, tI64x2, tI64},
+	OpI64Or:   {"i64.or", immNone, tI64x2, tI64},
+	OpI64Xor:  {"i64.xor", immNone, tI64x2, tI64},
+	OpI64Shl:  {"i64.shl", immNone, tI64x2, tI64},
+	OpI64ShrS: {"i64.shr_s", immNone, tI64x2, tI64},
+	OpI64ShrU: {"i64.shr_u", immNone, tI64x2, tI64},
+
+	OpF64Abs:  {"f64.abs", immNone, tF64, tF64},
+	OpF64Neg:  {"f64.neg", immNone, tF64, tF64},
+	OpF64Sqrt: {"f64.sqrt", immNone, tF64, tF64},
+	OpF64Add:  {"f64.add", immNone, tF64x2, tF64},
+	OpF64Sub:  {"f64.sub", immNone, tF64x2, tF64},
+	OpF64Mul:  {"f64.mul", immNone, tF64x2, tF64},
+	OpF64Div:  {"f64.div", immNone, tF64x2, tF64},
+
+	OpI32WrapI64:        {"i32.wrap_i64", immNone, tI64, tI32},
+	OpI64ExtendI32S:     {"i64.extend_i32_s", immNone, tI32, tI64},
+	OpI64ExtendI32U:     {"i64.extend_i32_u", immNone, tI32, tI64},
+	OpF32DemoteF64:      {"f32.demote_f64", immNone, tF64, tF32},
+	OpF64ConvertI64S:    {"f64.convert_i64_s", immNone, tI64, tF64},
+	OpF64ConvertI64U:    {"f64.convert_i64_u", immNone, tI64, tF64},
+	OpF64PromoteF32:     {"f64.promote_f32", immNone, tF32, tF64},
+	OpI64ReinterpretF64: {"i64.reinterpret_f64", immNone, tF64, tI64},
+	OpF64ReinterpretI64: {"f64.reinterpret_i64", immNone, tI64, tF64},
 }

@@ -2,12 +2,23 @@ package wasm
 
 import "fmt"
 
+// maxPages bounds a memory's limits: 2^16 pages of 64 KiB span the 4 GiB
+// a 32-bit address reaches.
+const maxPages = 65536
+
 // Validate type-checks the module: section-level index hygiene plus a
 // full control-frame type check of every function body, following the
 // validation algorithm from the spec appendix. A module that validates
 // cannot make the interpreter read out of bounds of its own structures
-// (linear memory and the table are still runtime-checked).
-func Validate(m *Module) error {
+// (linear memory and the table are still runtime-checked). NewInstance
+// runs the same checks.
+func Validate(m *Module) error { return m.validate(nil) }
+
+// validate runs Validate's checks. If body is not nil, it is handed each
+// function body in order as the checker decoded it, with every block,
+// loop and if resolved (see checker), and the body's deepest block
+// nesting. The code slice is reused for the next body.
+func (m *Module) validate(body func(fi int, code []instr, depth int)) error {
 	for i, im := range m.Imports {
 		if im.TypeIdx < 0 || im.TypeIdx >= len(m.Types) {
 			return fmt.Errorf("wasm: import %d (%s.%s): type index out of range", i, im.Module, im.Name)
@@ -18,9 +29,19 @@ func Validate(m *Module) error {
 			return fmt.Errorf("wasm: function %d: type index out of range", i)
 		}
 	}
+	if m.HasMemory && (uint(m.MemMin) > maxPages || uint(m.MemMax) > maxPages) {
+		return fmt.Errorf("wasm: memory limits %d..%d exceed %d pages", m.MemMin, m.MemMax, maxPages)
+	}
 	for i, g := range m.Globals {
-		if err := checkConstInit(g.Init, g.Type); err != nil {
+		r := &reader{data: g.Init}
+		t, _, err := readConst(r)
+		switch {
+		case err != nil:
 			return fmt.Errorf("wasm: global %d: %w", i, err)
+		case !r.done():
+			return fmt.Errorf("wasm: global %d: malformed initializer expression", i)
+		case t != g.Type:
+			return fmt.Errorf("wasm: global %d: initializer type %s does not match global type %s", i, t, g.Type)
 		}
 	}
 	seen := map[string]bool{}
@@ -54,7 +75,7 @@ func Validate(m *Module) error {
 		if !m.HasTable {
 			return fmt.Errorf("wasm: element segment %d without a table", i)
 		}
-		if int(e.Offset) < 0 || int(e.Offset)+len(e.Funcs) > m.TableMin {
+		if e.Offset < 0 || int(e.Offset)+len(e.Funcs) > m.TableMin {
 			return fmt.Errorf("wasm: element segment %d does not fit the table", i)
 		}
 		for _, f := range e.Funcs {
@@ -67,49 +88,18 @@ func Validate(m *Module) error {
 		if !m.HasMemory {
 			return fmt.Errorf("wasm: data segment %d without a memory", i)
 		}
-		if int(d.Offset) < 0 || int(d.Offset)+len(d.Bytes) > m.MemMin*PageSize {
+		if d.Offset < 0 || int(d.Offset)+len(d.Bytes) > m.MemMin*PageSize {
 			return fmt.Errorf("wasm: data segment %d does not fit the minimum memory", i)
 		}
 	}
+	v := &checker{m: m}
 	for i := range m.Funcs {
-		if err := m.validateBody(i); err != nil {
+		if err := v.function(i); err != nil {
 			return fmt.Errorf("wasm: function %d: %w", len(m.Imports)+i, err)
 		}
-	}
-	return nil
-}
-
-func checkConstInit(init []byte, want ValType) error {
-	r := &reader{data: init}
-	op, err := r.byte()
-	if err != nil {
-		return fmt.Errorf("empty initializer")
-	}
-	var got ValType
-	switch op {
-	case OpI32Const:
-		if _, err := r.sleb(); err != nil {
-			return err
+		if body != nil {
+			body(i, v.code, v.depth)
 		}
-		got = I32
-	case OpI64Const:
-		if _, err := r.sleb(); err != nil {
-			return err
-		}
-		got = I64
-	case OpF64Const:
-		if _, err := r.bytes(8); err != nil {
-			return err
-		}
-		got = F64
-	default:
-		return fmt.Errorf("initializer is not a constant expression")
-	}
-	if end, err := r.byte(); err != nil || end != OpEnd || r.len() != 0 {
-		return fmt.Errorf("malformed initializer expression")
-	}
-	if got != want {
-		return fmt.Errorf("initializer type %s does not match global type %s", got, want)
 	}
 	return nil
 }
@@ -118,7 +108,8 @@ func checkConstInit(init []byte, want ValType) error {
 const unknownType ValType = 0
 
 type ctrlFrame struct {
-	op          byte // OpBlock, OpLoop, OpIf, OpElse; OpEnd marks the function frame
+	op          byte  // OpBlock, OpLoop, OpIf, OpElse; OpEnd marks the function frame
+	at          int32 // index of the opening block, loop or if in code; -1 for the function
 	start, end  []ValType
 	height      int
 	unreachable bool
@@ -131,11 +122,17 @@ func (c *ctrlFrame) labelTypes() []ValType {
 	return c.end
 }
 
+// checker type-checks one function body at a time and records it as the
+// interpreter runs it: each block, loop and if holds its result arity in
+// imm and the index of its end in x, an if also the index of its else in
+// y (or -1), and an else the index of the end.
 type checker struct {
+	m      *Module
 	opds   []ValType
 	ctrls  []ctrlFrame
 	locals []ValType
-	m      *Module
+	code   []instr // the body checked last
+	depth  int     // its deepest block, loop and if nesting
 }
 
 func (v *checker) pushOpd(t ValType) { v.opds = append(v.opds, t) }
@@ -173,11 +170,9 @@ func (v *checker) popAll(ts []ValType) error {
 	return nil
 }
 
-func (v *checker) pushCtrl(op byte, start, end []ValType) {
-	v.ctrls = append(v.ctrls, ctrlFrame{op: op, start: start, end: end, height: len(v.opds)})
-	for _, t := range start {
-		v.pushOpd(t)
-	}
+func (v *checker) pushCtrl(op byte, at int32, start, end []ValType) {
+	v.ctrls = append(v.ctrls, ctrlFrame{op: op, at: at, start: start, end: end, height: len(v.opds)})
+	v.opds = append(v.opds, start...)
 }
 
 func (v *checker) popCtrl() (ctrlFrame, error) {
@@ -201,33 +196,36 @@ func (v *checker) setUnreachable() {
 	c.unreachable = true
 }
 
-func (v *checker) label(depth uint32) (*ctrlFrame, error) {
-	if int(depth) >= len(v.ctrls) {
+func (v *checker) label(depth int64) (*ctrlFrame, error) {
+	if depth >= int64(len(v.ctrls)) {
 		return nil, fmt.Errorf("branch depth %d exceeds block nesting %d", depth, len(v.ctrls))
 	}
 	return &v.ctrls[len(v.ctrls)-1-int(depth)], nil
 }
 
-func (m *Module) validateBody(fi int) error {
-	f := &m.Funcs[fi]
-	sig := m.Types[f.TypeIdx]
-	v := &checker{m: m}
-	v.locals = append(append([]ValType{}, sig.Params...), f.Locals...)
-	v.pushCtrl(OpEnd, nil, sig.Results)
+// function decodes and type-checks body fi into v.code and v.depth.
+func (v *checker) function(fi int) error {
+	f := &v.m.Funcs[fi]
+	sig := v.m.Types[f.TypeIdx]
+	v.opds, v.ctrls, v.code, v.depth = v.opds[:0], v.ctrls[:0], v.code[:0], 0
+	v.locals = append(append(v.locals[:0], sig.Params...), f.Locals...)
+	v.pushCtrl(OpEnd, -1, nil, sig.Results)
 
 	r := &reader{data: f.Code}
 	for !r.done() {
-		op, err := r.byte()
+		at := r.pos
+		ins, err := readInstr(r)
+		if err == nil {
+			err = v.step(&ins)
+		}
 		if err != nil {
-			return err
-		}
-		if err := v.step(op, r); err != nil {
-			name := opNames[op]
+			name := opTable[f.Code[at]].name
 			if name == "" {
-				name = fmt.Sprintf("0x%02x", op)
+				name = fmt.Sprintf("0x%02x", f.Code[at])
 			}
-			return fmt.Errorf("at offset %d (%s): %w", r.pos-1, name, err)
+			return fmt.Errorf("at offset %d (%s): %w", at, name, err)
 		}
+		v.code = append(v.code, ins)
 		if len(v.ctrls) == 0 {
 			// The function frame was just popped by the final end.
 			if !r.done() {
@@ -239,50 +237,23 @@ func (m *Module) validateBody(fi int) error {
 	return fmt.Errorf("function body not terminated")
 }
 
-func blockType(r *reader) ([]ValType, error) {
-	b, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if b == BlockEmpty {
-		return nil, nil
-	}
-	switch t := ValType(b); t {
-	case I32, I64, F32, F64:
-		return []ValType{t}, nil
-	}
-	return nil, fmt.Errorf("invalid block type 0x%02x", b)
-}
-
-func (v *checker) step(op byte, r *reader) error {
-	if s, ok := simpleOps[op]; ok && op != OpDrop {
-		if err := v.popAll(s.pop); err != nil {
-			return err
-		}
-		for _, t := range s.push {
-			v.pushOpd(t)
-		}
-		return nil
-	}
-	switch op {
+// step type-checks ins, which is to be appended to v.code, and resolves
+// the structured control it opens or closes.
+func (v *checker) step(ins *instr) error {
+	pc := int32(len(v.code))
+	switch ins.op {
 	case OpUnreachable:
 		v.setUnreachable()
-	case OpNop:
-	case OpBlock, OpLoop:
-		res, err := blockType(r)
-		if err != nil {
-			return err
+	case OpBlock, OpLoop, OpIf:
+		res := blockResults[ins.imm]
+		if ins.op == OpIf {
+			if _, err := v.popExpect(I32); err != nil {
+				return err
+			}
 		}
-		v.pushCtrl(op, nil, res)
-	case OpIf:
-		res, err := blockType(r)
-		if err != nil {
-			return err
-		}
-		if _, err := v.popExpect(I32); err != nil {
-			return err
-		}
-		v.pushCtrl(op, nil, res)
+		v.pushCtrl(ins.op, pc, nil, res)
+		v.depth = max(v.depth, len(v.ctrls)-1)
+		ins.imm = int64(len(res))
 	case OpElse:
 		c, err := v.popCtrl()
 		if err != nil {
@@ -291,7 +262,8 @@ func (v *checker) step(op byte, r *reader) error {
 		if c.op != OpIf {
 			return fmt.Errorf("else outside if")
 		}
-		v.pushCtrl(OpElse, c.start, c.end)
+		v.code[c.at].y = pc
+		v.pushCtrl(OpElse, c.at, c.start, c.end)
 	case OpEnd:
 		c, err := v.popCtrl()
 		if err != nil {
@@ -300,89 +272,62 @@ func (v *checker) step(op byte, r *reader) error {
 		if c.op == OpIf && len(c.end) > 0 {
 			return fmt.Errorf("if with result type lacks an else arm")
 		}
-		for _, t := range c.end {
-			v.pushOpd(t)
+		if c.at >= 0 {
+			open := &v.code[c.at]
+			open.x = pc
+			if open.y >= 0 {
+				// The else jumps over the false arm to the end.
+				v.code[open.y].x = pc
+			}
 		}
-	case OpBr:
-		d, err := r.u32()
+		v.opds = append(v.opds, c.end...)
+	case OpBr, OpBrIf:
+		c, err := v.label(ins.imm)
 		if err != nil {
 			return err
 		}
-		c, err := v.label(d)
-		if err != nil {
-			return err
-		}
-		if err := v.popAll(c.labelTypes()); err != nil {
-			return err
-		}
-		v.setUnreachable()
-	case OpBrIf:
-		d, err := r.u32()
-		if err != nil {
-			return err
-		}
-		c, err := v.label(d)
-		if err != nil {
-			return err
-		}
-		if _, err := v.popExpect(I32); err != nil {
-			return err
+		if ins.op == OpBrIf {
+			if _, err := v.popExpect(I32); err != nil {
+				return err
+			}
 		}
 		lt := c.labelTypes()
 		if err := v.popAll(lt); err != nil {
 			return err
 		}
-		for _, t := range lt {
-			v.pushOpd(t)
+		if ins.op == OpBr {
+			v.setUnreachable()
+		} else {
+			v.opds = append(v.opds, lt...)
 		}
 	case OpReturn:
 		if err := v.popAll(v.ctrls[0].end); err != nil {
 			return err
 		}
 		v.setUnreachable()
-	case OpCall:
-		fi, err := r.u32()
-		if err != nil {
-			return err
-		}
-		sig, err := v.m.TypeOfFunc(int(fi))
-		if err != nil {
-			return err
+	case OpCall, OpCallIndirect:
+		var sig FuncType
+		if ins.op == OpCall {
+			var err error
+			if sig, err = v.m.TypeOfFunc(int(ins.imm)); err != nil {
+				return err
+			}
+		} else {
+			if !v.m.HasTable {
+				return fmt.Errorf("call_indirect without a table")
+			}
+			if ins.imm >= int64(len(v.m.Types)) {
+				return fmt.Errorf("call_indirect type index out of range")
+			}
+			if _, err := v.popExpect(I32); err != nil {
+				return err
+			}
+			sig = v.m.Types[ins.imm]
 		}
 		if err := v.popAll(sig.Params); err != nil {
 			return err
 		}
-		for _, t := range sig.Results {
-			v.pushOpd(t)
-		}
-	case OpCallIndirect:
-		ti, err := r.u32()
-		if err != nil {
-			return err
-		}
-		tbl, err := r.byte()
-		if err != nil {
-			return err
-		}
-		if tbl != 0 {
-			return fmt.Errorf("call_indirect table index must be 0")
-		}
-		if !v.m.HasTable {
-			return fmt.Errorf("call_indirect without a table")
-		}
-		if int(ti) >= len(v.m.Types) {
-			return fmt.Errorf("call_indirect type index out of range")
-		}
-		if _, err := v.popExpect(I32); err != nil {
-			return err
-		}
-		sig := v.m.Types[ti]
-		if err := v.popAll(sig.Params); err != nil {
-			return err
-		}
-		for _, t := range sig.Results {
-			v.pushOpd(t)
-		}
+		v.opds = append(v.opds, sig.Results...)
 	case OpDrop:
 		_, err := v.popOpd()
 		return err
@@ -406,121 +351,43 @@ func (v *checker) step(op byte, r *reader) error {
 		}
 		v.pushOpd(t1)
 	case OpLocalGet, OpLocalSet, OpLocalTee:
-		i, err := r.u32()
-		if err != nil {
-			return err
+		if ins.imm >= int64(len(v.locals)) {
+			return fmt.Errorf("local index %d out of range", ins.imm)
 		}
-		if int(i) >= len(v.locals) {
-			return fmt.Errorf("local index %d out of range", i)
-		}
-		t := v.locals[i]
-		switch op {
-		case OpLocalGet:
-			v.pushOpd(t)
-		case OpLocalSet:
+		t := v.locals[ins.imm]
+		if ins.op != OpLocalGet {
 			if _, err := v.popExpect(t); err != nil {
 				return err
 			}
-		case OpLocalTee:
-			if _, err := v.popExpect(t); err != nil {
-				return err
-			}
+		}
+		if ins.op != OpLocalSet {
 			v.pushOpd(t)
 		}
 	case OpGlobalGet, OpGlobalSet:
-		i, err := r.u32()
-		if err != nil {
-			return err
+		if ins.imm >= int64(len(v.m.Globals)) {
+			return fmt.Errorf("global index %d out of range", ins.imm)
 		}
-		if int(i) >= len(v.m.Globals) {
-			return fmt.Errorf("global index %d out of range", i)
-		}
-		g := v.m.Globals[i]
-		if op == OpGlobalGet {
+		g := v.m.Globals[ins.imm]
+		if ins.op == OpGlobalGet {
 			v.pushOpd(g.Type)
 		} else {
 			if !g.Mut {
-				return fmt.Errorf("global %d is immutable", i)
+				return fmt.Errorf("global %d is immutable", ins.imm)
 			}
 			if _, err := v.popExpect(g.Type); err != nil {
 				return err
 			}
 		}
-	case OpI32Load, OpI64Load, OpF64Load, OpI32Store, OpI64Store, OpF64Store:
-		align, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if _, err := r.u32(); err != nil { // offset
-			return err
-		}
-		if !v.m.HasMemory {
-			return fmt.Errorf("memory access without a memory")
-		}
-		natural := uint32(3)
-		if op == OpI32Load || op == OpI32Store {
-			natural = 2
-		}
-		if align > natural {
-			return fmt.Errorf("alignment 2^%d exceeds natural alignment", align)
-		}
-		var t ValType
-		switch op {
-		case OpI32Load, OpI32Store:
-			t = I32
-		case OpI64Load, OpI64Store:
-			t = I64
-		default:
-			t = F64
-		}
-		switch op {
-		case OpI32Load, OpI64Load, OpF64Load:
-			if _, err := v.popExpect(I32); err != nil {
-				return err
-			}
-			v.pushOpd(t)
-		default:
-			if _, err := v.popExpect(t); err != nil {
-				return err
-			}
-			if _, err := v.popExpect(I32); err != nil {
-				return err
-			}
-		}
-	case OpMemSize, OpMemGrow:
-		z, err := r.byte()
-		if err != nil {
-			return err
-		}
-		if z != 0 {
-			return fmt.Errorf("memory index must be 0")
-		}
-		if !v.m.HasMemory {
+	default:
+		// Every other opcode has a fixed signature.
+		info := &opTable[ins.op]
+		if (info.imm == immMem || info.imm == immZero) && !v.m.HasMemory {
 			return fmt.Errorf("memory instruction without a memory")
 		}
-		if op == OpMemGrow {
-			if _, err := v.popExpect(I32); err != nil {
-				return err
-			}
-		}
-		v.pushOpd(I32)
-	case OpI32Const:
-		if _, err := r.sleb(); err != nil {
+		if err := v.popAll(info.pop); err != nil {
 			return err
 		}
-		v.pushOpd(I32)
-	case OpI64Const:
-		if _, err := r.sleb(); err != nil {
-			return err
-		}
-		v.pushOpd(I64)
-	case OpF64Const:
-		if _, err := r.bytes(8); err != nil {
-			return err
-		}
-		v.pushOpd(F64)
-	default:
-		return fmt.Errorf("unknown opcode")
+		v.opds = append(v.opds, info.push...)
 	}
 	return nil
 }

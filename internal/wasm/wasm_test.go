@@ -141,8 +141,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidateRejects feeds the validator ill-typed bodies and checks
-// each is refused.
+// TestValidateRejects feeds the validator ill-formed modules and checks
+// that Validate and NewInstance each refuse every one.
 func TestValidateRejects(t *testing.T) {
 	mk := func(params, results []ValType, code ...byte) *Module {
 		m := &Module{}
@@ -150,6 +150,20 @@ func TestValidateRejects(t *testing.T) {
 		m.Funcs = append(m.Funcs, Func{TypeIdx: ti, Code: append(code, OpEnd)})
 		return m
 	}
+	withMem := func(m *Module) *Module {
+		m.HasMemory, m.MemMin = true, 1
+		return m
+	}
+	withTable := func(m *Module) *Module {
+		m.HasTable, m.TableMin = true, 1
+		return m
+	}
+	badGlobal := mk(nil, nil)
+	badGlobal.Globals = []Global{{Type: I32, Init: []byte{OpI64Const, 0, OpEnd}}}
+	badData := withMem(mk(nil, nil))
+	badData.Data = []Data{{Offset: PageSize - 1, Bytes: []byte{1, 2}}}
+	badElem := withTable(mk(nil, nil))
+	badElem.Elems = []Elem{{Offset: 1, Funcs: []int{0}}}
 	cases := []struct {
 		name string
 		m    *Module
@@ -163,10 +177,46 @@ func TestValidateRejects(t *testing.T) {
 		{"i32 cond for if", mk([]ValType{I64}, nil, OpLocalGet, 0, OpIf, BlockEmpty, OpEnd)},
 		{"unbalanced block", mk(nil, nil, OpBlock, BlockEmpty)},
 		{"load without memory", mk(nil, nil, OpI32Const, 0, OpI64Load, 3, 0, OpDrop)},
+		{"else outside if", mk(nil, nil, OpBlock, BlockEmpty, OpElse, OpEnd)},
+		{"bad block type", mk(nil, nil, OpBlock, 0x7B, OpEnd)},
+		{"unknown opcode", mk(nil, nil, 0xFE)},
+		{"fused opcode", mk([]ValType{I64}, nil, opLocalGetLocalGet, 0, OpLocalGet, 0, OpDrop, OpDrop)},
+		{"truncated immediate", mk(nil, nil, OpF64Const, 0, 0)},
+		{"overaligned load", withMem(mk(nil, nil, OpI32Const, 0, OpI32Load, 3, 0, OpDrop))},
+		{"memory index", withMem(mk(nil, nil, OpMemSize, 1, OpDrop))},
+		{"table index", withTable(mk(nil, nil, OpI32Const, 0, OpCallIndirect, 0, 1))},
+		{"global type", badGlobal},
+		{"data out of bounds", badData},
+		{"elem out of bounds", badElem},
 	}
 	for _, c := range cases {
 		if err := Validate(c.m); err == nil {
 			t.Errorf("%s: validated but should not", c.name)
+		}
+		if _, err := NewInstance(c.m, nil); err == nil {
+			t.Errorf("%s: instantiated but should not", c.name)
+		}
+	}
+}
+
+// TestValidateMemoryLimits checks the spec's bound of 65,536 pages on a
+// memory's limits. It never instantiates a module: at 2^20 pages that
+// would allocate 64 GiB.
+func TestValidateMemoryLimits(t *testing.T) {
+	cases := []struct {
+		min, max int
+		ok       bool
+	}{
+		{1, 0, true},
+		{maxPages, maxPages, true},
+		{maxPages + 1, 0, false},
+		{1, maxPages + 1, false},
+		{1 << 20, 0, false},
+	}
+	for _, c := range cases {
+		m := &Module{HasMemory: true, MemMin: c.min, MemMax: c.max}
+		if err := Validate(m); (err == nil) != c.ok {
+			t.Errorf("memory %d..%d: Validate = %v, want ok %v", c.min, c.max, err, c.ok)
 		}
 	}
 }

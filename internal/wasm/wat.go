@@ -1,7 +1,6 @@
 package wasm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -75,20 +74,22 @@ func watTypes(prefix string, ts []ValType) string {
 }
 
 func watConstExpr(init []byte) string {
-	r := &reader{data: init}
-	op, _ := r.byte()
-	switch op {
-	case OpI32Const:
-		v, _ := r.sleb()
-		return fmt.Sprintf("i32.const %d", int32(v))
-	case OpI64Const:
-		v, _ := r.sleb()
-		return fmt.Sprintf("i64.const %d", v)
-	case OpF64Const:
-		bs, _ := r.bytes(8)
-		return "f64.const " + watF64(binary.LittleEndian.Uint64(bs))
+	t, v, err := readConst(&reader{data: init})
+	if err != nil {
+		return "??"
 	}
-	return "??"
+	return t.String() + ".const " + watValue(t, int64(v))
+}
+
+// watValue renders a constant of type t as readInstr decoded it.
+func watValue(t ValType, v int64) string {
+	switch t {
+	case I32:
+		return strconv.Itoa(int(int32(v)))
+	case I64:
+		return strconv.FormatInt(v, 10)
+	}
+	return watF64(uint64(v))
 }
 
 func watF64(bits uint64) string {
@@ -116,66 +117,39 @@ func (m *Module) watFunc(b *strings.Builder, i int) {
 	depth := 2
 	r := &reader{data: f.Code}
 	for !r.done() {
-		op, err := r.byte()
+		ins, err := readInstr(r)
 		if err != nil {
 			break
 		}
-		name := opNames[op]
-		if name == "" {
-			name = fmt.Sprintf("0x%02x", op)
-		}
-		if op == OpEnd || op == OpElse {
+		info := &opTable[ins.op]
+		if ins.op == OpEnd || ins.op == OpElse {
 			depth--
 		}
-		if op == OpEnd && r.done() {
+		if ins.op == OpEnd && r.done() {
 			break // the function's closing end is implied by the s-expr
 		}
-		indent := strings.Repeat("  ", depth)
-		switch op {
-		case OpBlock, OpLoop, OpIf:
-			bt, _ := r.byte()
-			suffix := ""
-			if bt != BlockEmpty {
-				suffix = " (result " + ValType(bt).String() + ")"
+		fmt.Fprintf(b, "%s%s", strings.Repeat("  ", depth), info.name)
+		switch info.imm {
+		case immBlock:
+			if ins.imm != BlockEmpty {
+				fmt.Fprintf(b, " (result %s)", ValType(ins.imm))
 			}
-			fmt.Fprintf(b, "%s%s%s\n", indent, name, suffix)
 			depth++
-		case OpElse:
-			fmt.Fprintf(b, "%s%s\n", indent, name)
-			depth++
-		case OpEnd:
-			fmt.Fprintf(b, "%s%s\n", indent, name)
-		case OpBr, OpBrIf, OpCall, OpLocalGet, OpLocalSet, OpLocalTee,
-			OpGlobalGet, OpGlobalSet:
-			v, _ := r.u32()
-			fmt.Fprintf(b, "%s%s %d\n", indent, name, v)
-		case OpCallIndirect:
-			v, _ := r.u32()
-			r.byte()
-			fmt.Fprintf(b, "%s%s (type %d)\n", indent, name, v)
-		case OpI32Load, OpI64Load, OpF64Load, OpI32Store, OpI64Store, OpF64Store:
-			r.u32() // align
-			off, _ := r.u32()
-			if off != 0 {
-				fmt.Fprintf(b, "%s%s offset=%d\n", indent, name, off)
-			} else {
-				fmt.Fprintf(b, "%s%s\n", indent, name)
+		case immIdx:
+			fmt.Fprintf(b, " %d", ins.imm)
+		case immTable:
+			fmt.Fprintf(b, " (type %d)", ins.imm)
+		case immMem:
+			if ins.imm != 0 {
+				fmt.Fprintf(b, " offset=%d", ins.imm)
 			}
-		case OpMemSize, OpMemGrow:
-			r.byte()
-			fmt.Fprintf(b, "%s%s\n", indent, name)
-		case OpI32Const:
-			v, _ := r.sleb()
-			fmt.Fprintf(b, "%s%s %d\n", indent, name, int32(v))
-		case OpI64Const:
-			v, _ := r.sleb()
-			fmt.Fprintf(b, "%s%s %d\n", indent, name, v)
-		case OpF64Const:
-			bs, _ := r.bytes(8)
-			fmt.Fprintf(b, "%s%s %s\n", indent, name, watF64(binary.LittleEndian.Uint64(bs)))
-		default:
-			fmt.Fprintf(b, "%s%s\n", indent, name)
+		case immI32, immI64, immF64:
+			b.WriteString(" " + watValue(info.push[0], ins.imm))
 		}
+		if ins.op == OpElse {
+			depth++
+		}
+		b.WriteString("\n")
 	}
 	b.WriteString("  )\n")
 }
