@@ -59,13 +59,16 @@ wasm:
 	$(GO) run ./cmd/thorinc -target=wasm -run examples/fib.imp 10 | grep -qx 'result: 55'
 
 # fuzz-smoke gives the integer-fold fuzzer (seeded with the signed-overflow
-# and division edge cases) and the textual-IR parser fuzzer (seeded with a
-# world holding every primop kind) a short budget each; they fail fast on a
-# fold panic, a parser panic or a dump that does not parse back to a fixed
-# point.
+# and division edge cases), the textual-IR parser fuzzer (seeded with a
+# world holding every primop kind) and the VM program fuzzer a short budget
+# each; they fail fast on a fold panic, a parser panic, a dump that does
+# not parse back to a fixed point, or a VM program that passes validation
+# yet panics, miscounts its step budget or runs differently with every
+# jump's copy staged.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFoldArith -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorld -fuzztime=10s ./internal/ir
+	$(GO) test -run='^$$' -fuzz=FuzzVMProgram -fuzztime=10s ./internal/vm
 
 # fuzz runs the differential pipeline fuzzer: random well-typed programs,
 # reference interpreter as oracle, compiled arms at -O0/-O2 × jobs 1/4.

@@ -346,6 +346,11 @@ func RunSSA(src string, out io.Writer, args ...int64) (int64, vm.Counters, error
 // (0 selects the default). The differential tests use it to give the VM a
 // budget matching the reference interpreter's fuel, so a diverging
 // compilation shows up as vm.ErrStepLimit instead of hanging the suite.
+// A program that executes C instructions succeeds with a budget of C; a
+// smaller one stops with vm.ErrStepLimit at the first control transfer or
+// print past it, so nothing is printed past the budget. The first run of
+// prog validates it, and an invalid program returns that error, never a
+// panic.
 func ExecSteps(prog *vm.Program, out io.Writer, maxSteps int64, args ...int64) (int64, vm.Counters, error) {
 	m := vm.New(prog, out)
 	if maxSteps <= 0 {
@@ -369,7 +374,9 @@ func ExecSteps(prog *vm.Program, out io.Writer, maxSteps int64, args ...int64) (
 // ExecWasm decodes and runs a compiled wasm module's main with i64
 // arguments, the wasm counterpart of ExecSteps. fuel bounds the
 // instruction count (0 selects a default matching ExecSteps' budget);
-// exceeding it returns wasm.ErrFuel, the analogue of vm.ErrStepLimit.
+// exceeding it returns wasm.ErrFuel, the analogue of vm.ErrStepLimit, at
+// the first control transfer past it, so no host function (print
+// included) runs past the budget.
 // A trap of the emitted code, an index out of bounds included, returns a
 // *wasmbackend.TrapError.
 func ExecWasm(mod []byte, out io.Writer, fuel int64, args ...int64) (int64, error) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Opcode enumerates VM instructions.
@@ -135,7 +136,11 @@ func (o Opcode) String() string {
 
 // Instr is one VM instruction.
 type Instr struct {
-	Op      Opcode
+	Op Opcode
+	// staged marks a jmp whose parallel copy must stage its arguments: a
+	// target param register is also a later argument. Program preparation
+	// sets it.
+	staged  bool
 	A, B, C int
 	Imm     int64
 	F       float64
@@ -221,11 +226,15 @@ type Func struct {
 	Code      []Instr
 }
 
-// Program is a complete compiled program.
+// Program is a complete compiled program. Its first run validates and
+// prepares it (see prepare), so it must not change after that.
 type Program struct {
 	Funcs   []*Func
 	Main    int
 	Globals []Value // initial values of global cells
+
+	prepared sync.Once
+	err      error // the outcome of preparation
 }
 
 // Counters accumulates deterministic cost metrics during execution.
@@ -249,7 +258,11 @@ type VM struct {
 	prog    *Program
 	globals []Value
 	out     io.Writer
-	// MaxSteps bounds execution (0 = no bound).
+	// MaxSteps bounds the instructions a run may execute (0 = no bound).
+	// It is charged once per straight-line run (see run): a run of C
+	// instructions succeeds with MaxSteps C, and a smaller bound returns
+	// ErrStepLimit at the first transfer or print past it, with
+	// Counters.Instructions past the bound.
 	MaxSteps int64
 	Counters Counters
 
@@ -293,8 +306,16 @@ func (m *VM) Run(args ...Value) ([]Value, error) {
 	return m.Call(m.prog.Main, args...)
 }
 
-// Call executes function fnIdx with args and returns its results.
+// Call executes function fnIdx with args and returns its results. The
+// first call on any VM of the program validates it; an invalid program
+// returns the same error from every call.
 func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
+	if err := m.prog.prepare(); err != nil {
+		return nil, err
+	}
+	if fnIdx < 0 || fnIdx >= len(m.prog.Funcs) {
+		return nil, fmt.Errorf("vm: function %d out of range [0,%d)", fnIdx, len(m.prog.Funcs))
+	}
 	fn := m.prog.Funcs[fnIdx]
 	if len(args) != len(fn.ParamRegs) {
 		return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.ParamRegs), len(args))
@@ -341,10 +362,24 @@ func (m *VM) unwind() {
 
 // run executes from the start of fn, the innermost frame's function with
 // registers r, until the outermost frame returns. The instruction count
-// lives in a local and is written back on every exit.
+// lives in a local and is written back on exit.
+//
+// The step budget is charged once per straight-line run, the instructions
+// from start through pc, at the control transfer or print that ends it. A
+// run that a halt, a top-level return or a trap ends is charged on exit.
+// A charge past MaxSteps stops before the transfer or print takes effect.
+// Validation guarantees every run ends in a transfer, so no instruction
+// needs a guard of its own.
+//
+// Every instruction that calls no Go function, jumps and branches
+// included, runs in straight. Go saves no registers across a call, so a
+// call anywhere in a dispatch loop makes the compiler store the loop's
+// state on every dispatch; straight calls nothing and keeps it in
+// registers. This loop runs the rest: calls and returns, allocations,
+// prints, rem.f (math.Mod), staged jumps, and every fault and budget stop,
+// which straight leaves to it.
 func (m *VM) run(fn *Func, r []Value) (vals []Value, err error) {
-	code := fn.Code
-	pc := 0
+	pc, start := 0, 0
 	steps := m.Counters.Instructions
 	limit := m.MaxSteps
 	if limit <= 0 {
@@ -353,17 +388,191 @@ func (m *VM) run(fn *Func, r []Value) (vals []Value, err error) {
 
 loop:
 	for {
-		if steps >= limit {
-			err = ErrStepLimit
-			break
-		}
-		if pc >= len(code) {
-			err = fmt.Errorf("vm: %s: fell off code end", fn.Name)
-			break
-		}
-		in := &code[pc]
-		steps++
+		pc, start, steps = m.straight(fn, r, pc, start, steps, limit)
+		in := &fn.Code[pc]
+		switch in.Op {
+		// straight leaves these only when they fault.
+		case OpDivI:
+			err = fmt.Errorf("vm: %s: division by zero", fn.Name)
+			break loop
+		case OpRemI:
+			err = fmt.Errorf("vm: %s: remainder by zero", fn.Name)
+			break loop
+		case OpArrayLen:
+			err = fmt.Errorf("vm: %s: len of non-array", fn.Name)
+			break loop
+		case OpLea:
+			err = fmt.Errorf("vm: %s: lea into non-array", fn.Name)
+			break loop
+		case OpPtrLoad:
+			err = derefError(fn, "load", r[in.B])
+			break loop
+		case OpPtrStore:
+			err = derefError(fn, "store", r[in.A])
+			break loop
+		case OpTupleGet:
+			err = fmt.Errorf("vm: %s: tuple.get .%d of a non-tuple or shorter tuple", fn.Name, in.Imm)
+			break loop
 
+		case OpJmp: // a staged jump, or one past the budget
+			if steps += int64(pc + 1 - start); steps > limit {
+				break loop
+			}
+			b := &fn.Blocks[in.Imm]
+			m.stagedCopy(r, b.ParamRegs, in.Args)
+			pc, start = b.Start, b.Start
+			continue
+
+		case OpBr: // past the budget
+			steps += int64(pc + 1 - start)
+			break loop
+
+		case OpCall, OpTailCall:
+			if steps += int64(pc + 1 - start); steps > limit {
+				break loop
+			}
+			tail := in.Op == OpTailCall
+			if tail {
+				m.Counters.TailCalls++
+			} else {
+				m.Counters.DirectCalls++
+			}
+			fn = m.prog.Funcs[in.Imm]
+			r = m.call(fn, r, in, nil, tail)
+			pc, start = 0, 0
+			continue
+
+		case OpCallClosure, OpTailCallClosure:
+			clo, ok := r[in.B].Ref.(*Closure)
+			if !ok {
+				err = fmt.Errorf("vm: %s: call through non-closure", fn.Name)
+				break loop
+			}
+			callee := m.prog.Funcs[clo.Fn]
+			if len(in.Args)+len(clo.Env) != len(callee.ParamRegs) {
+				err = fmt.Errorf("vm: %s: call.c passes %d values, %s expects %d",
+					fn.Name, len(in.Args)+len(clo.Env), callee.Name, len(callee.ParamRegs))
+				break loop
+			}
+			if steps += int64(pc + 1 - start); steps > limit {
+				break loop
+			}
+			tail := in.Op == OpTailCallClosure
+			m.Counters.IndirectCalls++
+			if tail {
+				m.Counters.TailCalls++
+			}
+			fn = callee
+			r = m.call(fn, r, in, clo.Env, tail)
+			pc, start = 0, 0
+			continue
+
+		case OpRet:
+			f := &m.frames[len(m.frames)-1]
+			if len(m.frames) == 1 || f.retBlock < 0 {
+				vals = results(r, in.Args)
+				break loop
+			}
+			if len(in.Args) != len(f.rets) {
+				err = fmt.Errorf("vm: %s returned %d values, caller expects %d",
+					fn.Name, len(in.Args), len(f.rets))
+				break loop
+			}
+			if steps += int64(pc + 1 - start); steps > limit {
+				break loop
+			}
+			caller := &m.frames[len(m.frames)-2]
+			fn = caller.fn
+			cr := m.regs[caller.base : caller.base+fn.NumRegs : caller.base+fn.NumRegs]
+			for i, reg := range f.rets {
+				cr[reg] = r[in.Args[i]]
+			}
+			pc = fn.Blocks[f.retBlock].Start
+			start = pc
+			m.pop()
+			r = cr
+			continue
+
+		case OpRemF:
+			r[in.A] = Value{F: math.Mod(r[in.B].F, r[in.C].F)}
+
+		case OpClosureNew:
+			env := results(r, in.Args)
+			m.Counters.ClosureAllocs++
+			m.Counters.HeapWords += int64(len(env)) + 1
+			r[in.A] = Value{Ref: &Closure{Fn: int(in.Imm), Env: env}}
+
+		case OpArrayNew:
+			n := r[in.B].I
+			if n < 0 {
+				err = fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
+				break loop
+			}
+			m.Counters.ArrayAllocs++
+			m.Counters.HeapWords += n
+			r[in.A] = Value{Ref: &Array{Elems: make([]Value, n)}}
+
+		case OpSlotNew:
+			m.Counters.HeapWords++
+			r[in.A] = Value{Ref: new(Value)}
+
+		case OpTupleNew:
+			m.Counters.TupleAllocs++
+			m.Counters.HeapWords += int64(len(in.Args))
+			r[in.A] = Value{Ref: results(r, in.Args)}
+
+		case OpTupleSet:
+			tup, ok := r[in.B].Ref.([]Value)
+			if !ok || uint64(in.Imm) >= uint64(len(tup)) {
+				err = fmt.Errorf("vm: %s: tuple.set .%d of a non-tuple or shorter tuple", fn.Name, in.Imm)
+				break loop
+			}
+			nv := make([]Value, len(tup))
+			copy(nv, tup)
+			nv[in.Imm] = r[in.C]
+			m.Counters.TupleAllocs++
+			r[in.A] = Value{Ref: nv}
+
+		case OpPrintI64, OpPrintF64, OpPrintChar:
+			if steps += int64(pc + 1 - start); steps > limit {
+				break loop
+			}
+			start = pc + 1
+			switch in.Op {
+			case OpPrintI64:
+				fmt.Fprintf(m.out, "%d\n", r[in.A].I)
+			case OpPrintF64:
+				fmt.Fprintf(m.out, "%.9g\n", r[in.A].F)
+			default:
+				fmt.Fprintf(m.out, "%c", rune(r[in.A].I))
+			}
+
+		case OpHalt:
+			vals = results(r, in.Args)
+			break loop
+		}
+		pc++
+	}
+	if steps <= limit {
+		// The run a halt, a top-level return or a trap ends.
+		steps += int64(pc + 1 - start)
+	}
+	if steps > limit {
+		vals, err = nil, ErrStepLimit
+	}
+	m.Counters.Instructions = steps
+	return vals, err
+}
+
+// straight runs fn from pc with registers r, charging steps as run does,
+// up to the first instruction it cannot run without a call: one that
+// calls, allocates or prints, a staged jump, a fault, or a transfer whose
+// charge would pass limit. It returns that instruction's pc and the run
+// state there; the instruction itself has not run.
+func (m *VM) straight(fn *Func, r []Value, pc, start int, steps, limit int64) (int, int, int64) {
+	code := fn.Code
+	for {
+		in := &code[pc]
 		switch in.Op {
 		case OpNop:
 		case OpConstI:
@@ -381,8 +590,7 @@ loop:
 			r[in.A] = Value{I: r[in.B].I * r[in.C].I}
 		case OpDivI:
 			if r[in.C].I == 0 {
-				err = fmt.Errorf("vm: %s: division by zero", fn.Name)
-				break loop
+				return pc, start, steps
 			}
 			if r[in.B].I == math.MinInt64 && r[in.C].I == -1 {
 				// Two's-complement wrap, matching the constant folder; the
@@ -393,8 +601,7 @@ loop:
 			}
 		case OpRemI:
 			if r[in.C].I == 0 {
-				err = fmt.Errorf("vm: %s: remainder by zero", fn.Name)
-				break loop
+				return pc, start, steps
 			}
 			if r[in.C].I == -1 {
 				r[in.A] = Value{I: 0}
@@ -420,8 +627,6 @@ loop:
 			r[in.A] = Value{F: r[in.B].F * r[in.C].F}
 		case OpDivF:
 			r[in.A] = Value{F: r[in.B].F / r[in.C].F}
-		case OpRemF:
-			r[in.A] = Value{F: math.Mod(r[in.B].F, r[in.C].F)}
 
 		case OpEqI:
 			r[in.A] = boolVal(r[in.B].I == r[in.C].I)
@@ -469,89 +674,37 @@ loop:
 			r[in.A] = Value{F: v}
 
 		case OpJmp:
-			pc = m.jump(fn, r, int(in.Imm), in.Args)
+			n := steps + int64(pc+1-start)
+			if n > limit || in.staged {
+				return pc, start, steps
+			}
+			steps = n
+			b := &fn.Blocks[in.Imm]
+			for i, a := range in.Args {
+				r[b.ParamRegs[i]] = r[a]
+			}
+			pc, start = b.Start, b.Start
 			continue
 
 		case OpBr:
+			n := steps + int64(pc+1-start)
+			if n > limit {
+				return pc, start, steps
+			}
+			steps = n
 			m.Counters.Branches++
 			if r[in.A].I != 0 {
 				pc = fn.Blocks[in.B].Start
 			} else {
 				pc = fn.Blocks[in.C].Start
 			}
+			start = pc
 			continue
-
-		case OpCall, OpTailCall:
-			tail := in.Op == OpTailCall
-			if tail {
-				m.Counters.TailCalls++
-			} else {
-				m.Counters.DirectCalls++
-			}
-			fn = m.prog.Funcs[in.Imm]
-			r = m.call(fn, r, in, nil, tail)
-			code, pc = fn.Code, 0
-			continue
-
-		case OpCallClosure, OpTailCallClosure:
-			clo, ok := r[in.B].Ref.(*Closure)
-			if !ok {
-				err = fmt.Errorf("vm: %s: call through non-closure", fn.Name)
-				break loop
-			}
-			tail := in.Op == OpTailCallClosure
-			m.Counters.IndirectCalls++
-			if tail {
-				m.Counters.TailCalls++
-			}
-			fn = m.prog.Funcs[clo.Fn]
-			r = m.call(fn, r, in, clo.Env, tail)
-			code, pc = fn.Code, 0
-			continue
-
-		case OpRet:
-			f := &m.frames[len(m.frames)-1]
-			if len(m.frames) == 1 || f.retBlock < 0 {
-				vals = results(r, in.Args)
-				break loop
-			}
-			if len(in.Args) != len(f.rets) {
-				err = fmt.Errorf("vm: %s returned %d values, caller expects %d",
-					fn.Name, len(in.Args), len(f.rets))
-				break loop
-			}
-			caller := &m.frames[len(m.frames)-2]
-			fn, code = caller.fn, caller.fn.Code
-			cr := m.regs[caller.base : caller.base+fn.NumRegs : caller.base+fn.NumRegs]
-			for i, reg := range f.rets {
-				cr[reg] = r[in.Args[i]]
-			}
-			pc = fn.Blocks[f.retBlock].Start
-			m.pop()
-			r = cr
-			continue
-
-		case OpClosureNew:
-			env := results(r, in.Args)
-			m.Counters.ClosureAllocs++
-			m.Counters.HeapWords += int64(len(env)) + 1
-			r[in.A] = Value{Ref: &Closure{Fn: int(in.Imm), Env: env}}
-
-		case OpArrayNew:
-			n := r[in.B].I
-			if n < 0 {
-				err = fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
-				break loop
-			}
-			m.Counters.ArrayAllocs++
-			m.Counters.HeapWords += n
-			r[in.A] = Value{Ref: &Array{Elems: make([]Value, n)}}
 
 		case OpArrayLen:
 			arr := baseArray(r[in.B])
 			if arr == nil {
-				err = fmt.Errorf("vm: %s: len of non-array", fn.Name)
-				break loop
+				return pc, start, steps
 			}
 			r[in.A] = Value{I: int64(len(arr.Elems))}
 
@@ -560,14 +713,9 @@ loop:
 			// above the guarding branch); bounds are checked at the access.
 			arr := baseArray(r[in.B])
 			if arr == nil {
-				err = fmt.Errorf("vm: %s: lea into non-array", fn.Name)
-				break loop
+				return pc, start, steps
 			}
 			r[in.A] = Value{I: r[in.C].I, Ref: elemRef(arr)}
-
-		case OpSlotNew:
-			m.Counters.HeapWords++
-			r[in.A] = Value{Ref: new(Value)}
 
 		case OpGlobalPtr:
 			r[in.A] = Value{Ref: &m.globals[in.Imm]}
@@ -575,8 +723,7 @@ loop:
 		case OpPtrLoad:
 			c := deref(r[in.B])
 			if c == nil {
-				err = derefError(fn, "load", r[in.B])
-				break loop
+				return pc, start, steps
 			}
 			m.Counters.Loads++
 			r[in.A] = *c
@@ -584,56 +731,23 @@ loop:
 		case OpPtrStore:
 			c := deref(r[in.A])
 			if c == nil {
-				err = derefError(fn, "store", r[in.A])
-				break loop
+				return pc, start, steps
 			}
 			m.Counters.Stores++
 			*c = r[in.B]
 
-		case OpTupleNew:
-			m.Counters.TupleAllocs++
-			m.Counters.HeapWords += int64(len(in.Args))
-			r[in.A] = Value{Ref: results(r, in.Args)}
-
 		case OpTupleGet:
 			tup, ok := r[in.B].Ref.([]Value)
-			if !ok {
-				err = fmt.Errorf("vm: %s: tuple.get on non-tuple", fn.Name)
-				break loop
+			if !ok || uint64(in.Imm) >= uint64(len(tup)) {
+				return pc, start, steps
 			}
 			r[in.A] = tup[in.Imm]
 
-		case OpTupleSet:
-			tup, ok := r[in.B].Ref.([]Value)
-			if !ok {
-				err = fmt.Errorf("vm: %s: tuple.set on non-tuple", fn.Name)
-				break loop
-			}
-			nv := make([]Value, len(tup))
-			copy(nv, tup)
-			nv[in.Imm] = r[in.C]
-			m.Counters.TupleAllocs++
-			r[in.A] = Value{Ref: nv}
-
-		case OpPrintI64:
-			fmt.Fprintf(m.out, "%d\n", r[in.A].I)
-		case OpPrintF64:
-			fmt.Fprintf(m.out, "%.9g\n", r[in.A].F)
-		case OpPrintChar:
-			fmt.Fprintf(m.out, "%c", rune(r[in.A].I))
-
-		case OpHalt:
-			vals = results(r, in.Args)
-			break loop
-
 		default:
-			err = fmt.Errorf("vm: %s: bad opcode %v", fn.Name, in.Op)
-			break loop
+			return pc, start, steps
 		}
 		pc++
 	}
-	m.Counters.Instructions = steps
-	return vals, err
 }
 
 // results copies the registers args of r into a new slice.
@@ -645,19 +759,16 @@ func results(r []Value, args []int) []Value {
 	return vals
 }
 
-// jump transfers control within the current frame, performing a parallel
-// copy of Args into the target block's param registers. It returns the
-// block's first pc.
-func (m *VM) jump(fn *Func, r []Value, block int, args []int) int {
-	b := &fn.Blocks[block]
+// stagedCopy is the parallel copy of a staged jump: it reads every
+// argument register of r before it writes any param register.
+func (m *VM) stagedCopy(r []Value, params, args []int) {
 	tmp := m.stage(len(args))
 	for i, a := range args {
 		tmp[i] = r[a]
 	}
-	for i, p := range b.ParamRegs {
+	for i, p := range params {
 		r[p] = tmp[i]
 	}
-	return b.Start
 }
 
 // stage returns m.tmp resliced to n values.

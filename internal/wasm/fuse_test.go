@@ -147,3 +147,43 @@ func TestBranchIntoSecondHalf(t *testing.T) {
 	}
 	checkEveryBudget(t, fused, unfused, 3, 4)
 }
+
+// TestNoHostCallPastFuel runs three host calls, the k-th one the 2k-th
+// instr of a body that costs 7, at every budget up to that cost. A call
+// is charged before it runs, so a budget of b makes exactly the calls at
+// instrs up to b, and only a budget of 7 or more succeeds.
+func TestNoHostCallPastFuel(t *testing.T) {
+	m := &Module{}
+	ti := m.AddType(FuncType{Params: []ValType{I64}})
+	fi := m.AddType(FuncType{})
+	m.Imports = append(m.Imports, Import{Module: "env", Name: "tick", TypeIdx: ti})
+	var code []byte
+	for k := byte(1); k <= 3; k++ {
+		code = append(code, OpI64Const, k, OpCall, 0)
+	}
+	m.Funcs = append(m.Funcs, Func{TypeIdx: fi, Code: append(code, OpEnd)})
+	m.Exports = append(m.Exports, Export{Name: "f", Kind: ExtFunc, Idx: 1})
+	var ticks []uint64
+	in, err := NewInstance(m, map[string]HostFunc{"env.tick": {
+		Type: FuncType{Params: []ValType{I64}},
+		Fn: func(args []uint64) ([]uint64, error) {
+			ticks = append(ticks, args[0])
+			return nil, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cost = 7
+	for budget := int64(0); budget <= cost; budget++ {
+		ticks = nil
+		in.Fuel = budget
+		_, err := in.Invoke("f")
+		if errors.Is(err, ErrFuel) != (budget < cost) {
+			t.Fatalf("budget %d of %d: got %v", budget, cost, err)
+		}
+		if want := min(int(budget/2), 3); len(ticks) != want {
+			t.Fatalf("budget %d made host calls %v, want %d", budget, ticks, want)
+		}
+	}
+}

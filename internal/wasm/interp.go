@@ -105,8 +105,12 @@ type Instance struct {
 	sigs    []int32
 	typeIDs []int32
 
-	// Fuel is the remaining instruction budget; execution returns ErrFuel
-	// when it runs out. NewInstance seeds an effectively unlimited budget.
+	// Fuel is the remaining instruction budget, one unit per instruction
+	// executed. It is charged once per straight-line run, at the control
+	// transfer, frame exit or trap that ends it (see run). An invocation
+	// costing C succeeds with a budget of C; a smaller budget returns
+	// ErrFuel at the first transfer past it and leaves Fuel negative.
+	// NewInstance seeds an effectively unlimited budget.
 	Fuel int64
 
 	// Execution state shared by all frames, reset by Invoke. Live values
@@ -274,32 +278,58 @@ func pushLabel(cs []rtCtrl, c rtCtrl) []rtCtrl {
 
 // branch transfers control to label depth d of the control stack cs,
 // moving the label's results down to its entry height. It returns the new
-// pc, stack pointer and control stack.
+// pc, stack pointer and control stack. The results move in a loop, not
+// with copy, which would call memmove from straight.
 func branch(st []uint64, sp int, cs []rtCtrl, d int) (int, int, []rtCtrl) {
 	e := &cs[len(cs)-1-d]
 	if e.isLoop {
 		return int(e.start), int(e.height), cs[:len(cs)-d]
 	}
-	ar := int(e.arity)
-	copy(st[e.height:], st[sp-ar:sp])
-	return int(e.cont), int(e.height) + ar, cs[:len(cs)-1-d]
+	h, ar := int(e.height), int(e.arity)
+	for i := range ar {
+		st[h+i] = st[sp-ar+i]
+	}
+	return int(e.cont), h + ar, cs[:len(cs)-1-d]
+}
+
+// frame is the dispatch state of one call: run keeps it on the Go stack,
+// and straight loads it into locals, advances it and stores it back.
+type frame struct {
+	code  []instr
+	st    []uint64 // the value stack, live below sp
+	loc   []uint64 // the call's locals
+	cs    []rtCtrl // the control stack; the call's labels sit above cb
+	cb    int
+	pc    int
+	start int // the pc at which the current straight-line run began
+	sp    int
+	fuel  int64
 }
 
 // run executes one call of body. Its arguments are the top values of the
 // value stack; on return its results replace them. The frame lives on the
 // Go stack: its locals are a slice of the shared locals arena and its
 // labels the part of the shared control stack above cb. The value stack
-// and control stack are held in local variables and written back to the
-// instance around calls and on return. So is the fuel, which is also
-// written back, with the stack pointer, when this frame traps or runs out.
+// and control stack are written back to the instance around calls and on
+// return. So is the fuel, which is also written back, with the stack
+// pointer, when this frame traps or runs out.
 //
-// The dispatch loop calls nothing on its hot paths but in.call: labels go
-// into a control stack sized on entry, and a trap only records its
-// message for the exit to build the error. A call the loop could return
-// from in many places would make the compiler save the loop's state on
-// every dispatch.
+// Fuel is charged once per straight-line run, the instructions from start
+// through pc, at the transfer that ends it: an if, an else, a br, a taken
+// br_if or a call. A run that a frame exit or a trap ends is charged on
+// exit. A charge past the budget stops before the transfer takes effect,
+// so no host function is called past it. Validation guarantees that every
+// body ends in an end, so no instruction needs a guard of its own.
+//
+// Every instruction that calls no Go function runs in straight. Go saves
+// no registers across a call, so a call anywhere in a dispatch loop makes
+// the compiler store the loop's state on every dispatch; straight calls
+// nothing and keeps it in registers. Labels go into a control stack sized
+// on entry, so a label push calls nothing either. This loop runs the
+// instructions straight leaves to it: calls, frame exits, traps, pushes
+// that must grow the value stack, memory.grow and budget stops. A trap
+// only records its message for the exit to build the error.
 func (in *Instance) run(body *fnBody) error {
-	code := body.code
 	st, sp := in.stack, in.sp
 	if sp < body.nParams {
 		return trapf("call underflow")
@@ -315,76 +345,23 @@ func (in *Instance) run(body *fnBody) error {
 	loc := in.locals[lb : lb+nl : lb+nl]
 	copy(loc, st[base:sp])
 	clear(loc[body.nParams:])
-	sp = base
 	cs := in.ctrl
 	cb := len(cs)
 	if cb+body.depth > cap(cs) {
 		cs = make([]rtCtrl, cb, max(2*cap(cs), cb+body.depth, 64))
 		copy(cs, in.ctrl)
 	}
-	pc := 0
-	fuel := in.Fuel
-	var err error
+	f := frame{code: body.code, st: st, loc: loc, cs: cs, cb: cb, sp: base, fuel: in.Fuel}
 	var trap string
 loop:
-	for pc < len(code) {
-		if fuel <= 0 {
-			err = ErrFuel
-			break
-		}
-		fuel--
-		ins := &code[pc]
-		pc++
+	for {
+		in.straight(&f)
+		ins := &f.code[f.pc]
 		switch ins.op {
-		case OpUnreachable:
-			trap = "unreachable executed"
-			break loop
-		case OpNop:
-		case OpBlock:
-			cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
-		case OpLoop:
-			cs = pushLabel(cs, rtCtrl{
-				isLoop: true, start: int32(pc), cont: ins.x + 1,
-				arity: int8(ins.imm), height: int32(sp),
-			})
-		case OpIf:
-			sp--
-			if uint32(st[sp]) != 0 {
-				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
-			} else if ins.y >= 0 {
-				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
-				pc = int(ins.y) + 1
-			} else {
-				pc = int(ins.x) + 1
-			}
-		case OpElse:
-			// True arm finished: jump to the matching end, which pops.
-			pc = int(ins.x)
-		case OpEnd:
-			if len(cs) == cb {
-				break loop
-			}
-			cs = cs[:len(cs)-1]
-		case OpBr:
-			if int(ins.imm) >= len(cs)-cb {
-				break loop
-			}
-			pc, sp, cs = branch(st, sp, cs, int(ins.imm))
-		case OpBrIf:
-			sp--
-			if uint32(st[sp]) != 0 {
-				if int(ins.imm) >= len(cs)-cb {
-					break loop
-				}
-				pc, sp, cs = branch(st, sp, cs, int(ins.imm))
-			}
-		case OpReturn:
-			break loop
 		case OpCall, OpCallIndirect:
 			fi := int(ins.imm)
 			if ins.op == OpCallIndirect {
-				sp--
-				idx := uint32(st[sp])
+				idx := uint32(f.st[f.sp-1])
 				if int(idx) >= len(in.table) {
 					trap = "undefined element"
 					break loop
@@ -398,16 +375,164 @@ loop:
 					trap = "indirect call type mismatch"
 					break loop
 				}
+				f.sp--
 				fi = int(target)
 			}
-			in.sp, in.ctrl, in.Fuel = sp, cs, fuel
+			if f.fuel -= int64(f.pc + 1 - f.start); f.fuel < 0 {
+				break loop
+			}
+			in.sp, in.ctrl, in.Fuel = f.sp, f.cs, f.fuel
 			if e := in.call(fi); e != nil {
 				// The callee left the state where it stopped.
 				return e
 			}
 			// The callee may have grown any of the shared stacks.
-			st, sp, cs, fuel = in.stack, in.sp, in.ctrl, in.Fuel
-			loc = in.locals[lb : lb+nl : lb+nl]
+			f.st, f.sp, f.cs, f.fuel = in.stack, in.sp, in.ctrl, in.Fuel
+			f.loc = in.locals[lb : lb+nl : lb+nl]
+			f.pc++
+			f.start = f.pc
+		case OpEnd, OpReturn:
+			// straight leaves an end only at the frame's own.
+			break loop
+		case OpBr, OpBrIf:
+			// straight leaves a br_if only when it is taken, and either
+			// branch only out of the frame or past the budget.
+			if ins.op == OpBrIf {
+				f.sp--
+			}
+			if int(ins.imm) < len(f.cs)-f.cb {
+				f.fuel -= int64(f.pc + 1 - f.start)
+			}
+			break loop
+		case OpIf, OpElse:
+			// straight leaves these only past the budget.
+			f.fuel -= int64(f.pc + 1 - f.start)
+			break loop
+		case OpLocalGet, OpGlobalGet, OpMemSize, OpI32Const, OpI64Const, OpF64Const,
+			opLocalGetLocalGet, opLocalGetI64Const:
+			// The value stack is full: grow it and rerun the instr.
+			f.st = in.grow(f.sp, 2)
+		case OpMemGrow:
+			delta := uint32(f.st[f.sp-1])
+			cur := len(in.mem) / PageSize
+			limit := 1 << 16
+			if in.m.MemMax > 0 {
+				limit = in.m.MemMax
+			}
+			if int(delta) > limit-cur {
+				f.st[f.sp-1] = uint64(uint32(0xFFFFFFFF))
+			} else {
+				in.mem = append(in.mem, make([]byte, int(delta)*PageSize)...)
+				f.st[f.sp-1] = uint64(uint32(cur))
+			}
+			f.pc++
+		case OpUnreachable:
+			trap = "unreachable executed"
+			break loop
+		case OpI32Load, OpI64Load, OpF64Load, OpI32Store, OpI64Store, OpF64Store:
+			trap = "out of bounds memory access"
+			break loop
+		case OpI64DivS, OpI64DivU, OpI64RemS, OpI64RemU:
+			trap = "integer divide by zero"
+			if f.st[f.sp-1] != 0 {
+				trap = "integer overflow"
+			}
+			break loop
+		default:
+			trap = fmt.Sprintf("unimplemented opcode 0x%02x", ins.op)
+			break loop
+		}
+	}
+	if f.fuel >= 0 {
+		// The run a frame exit or a trap ends.
+		f.fuel -= int64(f.pc + 1 - f.start)
+	}
+	in.Fuel = f.fuel
+	if f.fuel < 0 {
+		in.sp = f.sp
+		return ErrFuel
+	}
+	if trap != "" {
+		in.sp = f.sp
+		return &Trap{Msg: trap}
+	}
+	ar := body.nResults
+	copy(f.st[base:], f.st[f.sp-ar:f.sp])
+	in.sp, in.ctrl, in.nlocals = base+ar, f.cs[:cb], lb
+	return nil
+}
+
+// straight runs f from f.pc, charging fuel as run does, up to the first
+// instr it cannot run without a call or a check of run's: a call, a frame
+// exit, a trap, a push onto a full value stack, memory.grow, or a
+// transfer whose charge would pass the budget. It leaves f.pc at that
+// instr, which has not run, with the value stack as the instr found it.
+func (in *Instance) straight(f *frame) {
+	code, st, loc, cs, cb := f.code, f.st, f.loc, f.cs, f.cb
+	pc, start, sp, fuel := f.pc, f.start, f.sp, f.fuel
+loop:
+	for {
+		ins := &code[pc]
+		pc++
+		switch ins.op {
+		case OpNop:
+		case OpBlock:
+			cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+		case OpLoop:
+			cs = pushLabel(cs, rtCtrl{
+				isLoop: true, start: int32(pc), cont: ins.x + 1,
+				arity: int8(ins.imm), height: int32(sp),
+			})
+		case OpIf:
+			n := fuel - int64(pc-start)
+			if n < 0 {
+				break loop
+			}
+			fuel = n
+			sp--
+			if uint32(st[sp]) != 0 {
+				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+			} else if ins.y >= 0 {
+				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
+				pc = int(ins.y) + 1
+			} else {
+				pc = int(ins.x) + 1
+			}
+			start = pc
+		case OpElse:
+			// True arm finished: jump to the matching end, which pops.
+			n := fuel - int64(pc-start)
+			if n < 0 {
+				break loop
+			}
+			fuel = n
+			pc = int(ins.x)
+			start = pc
+		case OpEnd:
+			if len(cs) == cb {
+				break loop
+			}
+			cs = cs[:len(cs)-1]
+		case OpBr:
+			n := fuel - int64(pc-start)
+			if int(ins.imm) >= len(cs)-cb || n < 0 {
+				break loop
+			}
+			fuel = n
+			pc, sp, cs = branch(st, sp, cs, int(ins.imm))
+			start = pc
+		case OpBrIf:
+			if uint32(st[sp-1]) == 0 {
+				sp--
+				break
+			}
+			n := fuel - int64(pc-start)
+			if int(ins.imm) >= len(cs)-cb || n < 0 {
+				break loop
+			}
+			fuel = n
+			pc, sp, cs = branch(st, sp-1, cs, int(ins.imm))
+			start = pc
 		case OpDrop:
 			sp--
 		case OpSelect:
@@ -417,7 +542,7 @@ loop:
 			}
 		case OpLocalGet:
 			if sp == len(st) {
-				st = in.grow(sp, 1)
+				break loop
 			}
 			st[sp] = loc[ins.imm]
 			sp++
@@ -428,7 +553,7 @@ loop:
 			loc[ins.imm] = st[sp-1]
 		case OpGlobalGet:
 			if sp == len(st) {
-				st = in.grow(sp, 1)
+				break loop
 			}
 			st[sp] = in.globals[ins.imm]
 			sp++
@@ -438,117 +563,72 @@ loop:
 		case OpI32Load:
 			a, ok := in.effAddr(st[sp-1], ins, 4)
 			if !ok {
-				trap = "out of bounds memory access"
 				break loop
 			}
 			st[sp-1] = uint64(binary.LittleEndian.Uint32(in.mem[a:]))
 		case OpI64Load, OpF64Load:
 			a, ok := in.effAddr(st[sp-1], ins, 8)
 			if !ok {
-				trap = "out of bounds memory access"
 				break loop
 			}
 			st[sp-1] = binary.LittleEndian.Uint64(in.mem[a:])
 		case OpI32Store:
-			sp -= 2
-			a, ok := in.effAddr(st[sp], ins, 4)
+			a, ok := in.effAddr(st[sp-2], ins, 4)
 			if !ok {
-				trap = "out of bounds memory access"
 				break loop
 			}
+			sp -= 2
 			binary.LittleEndian.PutUint32(in.mem[a:], uint32(st[sp+1]))
 		case OpI64Store, OpF64Store:
-			sp -= 2
-			a, ok := in.effAddr(st[sp], ins, 8)
+			a, ok := in.effAddr(st[sp-2], ins, 8)
 			if !ok {
-				trap = "out of bounds memory access"
 				break loop
 			}
+			sp -= 2
 			binary.LittleEndian.PutUint64(in.mem[a:], st[sp+1])
 		case OpMemSize:
 			if sp == len(st) {
-				st = in.grow(sp, 1)
+				break loop
 			}
 			st[sp] = uint64(len(in.mem) / PageSize)
 			sp++
-		case OpMemGrow:
-			delta := uint32(st[sp-1])
-			cur := len(in.mem) / PageSize
-			limit := 1 << 16
-			if in.m.MemMax > 0 {
-				limit = in.m.MemMax
-			}
-			if int(delta) > limit-cur {
-				st[sp-1] = uint64(uint32(0xFFFFFFFF))
-			} else {
-				in.mem = append(in.mem, make([]byte, int(delta)*PageSize)...)
-				st[sp-1] = uint64(uint32(cur))
-			}
-		case OpI32Const, OpI64Const, OpF64Const:
-			// readInstr left i32 constants sign-extended in imm.
-			v := uint64(ins.imm)
-			if ins.op == OpI32Const {
-				v = uint64(uint32(ins.imm))
-			}
+		case OpI32Const:
 			if sp == len(st) {
-				st = in.grow(sp, 1)
-			}
-			st[sp] = v
-			sp++
-
-		// A fused instr runs its first half, charged by the loop header,
-		// then charges and runs the second half, which is the next instr.
-		// Running out of fuel between the halves stops before the second,
-		// as it would unfused.
-		case opLocalGetLocalGet:
-			if sp+2 > len(st) {
-				st = in.grow(sp, 2)
-			}
-			st[sp] = loc[ins.imm]
-			sp++
-			if fuel <= 0 {
-				err = ErrFuel
 				break loop
 			}
-			fuel--
-			st[sp] = loc[code[pc].imm]
+			// readInstr left i32 constants sign-extended in imm.
+			st[sp] = uint64(uint32(ins.imm))
 			sp++
+		case OpI64Const, OpF64Const:
+			if sp == len(st) {
+				break loop
+			}
+			st[sp] = uint64(ins.imm)
+			sp++
+
+		// A fused instr runs both halves and steps pc past the second,
+		// which is the next instr, so the run that holds it counts both.
+		case opLocalGetLocalGet:
+			if sp+2 > len(st) {
+				break loop
+			}
+			st[sp] = loc[ins.imm]
+			st[sp+1] = loc[code[pc].imm]
+			sp += 2
 			pc++
 		case opLocalGetI64Const:
 			if sp+2 > len(st) {
-				st = in.grow(sp, 2)
-			}
-			st[sp] = loc[ins.imm]
-			sp++
-			if fuel <= 0 {
-				err = ErrFuel
 				break loop
 			}
-			fuel--
-			st[sp] = uint64(code[pc].imm)
-			sp++
+			st[sp] = loc[ins.imm]
+			st[sp+1] = uint64(code[pc].imm)
+			sp += 2
 			pc++
 		case opLocalSetLocalGet:
 			loc[ins.imm] = st[sp-1]
-			if fuel <= 0 {
-				sp--
-				err = ErrFuel
-				break loop
-			}
-			fuel--
 			st[sp-1] = loc[code[pc].imm]
 			pc++
 		case opI64ConstI64Add:
-			if fuel <= 0 {
-				if sp == len(st) {
-					st = in.grow(sp, 1)
-				}
-				st[sp] = uint64(ins.imm)
-				sp++
-				err = ErrFuel
-				break loop
-			}
-			fuel--
 			st[sp-1] += uint64(ins.imm)
 			pc++
 
@@ -632,42 +712,34 @@ loop:
 			sp--
 			st[sp-1] *= st[sp]
 		case OpI64DivS:
+			b, c := int64(st[sp-2]), int64(st[sp-1])
+			if c == 0 || b == math.MinInt64 && c == -1 {
+				break loop
+			}
 			sp--
-			b, c := int64(st[sp-1]), int64(st[sp])
-			if c == 0 {
-				trap = "integer divide by zero"
-				break loop
-			}
-			if b == math.MinInt64 && c == -1 {
-				trap = "integer overflow"
-				break loop
-			}
 			st[sp-1] = uint64(b / c)
 		case OpI64DivU:
-			sp--
-			if st[sp] == 0 {
-				trap = "integer divide by zero"
+			if st[sp-1] == 0 {
 				break loop
 			}
+			sp--
 			st[sp-1] /= st[sp]
 		case OpI64RemS:
-			sp--
-			b, c := int64(st[sp-1]), int64(st[sp])
+			b, c := int64(st[sp-2]), int64(st[sp-1])
 			if c == 0 {
-				trap = "integer divide by zero"
 				break loop
 			}
+			sp--
 			if c == -1 {
 				st[sp-1] = 0
 			} else {
 				st[sp-1] = uint64(b % c)
 			}
 		case OpI64RemU:
-			sp--
-			if st[sp] == 0 {
-				trap = "integer divide by zero"
+			if st[sp-1] == 0 {
 				break loop
 			}
+			sp--
 			st[sp-1] %= st[sp]
 		case OpI64And:
 			sp--
@@ -720,22 +792,11 @@ loop:
 		case OpI64ReinterpretF64, OpF64ReinterpretI64:
 			// Bit pattern is the representation: no-op.
 		default:
-			err = trapf("unimplemented opcode 0x%02x", ins.op)
+			// Unreachable, return, calls, memory.grow and any unknown op.
 			break loop
 		}
 	}
-	in.Fuel = fuel
-	if trap != "" {
-		err = &Trap{Msg: trap}
-	}
-	if err != nil {
-		in.sp = sp
-		return err
-	}
-	ar := body.nResults
-	copy(st[base:], st[sp-ar:sp])
-	in.sp, in.ctrl, in.nlocals = base+ar, cs[:cb], lb
-	return nil
+	f.pc, f.start, f.sp, f.fuel, f.cs = pc-1, start, sp, fuel, cs
 }
 
 // effAddr returns the address of a size-byte access at base plus ins's
