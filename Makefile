@@ -48,15 +48,22 @@ modules:
 # wasm is the WebAssembly backend gate: every example differentially
 # executed against the VM at -O0/-O2 × jobs 1/4 plus multi-module linking
 # under both targets, the crasher corpus replayed through the wasm arms of
-# diffArms (TestCrashers), explicit module validation, ExecWasm refusing
+# diffArms (TestCrashers), explicit module validation, driver.Exec refusing
 # modules that do not validate, and a CLI round trip through -target=wasm,
 # plus the VM and wasm engine tests (zeroed frames, allocation-free calls,
 # reset after a trap, every invalid module refused by Validate and
-# NewInstance alike).
+# NewInstance alike). Last, thorinc -run of an array of 2^62 elements on
+# both targets must fail with "out of memory", never with a Go panic.
 wasm:
 	$(GO) test -run 'TestWasm|TestCrashers' -count=1 ./internal/driver
 	$(GO) test -count=1 ./internal/wasm ./internal/vm
 	$(GO) run ./cmd/thorinc -target=wasm -run examples/fib.imp 10 | grep -qx 'result: 55'
+	for t in vm wasm; do \
+		out="$$($(GO) run ./cmd/thorinc -target=$$t -run cmd/thorinc/testdata/hugearray.imp 4611686018427387904 2>&1)"; \
+		if ! echo "$$out" | grep -q 'out of memory' || echo "$$out" | grep -q 'panic:'; then \
+			echo "$$out"; exit 1; \
+		fi; \
+	done
 
 # fuzz-smoke gives the integer-fold fuzzer (seeded with the signed-overflow
 # and division edge cases), the textual-IR parser fuzzer (seeded with a
@@ -64,7 +71,8 @@ wasm:
 # each; they fail fast on a fold panic, a parser panic, a dump that does
 # not parse back to a fixed point, or a VM program that passes validation
 # yet panics, miscounts its step budget or runs differently with every
-# jump's copy staged.
+# jump's copy staged. The VM fuzzer's array.new sizes are small (below
+# 2^12) or above vm.MaxArrayLen, which must fail with out of memory.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFoldArith -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorld -fuzztime=10s ./internal/ir

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/bench"
 	"thorin/internal/driver"
 	"thorin/internal/impala"
@@ -53,7 +54,7 @@ func compileArm(b *testing.B, src string, p bench.Pipeline) *vm.Program {
 // execArm runs a compiled program once and returns the counters.
 func execArm(b *testing.B, prog *vm.Program, n int64) vm.Counters {
 	b.Helper()
-	_, c, err := driver.ExecSteps(prog, nil, 0, n)
+	_, c, err := driver.Exec(backend.VM, prog, nil, nil, 0, n)
 	if err != nil {
 		b.Fatal(err)
 	}

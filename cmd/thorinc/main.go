@@ -10,6 +10,10 @@
 // separate compilation: every module is compiled into its own world and
 // the set is linked (-link picks trampoline or mangle resolution).
 //
+// -run executes main on either target under one budget of 4e9 VM
+// instructions or wasm fuel units (the VM run used to be unbounded); an
+// array of more than 2^27 elements fails with "out of memory".
+//
 // Examples:
 //
 //	thorinc -run examples/fib.imp 30
@@ -86,7 +90,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	fs.IntVar(&f.jobs, "jobs", runtime.GOMAXPROCS(0), "worker count for the parallel analysis phase of scope-level passes (output is identical at every value)")
 	fs.StringVar(&f.incremental, "incremental", "on", "journal-driven incremental re-running: on | off (output is identical either way; off re-runs every pass)")
 	fs.StringVar(&f.link, "link", "trampoline", "cross-module resolution for multi-module compiles: trampoline (forwarding stubs) | mangle (whole-program specialization across module boundaries)")
-	fs.BoolVar(&f.run, "run", false, "execute main with the trailing integer arguments")
+	fs.BoolVar(&f.run, "run", false, "execute main with the trailing integer arguments (at most 4e9 VM instructions or wasm fuel units)")
 	fs.BoolVar(&f.stats, "stats", false, "print compilation and execution statistics")
 	fs.StringVar(&f.schedule, "schedule", "smart", "primop schedule: early | late | smart")
 	fs.StringVar(&f.budget, "budget", "", "compilation budget, e.g. \"iters=8,nodes=200000\" (either key or both)")
@@ -408,28 +412,12 @@ func runProgram(target backend.Target, prog *vm.Program, mod []byte, args []int6
 	if !run {
 		return
 	}
-	if target == backend.Wasm {
-		res, err := driver.ExecWasm(mod, os.Stdout, 0, args...)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("result: %d\n", res)
-		return
-	}
-	m := vm.New(prog, os.Stdout)
-	vals := make([]vm.Value, len(args))
-	for i, a := range args {
-		vals[i] = vm.Value{I: a}
-	}
-	res, err := m.Run(vals...)
+	res, c, err := driver.Exec(target, prog, mod, os.Stdout, 0, args...)
 	if err != nil {
 		fatal(err)
 	}
-	for _, v := range res {
-		fmt.Printf("result: %d\n", v.I)
-	}
-	if stats {
-		c := m.Counters
+	fmt.Printf("result: %d\n", res)
+	if stats && target == backend.VM {
 		fmt.Fprintf(os.Stderr,
 			"vm: %d instructions, %d direct calls, %d indirect calls, %d closures allocated, %d loads, %d stores\n",
 			c.Instructions, c.DirectCalls, c.IndirectCalls, c.ClosureAllocs, c.Loads, c.Stores)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/driver"
 	"thorin/internal/transform"
 )
@@ -48,7 +49,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		got, c, err := driver.ExecSteps(res.Program, nil, 0, n)
+		got, c, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, n)
 		if err != nil {
 			panic(err)
 		}
@@ -58,7 +59,11 @@ func main() {
 	run("thorin -O2 (mangled)", transform.O2)
 	run("thorin -O0 (closures)", transform.O0)
 
-	got, c, err := driver.RunSSA(src, nil, n)
+	prog, _, err := driver.CompileSSA(src)
+	if err != nil {
+		panic(err)
+	}
+	got, c, err := driver.Exec(backend.VM, prog, nil, nil, 0, n)
 	if err != nil {
 		panic(err)
 	}

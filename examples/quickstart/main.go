@@ -15,7 +15,9 @@ import (
 	"os"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	vmbackend "thorin/internal/backend/vm"
+	"thorin/internal/driver"
 	"thorin/internal/ir"
 	"thorin/internal/transform"
 	"thorin/internal/vm"
@@ -65,11 +67,10 @@ func main() {
 	fmt.Println("=== bytecode ===")
 	vm.Disassemble(os.Stdout, prog)
 
-	m := vm.New(prog, os.Stdout)
-	res, err := m.Run(vm.Value{I: 21})
+	res, c, err := driver.Exec(backend.VM, prog, nil, os.Stdout, 0, 21)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("main(21) = %d  (indirect calls at runtime: %d)\n",
-		res[0].I, m.Counters.IndirectCalls)
+		res, c.IndirectCalls)
 }

@@ -107,7 +107,7 @@ func render(spec string, out io.Writer, width int64) (int64, vm.Counters) {
 	if err != nil {
 		panic(err)
 	}
-	got, c, err := driver.ExecSteps(res.Program, out, 0, width)
+	got, c, err := driver.Exec(res.Target, res.Program, res.Wasm, out, 0, width)
 	if err != nil {
 		panic(err)
 	}

@@ -36,6 +36,7 @@ import (
 	"thorin/internal/backend"
 	"thorin/internal/backend/lower"
 	"thorin/internal/ir"
+	"thorin/internal/vm"
 	"thorin/internal/wasm"
 )
 
@@ -430,13 +431,19 @@ func helperFuncs(m *wasm.Module) []wasm.Func {
 	a = append(a, wasm.OpLocalGet, 1, wasm.OpEnd)
 	alloc := wasm.Func{TypeIdx: sig11, Locals: []wasm.ValType{i64, i64}, Code: a}
 
-	// $array_new(n) -> addr: trap on negative size, [len][zeroed elems].
+	// $array_new(n) -> addr: [len][zeroed elems]. One unsigned compare
+	// catches a negative size and one above vm.MaxArrayLen, so n*8+8
+	// cannot wrap; the trap arm tells the two apart.
 	var an []byte
 	an = append(an, wasm.OpLocalGet, 0)
-	an = sleb(append(an, wasm.OpI64Const), 0)
-	an = append(an, wasm.OpI64LtS)
+	an = sleb(append(an, wasm.OpI64Const), vm.MaxArrayLen)
+	an = append(an, wasm.OpI64GtU)
 	an = append(an, wasm.OpIf, wasm.BlockEmpty)
 	an = sleb(append(an, wasm.OpI64Const), TrapNegSize)
+	an = sleb(append(an, wasm.OpI64Const), TrapOOM)
+	an = append(an, wasm.OpLocalGet, 0)
+	an = sleb(append(an, wasm.OpI64Const), 0)
+	an = append(an, wasm.OpI64LtS, wasm.OpSelect)
 	an = uleb(append(an, wasm.OpCall), impTrap)
 	an = append(an, wasm.OpUnreachable, wasm.OpEnd)
 	an = append(an, wasm.OpLocalGet, 0)

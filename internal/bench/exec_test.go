@@ -52,13 +52,7 @@ func benchExec(b *testing.B, target backend.Target) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range runs {
-			var err error
-			if target == backend.VM {
-				_, _, err = driver.ExecSteps(r.res.Program, nil, 0, r.n)
-			} else {
-				_, err = driver.ExecWasm(r.res.Wasm, nil, 0, r.n)
-			}
-			if err != nil {
+			if _, _, err := driver.Exec(r.res.Target, r.res.Program, r.res.Wasm, nil, 0, r.n); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,7 +71,7 @@ func TestVMAddressingAllocatesNothing(t *testing.T) {
 	}
 	run := func(n int64) (allocs float64, loads int64) {
 		allocs = testing.AllocsPerRun(3, func() {
-			_, ctr, err := driver.ExecSteps(res.Program, nil, 0, n)
+			_, ctr, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, n)
 			if err != nil {
 				t.Fatal(err)
 			}

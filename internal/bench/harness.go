@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/driver"
 	"thorin/internal/pm"
 	"thorin/internal/transform"
@@ -93,7 +94,7 @@ func Run(src string, p Pipeline, n int64) (RunResult, error) {
 			out.SSAPhis += f.NumPhis()
 			out.SSAInstrs += f.NumInstrs()
 		}
-		out.Checksum, out.Counters, err = driver.ExecSteps(prog, nil, 0, n)
+		out.Checksum, out.Counters, err = driver.Exec(backend.VM, prog, nil, nil, 0, n)
 		return out, err
 	default:
 		res, err := driver.CompileSpec(src, p.Spec(), analysis.ScheduleSmart, driver.Config{})
@@ -104,7 +105,7 @@ func Run(src string, p Pipeline, n int64) (RunResult, error) {
 		out.IR = res.IRStats
 		out.Report = res.Report
 		out.Mem2RegPhis = res.Stats.Mem2Reg.PhiParams
-		out.Checksum, out.Counters, err = driver.ExecSteps(res.Program, nil, 0, n)
+		out.Checksum, out.Counters, err = driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, n)
 		return out, err
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"thorin/internal/analysis"
 	"thorin/internal/backend"
-	wasmbackend "thorin/internal/backend/wasm"
 	"thorin/internal/driver"
 	"thorin/internal/impala"
 	"thorin/internal/transform"
@@ -22,9 +21,11 @@ var limitN = map[string]int64{
 }
 
 // TestEngineLimitsAreExact pins the VM step limit and the wasm fuel budget
-// to one unit per instruction, checked before the instruction runs: a
-// budget of exactly the counted cost C succeeds with the reference
-// interpreter's result, and C-1 runs out.
+// to one unit per instruction: a budget of exactly the counted cost C
+// succeeds with the reference interpreter's result, and C-1 runs out.
+// Both engines charge the budget once per straight-line run, so a run
+// that runs out may have executed past C-1 instructions; only this
+// boundary is exact.
 func TestEngineLimitsAreExact(t *testing.T) {
 	two := 2
 	spec, err := (&driver.Request{Opt: &two}).ResolvedSpec()
@@ -47,25 +48,21 @@ func TestEngineLimitsAreExact(t *testing.T) {
 					return res
 				}
 
-				prog := compile(backend.VM).Program
-				_, ctr, err := driver.ExecSteps(prog, nil, 0, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := ctr.Instructions
-				if got, _, err := driver.ExecSteps(prog, nil, c, n); err != nil || got != want {
+				r := compile(backend.VM)
+				c := spent(t, r, n)
+				if got, _, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, c, n); err != nil || got != want {
 					t.Errorf("vm with %d steps = %d, %v; want %d", c, got, err, want)
 				}
-				if _, _, err := driver.ExecSteps(prog, nil, c-1, n); !errors.Is(err, vm.ErrStepLimit) {
+				if _, _, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, c-1, n); !errors.Is(err, vm.ErrStepLimit) {
 					t.Errorf("vm with %d steps: got %v, want %v", c-1, err, vm.ErrStepLimit)
 				}
 
-				mod := compile(backend.Wasm).Wasm
-				c = fuelSpent(t, mod, n)
-				if got, err := driver.ExecWasm(mod, nil, c, n); err != nil || got != want {
+				r = compile(backend.Wasm)
+				c = spent(t, r, n)
+				if got, _, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, c, n); err != nil || got != want {
 					t.Errorf("wasm with %d fuel = %d, %v; want %d", c, got, err, want)
 				}
-				if _, err := driver.ExecWasm(mod, nil, c-1, n); !errors.Is(err, wasm.ErrFuel) {
+				if _, _, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, c-1, n); !errors.Is(err, wasm.ErrFuel) {
 					t.Errorf("wasm with %d fuel: got %v, want %v", c-1, err, wasm.ErrFuel)
 				}
 			})
@@ -109,16 +106,17 @@ func TestBackendCountsAreExact(t *testing.T) {
 			}
 			return res
 		}
-		vmGot, ctr, err := driver.ExecSteps(compile(backend.VM).Program, nil, 0, w.n)
+		r := compile(backend.VM)
+		vmGot, ctr, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, 0, w.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod := compile(backend.Wasm).Wasm
-		fuel := fuelSpent(t, mod, w.n)
-		wasmGot, err := driver.ExecWasm(mod, nil, fuel, w.n)
+		r = compile(backend.Wasm)
+		wasmGot, wctr, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, 0, w.n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fuel := wctr.Instructions
 		if vmGot != wasmGot {
 			t.Errorf("%s(%d): vm = %d, wasm = %d", p.Name, w.n, vmGot, wasmGot)
 		}
@@ -150,21 +148,13 @@ func interpret(t *testing.T, src string, n int64) int64 {
 	return v.I
 }
 
-// fuelSpent runs mod's main(n) and returns the fuel it spent.
-func fuelSpent(t *testing.T, mod []byte, n int64) int64 {
+// spent runs r's main(n) under the default budget and returns the
+// steps or fuel it cost.
+func spent(t *testing.T, r *driver.Result, n int64) int64 {
 	t.Helper()
-	m, err := wasm.Decode(mod)
+	_, ctr, err := driver.Exec(r.Target, r.Program, r.Wasm, nil, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := wasm.NewInstance(m, wasmbackend.Host(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 1 << 40
-	inst.Fuel = budget
-	if _, err := inst.Invoke("main", uint64(n)); err != nil {
-		t.Fatal(err)
-	}
-	return budget - inst.Fuel
+	return ctr.Instructions
 }

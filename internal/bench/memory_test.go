@@ -104,7 +104,7 @@ func runMemoryArm(t *testing.T, src, spec string) memoryArm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ctr, err := driver.ExecSteps(res.Program, io.Discard, 0, 3)
+	got, ctr, err := driver.Exec(res.Target, res.Program, res.Wasm, io.Discard, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,7 +343,7 @@ func AblationSchedule(w io.Writer, sizes Sizes) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
-			_, c, err := driver.ExecSteps(res.Program, nil, 0, n)
+			_, c, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, n)
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
@@ -372,7 +372,7 @@ func AblationMem2Reg(w io.Writer, sizes Sizes) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
-			_, c, err := driver.ExecSteps(res.Program, nil, 0, n)
+			_, c, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, n)
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}

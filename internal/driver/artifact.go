@@ -23,7 +23,7 @@ type Artifact struct {
 	Version string `json:"version"`
 	// Target names the backend the payload was compiled for ("vm" or
 	// "wasm"); it decides which payload field is set.
-	Target string `json:"target"`
+	Target backend.Target `json:"target"`
 	// Spec is the resolved pipeline spec the program was compiled with.
 	Spec string `json:"spec"`
 	// Schedule is the canonical primop schedule name ("early", "late",
@@ -46,7 +46,7 @@ type Artifact struct {
 func NewArtifact(res *Result, spec, schedule string) *Artifact {
 	return &Artifact{
 		Version:      Version,
-		Target:       string(res.Target),
+		Target:       res.Target,
 		Spec:         spec,
 		Schedule:     schedule,
 		Degraded:     res.Degraded,
@@ -61,7 +61,7 @@ func NewArtifact(res *Result, spec, schedule string) *Artifact {
 // present: a vm artifact carries a program, a wasm artifact a module, and
 // never both.
 func (a *Artifact) checkPayload() error {
-	switch backend.Target(a.Target) {
+	switch a.Target {
 	case backend.VM:
 		if a.Program == nil {
 			return fmt.Errorf("driver: vm artifact has no program")

@@ -18,7 +18,7 @@ fn main(n: i64) -> i64 {
 	call(outer, n)
 }`
 	want := int64(14)
-	got, _, err := RunSSA(src, nil, 7)
+	got, _, err := runSSA(src, nil, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/transform"
 	"thorin/internal/vm"
 )
@@ -28,7 +29,17 @@ func runConfig(src, spec string, cfg Config, out io.Writer, args ...int64) (int6
 	if err != nil {
 		return 0, vm.Counters{}, err
 	}
-	return ExecSteps(res.Program, out, 0, args...)
+	return Exec(res.Target, res.Program, res.Wasm, out, 0, args...)
+}
+
+// runSSA compiles src through the SSA baseline and runs main on the VM
+// under the default step budget.
+func runSSA(src string, out io.Writer, args ...int64) (int64, vm.Counters, error) {
+	prog, _, err := CompileSSA(src)
+	if err != nil {
+		return 0, vm.Counters{}, err
+	}
+	return Exec(backend.VM, prog, nil, out, 0, args...)
 }
 
 // differentialPrograms exercise every language feature; all three pipelines
@@ -174,7 +185,7 @@ func TestDifferentialPipelines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("thorin-noopt: %v", err)
 			}
-			gotSSA, _, err := RunSSA(tc.src, &outSSA, tc.args...)
+			gotSSA, _, err := runSSA(tc.src, &outSSA, tc.args...)
 			if err != nil {
 				t.Fatalf("ssa: %v", err)
 			}
@@ -216,7 +227,7 @@ fn main(n: i64) -> i64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cSSA, err := RunSSA(src, nil, n)
+	_, cSSA, err := runSSA(src, nil, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +268,7 @@ fn main(n: i64) -> i64 {
 	}{
 		{"thorin-opt", func() (int64, error) { v, _, err := runVerified(src, transform.O2, nil, 7); return v, err }},
 		{"thorin-noopt", func() (int64, error) { v, _, err := runVerified(src, transform.O0, nil, 7); return v, err }},
-		{"ssa", func() (int64, error) { v, _, err := RunSSA(src, nil, 7); return v, err }},
+		{"ssa", func() (int64, error) { v, _, err := runSSA(src, nil, 7); return v, err }},
 	} {
 		got, err := arm.run()
 		if err != nil {
@@ -279,7 +290,7 @@ fn main(n: i64) -> i64 {
 	acc
 }`
 	runBoth(t, src, 100+45, 10)
-	got, _, err := RunSSA(src, nil, 10)
+	got, _, err := runSSA(src, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,16 +275,19 @@ func runPipeline(w *ir.World, spec string, cfg Config) (*pm.Context, *pm.Report,
 	return ctx, rep, nil
 }
 
-// compileFrontend runs the Impala frontend under panic containment:
+// compileFrontend runs the Impala frontend under panic containment.
+func compileFrontend(src string) (w *ir.World, err error) {
+	defer containFrontendPanic(&err)
+	return impala.Compile(src)
+}
+
+// containFrontendPanic, deferred, turns a frontend panic into *err:
 // emitter invariant violations on a checked program are bugs, but they
 // must surface as errors, not take the process down.
-func compileFrontend(src string) (w *ir.World, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("driver: frontend panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return impala.Compile(src)
+func containFrontendPanic(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("driver: frontend panicked: %v\n%s", r, debug.Stack())
+	}
 }
 
 // compileBackend resolves the target's registered backend and runs it
@@ -333,76 +336,76 @@ func CompileSSA(src string) (*vm.Program, *ssa.Module, error) {
 	return ssa.CompileProgram(prog)
 }
 
-// RunSSA compiles src through the baseline SSA pipeline and executes main.
-func RunSSA(src string, out io.Writer, args ...int64) (int64, vm.Counters, error) {
-	prog, _, err := CompileSSA(src)
-	if err != nil {
-		return 0, vm.Counters{}, err
-	}
-	return ExecSteps(prog, out, 0, args...)
-}
+// defaultBudget is the step/fuel budget Exec uses when given 0.
+const defaultBudget = 4_000_000_000
 
-// ExecSteps runs a compiled program's main with an explicit VM step budget
-// (0 selects the default). The differential tests use it to give the VM a
-// budget matching the reference interpreter's fuel, so a diverging
-// compilation shows up as vm.ErrStepLimit instead of hanging the suite.
-// A program that executes C instructions succeeds with a budget of C; a
-// smaller one stops with vm.ErrStepLimit at the first control transfer or
-// print past it, so nothing is printed past the budget. The first run of
-// prog validates it, and an invalid program returns that error, never a
-// panic.
-func ExecSteps(prog *vm.Program, out io.Writer, maxSteps int64, args ...int64) (int64, vm.Counters, error) {
-	m := vm.New(prog, out)
-	if maxSteps <= 0 {
-		maxSteps = 4_000_000_000
+// Exec runs main of a compiled program with i64 arguments and returns its
+// first result. It is the one way to run a payload: the Target, Program
+// and Wasm of a Result or Artifact (target backend.Wasm runs mod, any
+// other target prog), or the SSA baseline's program with target
+// backend.VM. budget bounds the run at one unit per instruction (0
+// selects 4e9): a run that costs C succeeds with a budget of C, and a
+// smaller one returns vm.ErrStepLimit or wasm.ErrFuel at the first
+// control transfer past it, so nothing is printed past the budget. The
+// counters are the VM's; on wasm, Instructions is the fuel spent and
+// every other field is zero.
+//
+// A program is validated on its first run and a module on
+// instantiation, so an invalid payload returns an error, never a panic.
+// A trap of emitted wasm code, an index out of bounds included, returns
+// a *wasmbackend.TrapError.
+func Exec(target backend.Target, prog *vm.Program, mod []byte, out io.Writer, budget int64, args ...int64) (int64, vm.Counters, error) {
+	if budget <= 0 {
+		budget = defaultBudget
 	}
-	m.MaxSteps = maxSteps
+	if target == backend.Wasm {
+		return execWasm(mod, out, budget, args)
+	}
+	m := vm.New(prog, out)
+	m.MaxSteps = budget
 	vals := make([]vm.Value, len(args))
 	for i, a := range args {
 		vals[i] = vm.Value{I: a}
 	}
 	res, err := m.Run(vals...)
-	if err != nil {
+	if err != nil || len(res) == 0 {
 		return 0, m.Counters, err
-	}
-	if len(res) == 0 {
-		return 0, m.Counters, nil
 	}
 	return res[0].I, m.Counters, nil
 }
 
-// ExecWasm decodes and runs a compiled wasm module's main with i64
-// arguments, the wasm counterpart of ExecSteps. fuel bounds the
-// instruction count (0 selects a default matching ExecSteps' budget);
-// exceeding it returns wasm.ErrFuel, the analogue of vm.ErrStepLimit, at
-// the first control transfer past it, so no host function (print
-// included) runs past the budget.
-// A trap of the emitted code, an index out of bounds included, returns a
-// *wasmbackend.TrapError.
-func ExecWasm(mod []byte, out io.Writer, fuel int64, args ...int64) (int64, error) {
+// execWasm is Exec's wasm half: decode, instantiate and invoke main.
+func execWasm(mod []byte, out io.Writer, fuel int64, args []int64) (int64, vm.Counters, error) {
 	m, err := wasm.Decode(mod)
 	if err != nil {
-		return 0, err
+		return 0, vm.Counters{}, err
 	}
 	inst, err := wasm.NewInstance(m, wasmbackend.Host(out))
 	if err != nil {
-		return 0, err
+		return 0, vm.Counters{}, err
 	}
-	if fuel > 0 {
-		inst.Fuel = fuel
-	} else {
-		inst.Fuel = 4_000_000_000
-	}
+	inst.Fuel = fuel
 	uargs := make([]uint64, len(args))
 	for i, a := range args {
 		uargs[i] = uint64(a)
 	}
 	res, err := inst.Invoke("main", uargs...)
-	if err != nil {
-		return 0, wasmbackend.MapTrap(err)
+	spent := vm.Counters{Instructions: fuel - inst.Fuel}
+	if err != nil || len(res) == 0 {
+		return 0, spent, wasmbackend.MapTrap(err)
 	}
-	if len(res) == 0 {
-		return 0, nil
-	}
-	return int64(res[0]), nil
+	return int64(res[0]), spent, nil
 }
+
+// ExecSteps is Exec on a VM program. perfbench calls it by name.
+func ExecSteps(prog *vm.Program, out io.Writer, maxSteps int64, args ...int64) (int64, vm.Counters, error) {
+	return Exec(backend.VM, prog, nil, out, maxSteps, args...)
+}
+
+// ExecWasm is Exec on a wasm module, without the counters. perfbench
+// calls it by name.
+func ExecWasm(mod []byte, out io.Writer, fuel int64, args ...int64) (int64, error) {
+	return withoutCounters(Exec(backend.Wasm, nil, mod, out, fuel, args...))
+}
+
+func withoutCounters(v int64, _ vm.Counters, err error) (int64, error) { return v, err }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	vmbackend "thorin/internal/backend/vm"
 	"thorin/internal/ir"
 	"thorin/internal/transform"
@@ -355,11 +356,11 @@ fn main(n: i64) -> i64 { fib(n) }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := ExecSteps(res.Program, nil, 0, 17)
+	want, _, err := Exec(res.Target, res.Program, res.Wasm, nil, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ExecSteps(prog2, nil, 0, 17)
+	got, _, err := Exec(backend.VM, prog2, nil, nil, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestDegradeProducesCorrectProgram(t *testing.T) {
 		if strings.Contains(res.Spec, "d-panic") {
 			t.Errorf("jobs=%d: degraded spec %q still contains the faulting pass", jobs, res.Spec)
 		}
-		got, _, err := ExecSteps(res.Program, nil, 0, 7)
+		got, _, err := Exec(res.Target, res.Program, res.Wasm, nil, 0, 7)
 		if err != nil {
 			t.Fatalf("jobs=%d: degraded program failed to run: %v", jobs, err)
 		}

@@ -66,16 +66,10 @@ func diffArms(src string, arg int64) (string, error) {
 			return fmt.Sprintf("%s: compile failed: %v", arm.name, err), nil
 		}
 		var out bytes.Buffer
-		// The VM budget mirrors the interpreter's fuel (and the wasm
-		// instance's, below): a compiled arm that spins where the
-		// reference finished shows up as an ErrStepLimit finding instead
-		// of hanging the run.
-		var got int64
-		if arm.target == backend.Wasm {
-			got, err = ExecWasm(res.Wasm, &out, 500_000_000, arg)
-		} else {
-			got, _, err = ExecSteps(res.Program, &out, 500_000_000, arg)
-		}
+		// The step/fuel budget mirrors the interpreter's fuel: a compiled
+		// arm that spins where the reference finished shows up as an
+		// ErrStepLimit or ErrFuel finding instead of hanging the run.
+		got, _, err := Exec(res.Target, res.Program, res.Wasm, &out, 500_000_000, arg)
 		if refTrap {
 			// The reference trapped; the compiled arm must trap as well.
 			// Partial output is not compared: the trapping division is not

@@ -50,7 +50,7 @@ func TestFuzzExtended(t *testing.T) {
 				t.Fatalf("seed %d: got %d want %d\n%s", seed, got, ref.I, src)
 			}
 		}
-		got, _, err := RunSSA(src, nil, arg)
+		got, _, err := runSSA(src, nil, arg)
 		if refTrap {
 			if err == nil || !strings.Contains(err.Error(), "by zero") {
 				t.Fatalf("seed %d ssa: got (%d, %v), reference trapped on division by zero\n%s",

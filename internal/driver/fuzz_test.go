@@ -51,7 +51,7 @@ func TestFuzzDifferential(t *testing.T) {
 				return v, err
 			}},
 			{"ssa", func() (int64, error) {
-				v, _, err := RunSSA(src, nil, arg)
+				v, _, err := runSSA(src, nil, arg)
 				return v, err
 			}},
 		} {

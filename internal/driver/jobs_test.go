@@ -41,17 +41,11 @@ func compileAt(t *testing.T, src, spec string, jobs int, n int64) jobsArm {
 	}
 	var irBuf, outBuf bytes.Buffer
 	ir.Print(&irBuf, res.World)
-	m := vm.New(res.Program, &outBuf)
-	m.MaxSteps = 4_000_000_000
-	vals, err := m.Run(vm.Value{I: n})
+	v, ctr, err := driver.Exec(res.Target, res.Program, res.Wasm, &outBuf, 0, n)
 	if err != nil {
 		t.Fatalf("jobs=%d: vm: %v", jobs, err)
 	}
-	var v int64
-	if len(vals) > 0 {
-		v = vals[0].I
-	}
-	return jobsArm{irText: irBuf.String(), value: v, output: outBuf.String(), counters: m.Counters}
+	return jobsArm{irText: irBuf.String(), value: v, output: outBuf.String(), counters: ctr}
 }
 
 func TestParallelJobsIdentical(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 
 	"thorin/internal/analysis"
 	"thorin/internal/impala"
@@ -94,14 +93,9 @@ func CompileModuleUnit(u *ModuleUnit, spec string, cfg Config) (*link.Module, er
 	return &link.Module{World: w, Info: info}, nil
 }
 
-// emitModule runs the module emitter under the same panic containment as
-// compileFrontend.
+// emitModule runs the module emitter under panic containment.
 func emitModule(prog *impala.Program) (w *ir.World, info *impala.ModuleInfo, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("driver: frontend panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
+	defer containFrontendPanic(&err)
 	return impala.EmitModule(prog)
 }
 

@@ -37,7 +37,7 @@ func TestCompileModulesExec(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var out bytes.Buffer
-		v, _, err := driver.ExecSteps(res.Program, &out, 0, 5)
+		v, _, err := driver.Exec(res.Target, res.Program, res.Wasm, &out, 0, 5)
 		if err != nil {
 			t.Fatalf("%s: exec: %v", mode, err)
 		}
@@ -125,7 +125,7 @@ func TestModuleExampleFromDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		v, _, err := driver.ExecSteps(res.Program, nil, 0, 4)
+		v, _, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, 4)
 		if err != nil || v != 34 {
 			t.Fatalf("%s: main(4) = %d err=%v, want 34", mode, v, err)
 		}
@@ -165,7 +165,7 @@ func TestModuleArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := driver.ExecSteps(res.Program, nil, 0, 5)
+	v, _, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, 5)
 	if err != nil || v != 11 {
 		t.Fatalf("round-tripped modules: main(5) = %d err=%v, want 11", v, err)
 	}
@@ -204,7 +204,7 @@ func TestCompileRequestSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := driver.ExecSteps(res.Program, nil, 0, 5)
+	v, _, err := driver.Exec(res.Target, res.Program, res.Wasm, nil, 0, 5)
 	if err != nil || v != 11 {
 		t.Fatalf("main(5) = %d err=%v, want 11", v, err)
 	}

@@ -82,7 +82,7 @@ func TestPipelineEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					var out bytes.Buffer
-					got, _, err := driver.ExecSteps(res.Program, &out, 0, n)
+					got, _, err := driver.Exec(res.Target, res.Program, res.Wasm, &out, 0, n)
 					if err != nil {
 						t.Fatal(err)
 					}

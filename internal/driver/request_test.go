@@ -47,7 +47,7 @@ func TestRequestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ExecSteps(res.Program, nil, 0, 10)
+	got, _, err := Exec(res.Target, res.Program, res.Wasm, nil, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ExecSteps(back.Program, nil, 0, 12)
+	got, _, err := Exec(back.Target, back.Program, back.Wasm, nil, 0, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

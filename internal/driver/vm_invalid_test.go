@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"thorin/internal/backend"
 	"thorin/internal/vm"
 )
 
 // TestVMRejectsInvalidPrograms sends programs that the VM cannot run
-// through ExecSteps. Each would make the dispatch loop index out of range
-// or run off its code, so ExecSteps must return the validation error
+// through Exec. Each would make the dispatch loop index out of range
+// or run off its code, so Exec must return the validation error
 // instead of running it.
 func TestVMRejectsInvalidPrograms(t *testing.T) {
 	// mainOf wraps code as main(r0) with numRegs registers.
@@ -40,12 +41,12 @@ func TestVMRejectsInvalidPrograms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("ExecSteps panicked: %v", r)
+					t.Errorf("Exec panicked: %v", r)
 				}
 			}()
-			_, _, err := ExecSteps(prog, io.Discard, 0, 1)
+			_, _, err := Exec(backend.VM, prog, nil, io.Discard, 0, 1)
 			if err == nil || !strings.Contains(err.Error(), "invalid program") {
-				t.Errorf("ExecSteps = %v, want a validation error", err)
+				t.Errorf("Exec = %v, want a validation error", err)
 			}
 		})
 	}

@@ -55,8 +55,8 @@ func diffTargets(t *testing.T, name, src, spec string, jobs int, args ...int64) 
 		return true
 	}
 	var vout, wout bytes.Buffer
-	vret, _, verr := ExecSteps(vmRes.Program, &vout, 0, args...)
-	wret, werr := ExecWasm(wRes.Wasm, &wout, 0, args...)
+	vret, _, verr := Exec(vmRes.Target, vmRes.Program, vmRes.Wasm, &vout, 0, args...)
+	wret, _, werr := Exec(wRes.Target, wRes.Program, wRes.Wasm, &wout, 0, args...)
 	if (verr == nil) != (werr == nil) {
 		t.Errorf("%s: trap disagreement: vm=%v wasm=%v", name, verr, werr)
 		return true
@@ -241,7 +241,7 @@ func vmTrapCode(err error) int64 {
 }
 
 // TestWasmTrapsAreTyped: every trap of the examples, the crasher corpus
-// and the wasm regressions surfaces from ExecWasm as a
+// and the wasm regressions surfaces from Exec as a
 // *wasmbackend.TrapError of the kind the VM reports, never as the
 // interpreter's raw *wasm.Trap. An index out of bounds is a linear-memory
 // fault at the poison address $lea forms, mapped to TrapBounds.
@@ -279,8 +279,8 @@ func TestWasmTrapsAreTyped(t *testing.T) {
 			}
 			for _, arg := range p.args {
 				name := fmt.Sprintf("%s/%s/n=%d", p.name, sname, arg)
-				_, _, verr := ExecSteps(vmRes.Program, io.Discard, 0, arg)
-				_, werr := ExecWasm(wRes.Wasm, io.Discard, 0, arg)
+				_, _, verr := Exec(vmRes.Target, vmRes.Program, vmRes.Wasm, io.Discard, 0, arg)
+				_, _, werr := Exec(wRes.Target, wRes.Program, wRes.Wasm, io.Discard, 0, arg)
 				if werr == nil {
 					continue // trap agreement is diffTargets' job
 				}
@@ -335,8 +335,8 @@ func TestWasmModulesValidate(t *testing.T) {
 }
 
 // TestWasmRejectsInvalidModules sends modules that decode but do not
-// validate through ExecWasm. Each body would make the interpreter index
-// out of range, so ExecWasm must return an error instead of running it.
+// validate through Exec. Each body would make the interpreter index
+// out of range, so Exec must return an error instead of running it.
 func TestWasmRejectsInvalidModules(t *testing.T) {
 	for name, code := range map[string][]byte{
 		"i64.add on an empty stack": {wasm.OpI64Add, wasm.OpEnd},
@@ -350,11 +350,11 @@ func TestWasmRejectsInvalidModules(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("ExecWasm panicked: %v", r)
+					t.Errorf("Exec panicked: %v", r)
 				}
 			}()
-			if _, err := ExecWasm(m.Encode(), io.Discard, 0, 1); err == nil {
-				t.Error("ExecWasm ran a module that does not validate")
+			if _, _, err := Exec(backend.Wasm, nil, m.Encode(), io.Discard, 0, 1); err == nil {
+				t.Error("Exec ran a module that does not validate")
 			}
 		})
 	}
@@ -402,8 +402,8 @@ func checkLinked(t *testing.T, name string, sources []string) {
 		}
 		for _, n := range []int64{0, 3, -5} {
 			var vout, wout bytes.Buffer
-			vret, _, verr := ExecSteps(vmRes.Program, &vout, 0, n)
-			wret, werr := ExecWasm(wRes.Wasm, &wout, 0, n)
+			vret, _, verr := Exec(vmRes.Target, vmRes.Program, vmRes.Wasm, &vout, 0, n)
+			wret, _, werr := Exec(wRes.Target, wRes.Program, wRes.Wasm, &wout, 0, n)
 			if verr != nil || werr != nil {
 				t.Fatalf("%s/%s: n=%d: vm err=%v wasm err=%v", name, lm, n, verr, werr)
 			}

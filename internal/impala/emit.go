@@ -18,20 +18,17 @@ import (
 //   - lambdas become first-class continuations; whether they cost anything
 //     at runtime is decided entirely by the optimizer.
 func Compile(src string) (*ir.World, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := Check(prog); err != nil {
-		return nil, err
-	}
-	return EmitProgram(prog)
+	return compile(src, false)
 }
 
 // CompileNoCons is Compile with hash-consing disabled — the construction
 // ablation: without global value numbering, structurally equal primops are
 // materialized once per occurrence.
 func CompileNoCons(src string) (*ir.World, error) {
+	return compile(src, true)
+}
+
+func compile(src string, noCons bool) (*ir.World, error) {
 	prog, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -39,15 +36,19 @@ func CompileNoCons(src string) (*ir.World, error) {
 	if err := Check(prog); err != nil {
 		return nil, err
 	}
-	return emitProgram(prog, true)
+	return emit(prog, nil, noCons)
 }
 
 // EmitProgram lowers a checked program into a fresh world.
 func EmitProgram(prog *Program) (*ir.World, error) {
-	return emitProgram(prog, false)
+	return emit(prog, nil, false)
 }
 
-func emitProgram(prog *Program, noCons bool) (*ir.World, error) {
+// emit lowers a checked program or module unit into a fresh world.
+// exports is a module's export surface (nil for a program): its
+// functions become extern roots. A module's imports become bodyless
+// extern stubs; a checked program has none.
+func emit(prog *Program, exports map[string]ModExport, noCons bool) (*ir.World, error) {
 	em := &emitter{
 		w:       ir.NewWorld(),
 		fnCont:  map[string]*ir.Continuation{},
@@ -65,6 +66,16 @@ func emitProgram(prog *Program, noCons bool) (*ir.World, error) {
 		em.statics[sd.Name] = g
 	}
 	c := &checker{funcs: map[string]*Fn{}}
+	for _, im := range prog.Imports {
+		sig, err := c.importSig(im)
+		if err != nil {
+			return nil, err
+		}
+		em.fnSig[im.Name] = sig
+		stub := em.w.Continuation(em.cpsFnType(sig), im.Name)
+		stub.SetExtern(true)
+		em.fnCont[im.Name] = stub
+	}
 	for _, f := range prog.Funcs {
 		sig, err := c.funcSig(f)
 		if err != nil {
@@ -72,7 +83,8 @@ func emitProgram(prog *Program, noCons bool) (*ir.World, error) {
 		}
 		em.fnSig[f.Name] = sig
 		cont := em.w.Continuation(em.cpsFnType(sig), f.Name)
-		cont.SetExtern(f.Extern)
+		_, exported := exports[f.Name]
+		cont.SetExtern(f.Extern || exported)
 		cont.AlwaysInline = f.ForceInline
 		em.fnCont[f.Name] = cont
 	}

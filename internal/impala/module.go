@@ -1,10 +1,6 @@
 package impala
 
-import (
-	"fmt"
-
-	"thorin/internal/ir"
-)
+import "thorin/internal/ir"
 
 // ImportSig records one import edge of a module: the name it binds (which
 // is also the exporting module's export name — imports do not rename), the
@@ -111,54 +107,9 @@ func EmitModule(prog *Program) (*ir.World, *ModuleInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	em := &emitter{
-		w:       ir.NewWorld(),
-		fnCont:  map[string]*ir.Continuation{},
-		fnSig:   map[string]*Fn{},
-		statics: map[string]ir.Def{},
+	w, err := emit(prog, info.Exports, false)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	for _, sd := range prog.Statics {
-		init, err := em.staticInit(sd.Init)
-		if err != nil {
-			return nil, nil, err
-		}
-		g := em.w.Global(init)
-		g.SetName(sd.Name)
-		em.statics[sd.Name] = g
-	}
-
-	c := &checker{funcs: map[string]*Fn{}}
-	for _, im := range prog.Imports {
-		sig, err := c.importSig(im)
-		if err != nil {
-			return nil, nil, err
-		}
-		em.fnSig[im.Name] = sig
-		stub := em.w.Continuation(em.cpsFnType(sig), im.Name)
-		stub.SetExtern(true)
-		em.fnCont[im.Name] = stub
-	}
-	for _, f := range prog.Funcs {
-		sig, err := c.funcSig(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		em.fnSig[f.Name] = sig
-		cont := em.w.Continuation(em.cpsFnType(sig), f.Name)
-		_, exportedHere := info.Exports[f.Name]
-		cont.SetExtern(f.Extern || f.Exported || exportedHere)
-		cont.AlwaysInline = f.ForceInline
-		em.fnCont[f.Name] = cont
-	}
-
-	for _, f := range prog.Funcs {
-		if err := em.emitFunc(f); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := ir.Verify(em.w); err != nil {
-		return nil, nil, fmt.Errorf("impala: internal error: emitted invalid IR: %w", err)
-	}
-	return em.w, info, nil
+	return w, info, nil
 }

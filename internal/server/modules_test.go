@@ -52,7 +52,7 @@ func TestModulesColdWarmEdit(t *testing.T) {
 			t.Errorf("cold module %s cache = %q, want miss", name, m.Cache)
 		}
 	}
-	if v, _, err := driver.ExecSteps(coldArt.Program, nil, 0, 5); err != nil || v != 11 {
+	if v, _, err := driver.Exec(coldArt.Target, coldArt.Program, coldArt.Wasm, nil, 0, 5); err != nil || v != 11 {
 		t.Fatalf("cold artifact: main(5) = %d err=%v, want 11", v, err)
 	}
 
@@ -101,7 +101,7 @@ func TestModulesColdWarmEdit(t *testing.T) {
 			t.Errorf("module %s's artifact key moved although its source and imports did not", name)
 		}
 	}
-	if v, _, err := driver.ExecSteps(art.Program, nil, 0, 5); err != nil || v != 12 {
+	if v, _, err := driver.Exec(art.Target, art.Program, art.Wasm, nil, 0, 5); err != nil || v != 12 {
 		t.Fatalf("edited artifact: main(5) = %d err=%v, want 12", v, err)
 	}
 }

@@ -47,13 +47,11 @@ func (d *fuzzBytes) regs(fn *Func, n int) []int {
 	return rs
 }
 
-// fuzzOps are the opcodes a fuzzed block body draws from. array.new is
-// left out: its size is a register, which arithmetic drives to any value,
-// and the VM allocates whatever it is asked for.
+// fuzzOps are the opcodes a fuzzed block body draws from.
 var fuzzOps = func() []Opcode {
 	var ops []Opcode
 	for op := OpNop; op <= OpHalt; op++ {
-		if op != OpArrayNew && !op.endsBlock() {
+		if !op.endsBlock() {
 			ops = append(ops, op)
 		}
 	}
@@ -81,13 +79,33 @@ func fuzzProgram(data []byte) *Program {
 		for i := range fn.Blocks {
 			fn.Blocks[i].Start = len(fn.Code)
 			for range d.next() % 4 {
-				fn.Code = append(fn.Code, d.instr(p, fn, fuzzOps[d.next()%len(fuzzOps)]))
+				in := d.instr(p, fn, fuzzOps[d.next()%len(fuzzOps)])
+				if in.Op == OpArrayNew {
+					// Arithmetic drives a register to any value, so the
+					// size is loaded right before, in the same block.
+					fn.Code = append(fn.Code, Instr{Op: OpConstI, A: in.B, Imm: d.arraySize()})
+				}
+				fn.Code = append(fn.Code, in)
 			}
 			fn.Code = append(fn.Code, d.instr(p, fn, fuzzTransfers[d.next()%len(fuzzTransfers)]))
 		}
 	}
 	p.Main = d.pick(len(p.Funcs))
 	return p
+}
+
+// fuzzHugeSizes are the array sizes drawn besides the small ones: negative
+// or above MaxArrayLen, so all are refused. No size between 2^12 and the
+// ceiling is ever drawn, so no input asks the host for gigabytes.
+var fuzzHugeSizes = []int64{-1, math.MinInt64, MaxArrayLen + 1, 1 << 40, 1 << 61, 1 << 62, math.MaxInt64}
+
+// arraySize draws an array.new size: a small one (below 2^12) three times
+// in four, else one of fuzzHugeSizes.
+func (d *fuzzBytes) arraySize() int64 {
+	if b := d.next(); b%4 != 0 {
+		return int64(b) << 4
+	}
+	return fuzzHugeSizes[d.next()%len(fuzzHugeSizes)]
 }
 
 // instr draws an instruction of fn with opcode op, giving each index

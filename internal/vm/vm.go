@@ -297,6 +297,13 @@ type frame struct {
 	retBlock int   // caller block to continue at (-1: top level)
 }
 
+// MaxArrayLen is the largest array array.new allocates; a larger size is
+// refused with an out-of-memory error before the host is asked for it.
+// The largest accepted array costs 4 GiB of host memory (32-byte
+// Values), the size of the wasm target's whole linear memory, whose
+// array helper refuses the same sizes.
+const MaxArrayLen = 1 << 27
+
 // ErrStepLimit is returned when MaxSteps is exceeded.
 var ErrStepLimit = errors.New("vm: step limit exceeded")
 
@@ -504,8 +511,12 @@ loop:
 
 		case OpArrayNew:
 			n := r[in.B].I
-			if n < 0 {
-				err = fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
+			if uint64(n) > MaxArrayLen {
+				if n < 0 {
+					err = fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
+				} else {
+					err = fmt.Errorf("vm: %s: out of memory: array of %d elements", fn.Name, n)
+				}
 				break loop
 			}
 			m.Counters.ArrayAllocs++
