@@ -51,9 +51,12 @@ modules:
 # diffArms (TestCrashers), explicit module validation, driver.Exec refusing
 # modules that do not validate, and a CLI round trip through -target=wasm,
 # plus the VM and wasm engine tests (zeroed frames, allocation-free calls,
-# reset after a trap, every invalid module refused by Validate and
-# NewInstance alike). Last, thorinc -run of an array of 2^62 elements on
-# both targets must fail with "out of memory", never with a Go panic.
+# reset after a trap, the exact 20,000-frame call limit, every invalid
+# module refused by Validate and NewInstance alike, and the register code
+# NewInstance translates matching a one-instruction-at-a-time reference
+# interpreter at every fuel budget). Last, thorinc -run of an array of
+# 2^62 elements on both targets must fail with "out of memory", never
+# with a Go panic.
 wasm:
 	$(GO) test -run 'TestWasm|TestCrashers' -count=1 ./internal/driver
 	$(GO) test -count=1 ./internal/wasm ./internal/vm
@@ -67,16 +70,22 @@ wasm:
 
 # fuzz-smoke gives the integer-fold fuzzer (seeded with the signed-overflow
 # and division edge cases), the textual-IR parser fuzzer (seeded with a
-# world holding every primop kind) and the VM program fuzzer a short budget
-# each; they fail fast on a fold panic, a parser panic, a dump that does
-# not parse back to a fixed point, or a VM program that passes validation
-# yet panics, miscounts its step budget or runs differently with every
-# jump's copy staged. The VM fuzzer's array.new sizes are small (below
-# 2^12) or above vm.MaxArrayLen, which must fail with out of memory.
+# world holding every primop kind), the VM program fuzzer and the wasm
+# execution fuzzer a short budget each; they fail fast on a fold panic, a
+# parser panic, a dump that does not parse back to a fixed point, a VM
+# program that passes validation yet panics, miscounts its step budget or
+# runs differently with every jump's copy staged, or a generated wasm
+# module (i64 locals, division edge cases, local.tee and local.set hazards,
+# blocks, loops and ifs with 0 or 1 results, br, br_if, return, calls and
+# in- and out-of-bounds memory) on which the register engine and the
+# reference interpreter disagree at a budget drawn from the input. The VM
+# fuzzer's array.new sizes are small (below 2^12) or above
+# vm.MaxArrayLen, which must fail with out of memory.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFoldArith -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorld -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzVMProgram -fuzztime=10s ./internal/vm
+	$(GO) test -run='^$$' -fuzz=FuzzWasmExec -fuzztime=10s ./internal/wasm
 
 # fuzz runs the differential pipeline fuzzer: random well-typed programs,
 # reference interpreter as oracle, compiled arms at -O0/-O2 × jobs 1/4.

@@ -59,6 +59,12 @@ const (
 // ErrFuel is returned when the interpreter exceeds its step budget.
 var ErrFuel = errors.New("impala: interpreter step budget exceeded")
 
+// MaxArrayLen is the largest array `[x; n]` allocates; a larger n is
+// refused with an out-of-memory error before the host is asked for it.
+// It equals vm.MaxArrayLen, the ceiling of both compiled targets, so the
+// interpreter fails on exactly the sizes they refuse.
+const MaxArrayLen = 1 << 27
+
 // Interp evaluates a checked program.
 type Interp struct {
 	prog    *Program
@@ -396,6 +402,9 @@ func (in *Interp) evalExpr(x Expr, env *ienv) (IValue, control, error) {
 		}
 		if n.I < 0 {
 			return IValue{}, ctlNone, fmt.Errorf("impala: negative array size %d", n.I)
+		}
+		if n.I > MaxArrayLen {
+			return IValue{}, ctlNone, fmt.Errorf("impala: out of memory: array of %d elements", n.I)
 		}
 		elems := make([]IValue, n.I)
 		for i := range elems {

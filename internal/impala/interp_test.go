@@ -3,6 +3,8 @@ package impala
 import (
 	"strings"
 	"testing"
+
+	"thorin/internal/vm"
 )
 
 func interpRun(t *testing.T, src string, args ...int64) (IValue, string) {
@@ -144,6 +146,36 @@ func TestInterpErrors(t *testing.T) {
 		if _, err := in.Run(args...); err == nil {
 			t.Errorf("interp must fail on %q", src)
 		}
+	}
+}
+
+// TestInterpRefusesHugeArrays runs `[0; n]` at sizes above MaxArrayLen,
+// n = 2^62 among them, which must fail with an out-of-memory error rather
+// than ask the host for the memory or panic in make.
+func TestInterpRefusesHugeArrays(t *testing.T) {
+	prog, err := Parse(`fn main(n: i64) -> i64 { let a = [0; n]; n }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{MaxArrayLen + 1, 1 << 40, 1 << 62} {
+		in, err := NewInterp(prog, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Run(n); err == nil || !strings.Contains(err.Error(), "out of memory") {
+			t.Errorf("[0; %d]: got %v, want an out-of-memory error", n, err)
+		}
+	}
+}
+
+// TestArrayCeilingMatchesVM pins the interpreter's array ceiling to the
+// compiled targets', so the oracle refuses exactly the sizes they do.
+func TestArrayCeilingMatchesVM(t *testing.T) {
+	if MaxArrayLen != vm.MaxArrayLen {
+		t.Fatalf("impala.MaxArrayLen = %d, vm.MaxArrayLen = %d", MaxArrayLen, vm.MaxArrayLen)
 	}
 }
 

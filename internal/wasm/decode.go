@@ -285,7 +285,7 @@ func readInstr(r *reader) (instr, error) {
 	if err != nil {
 		return instr{}, err
 	}
-	ins := instr{op: op, y: -1}
+	ins := instr{op: op}
 	var v uint32
 	switch opTable[op].imm {
 	case immNone:

@@ -17,10 +17,6 @@ type Trap struct{ Msg string }
 
 func (t *Trap) Error() string { return "wasm: trap: " + t.Msg }
 
-func trapf(format string, args ...any) error {
-	return &Trap{Msg: fmt.Sprintf(format, args...)}
-}
-
 // HostFunc implements an imported function. Arguments and results are
 // passed as raw 64-bit values (f64 as IEEE bits, i32 zero-extended).
 type HostFunc struct {
@@ -31,69 +27,32 @@ type HostFunc struct {
 // instr is one decoded instruction (see readInstr and checker).
 type instr struct {
 	op  byte
-	imm int64 // index / depth / constant (f64 as bits) / memarg offset
-	x   int32 // structured control: matching end index
-	y   int32 // if: else index, or -1
+	imm int64 // index / depth / constant (f64 as bits) / memarg offset; block arity
 }
 
-// Fused opcodes. Each stands for the first instr of an adjacent pair that
-// NewInstance fused; the second instr stays in place after it. They use
-// byte values no wasm opcode uses and occur only in an instance's code.
-// The pairs are the most frequent adjacent pairs executed by the
-// benchmark suite.
-const (
-	opLocalGetLocalGet = 0xE0 + iota
-	opLocalGetI64Const
-	opLocalSetLocalGet
-	opI64ConstI64Add
-)
-
-// fusedPairs maps each fused opcode to the pair of opcodes it runs.
-var fusedPairs = [...]struct{ fused, first, second byte }{
-	{opLocalGetLocalGet, OpLocalGet, OpLocalGet},
-	{opLocalGetI64Const, OpLocalGet, OpI64Const},
-	{opLocalSetLocalGet, OpLocalSet, OpLocalGet},
-	{opI64ConstI64Add, OpI64Const, OpI64Add},
+// fn is a function as the engine calls it: its register code and frame
+// shape, or, for an import, none.
+type fn struct {
+	code []rop // nil for an import
+	np   int   // parameters
+	nl   int   // parameters and declared locals
+	size int   // frame slots: nl plus the deepest operand stack
 }
 
-// fuse replaces the first instr of each non-overlapping listed pair, from
-// left to right, with its fused opcode. The fused instr runs both halves
-// and skips the second, which stays in place, so a branch that lands on
-// the second instr runs it alone.
-func fuse(code []instr) {
-	for i := 0; i+1 < len(code); i++ {
-		for _, p := range fusedPairs {
-			if code[i].op == p.first && code[i+1].op == p.second {
-				code[i].op = p.fused
-				i++
-				break
-			}
-		}
-	}
-}
-
-// fnBody is a decoded function body.
-type fnBody struct {
-	nParams  int
-	nResults int
-	nLocals  int // declared locals beyond parameters
-	depth    int // deepest block/loop/if nesting: the most labels a frame holds
-	code     []instr
-}
-
-// rtCtrl is a runtime control-stack entry.
-type rtCtrl struct {
-	isLoop bool
-	start  int32 // loop: pc of the first body instruction
-	cont   int32 // block/if: pc just past the matching end
-	arity  int8
-	height int32
+// caller is an explicit frame-stack entry: where a call returns to. It
+// holds no pointer, so pushing one needs no write barrier.
+type caller struct {
+	fn    int32 // the calling function
+	pc    int32
+	start int32 // the original index at which the caller's next run begins
+	dst   int32 // the caller's slot for the result
+	base  int
 }
 
 // Instance is an instantiated module ready to execute.
 type Instance struct {
 	m       *Module
-	bodies  []fnBody
+	fns     []fn // every function, imports first
 	mem     []byte
 	globals []uint64
 	table   []int32 // function index per slot, -1 when uninitialized
@@ -113,40 +72,23 @@ type Instance struct {
 	// NewInstance seeds an effectively unlimited budget.
 	Fuel int64
 
-	// Execution state shared by all frames, reset by Invoke. Live values
-	// are stack[:sp], live locals are locals[:nlocals], and ctrl holds
-	// the labels of every active frame, innermost last.
-	stack   []uint64
-	sp      int
-	locals  []uint64
-	nlocals int
-	ctrl    []rtCtrl
-	frames  int
+	// Execution state, reset by Invoke: the frame arena, in which each
+	// call's frame starts at its caller's argument slots, and the frame
+	// stack, one entry per active caller.
+	st    []uint64
+	calls []caller
 }
 
+// maxFrames bounds the active wasm frames of an invocation, its entry
+// included.
 const maxFrames = 20000
 
-// NewInstance validates m as Validate does, keeping each body as the
-// validator decoded it with adjacent pairs fused, resolves imports
-// against hosts (keyed "module.name"), and applies global, data, and
-// element initialization.
+// NewInstance validates m as Validate does, translating each body into
+// register code as it is validated, resolves imports against hosts
+// (keyed "module.name"), and applies global, data, and element
+// initialization.
 func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
-	in := &Instance{m: m, Fuel: 1 << 62, bodies: make([]fnBody, 0, len(m.Funcs))}
-	err := m.validate(func(fi int, code []instr, depth int) {
-		f := &m.Funcs[fi]
-		body := fnBody{
-			nParams:  len(m.Types[f.TypeIdx].Params),
-			nResults: len(m.Types[f.TypeIdx].Results),
-			nLocals:  len(f.Locals),
-			depth:    depth,
-			code:     slices.Clone(code),
-		}
-		fuse(body.code)
-		in.bodies = append(in.bodies, body)
-	})
-	if err != nil {
-		return nil, err
-	}
+	in := &Instance{m: m, Fuel: 1 << 62, fns: make([]fn, len(m.Imports), len(m.Imports)+len(m.Funcs))}
 	for i, t := range m.Types {
 		id := i
 		for j := range i {
@@ -156,6 +98,16 @@ func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
 			}
 		}
 		in.typeIDs = append(in.typeIDs, int32(id))
+	}
+	tr := &translator{m: m, types: in.typeIDs, opds: make([]operand, 0, 16), labels: make([]label, 0, 16)}
+	err := m.validate(func(fi int, code []instr) {
+		f := &m.Funcs[fi]
+		rc, size := tr.translate(fi, code)
+		np := len(m.Types[f.TypeIdx].Params)
+		in.fns = append(in.fns, fn{code: rc, np: np, nl: np + len(f.Locals), size: size})
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range m.Imports {
 		im := &m.Imports[i]
@@ -216,594 +168,501 @@ func (in *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	if len(args) != len(sig.Params) {
 		return nil, fmt.Errorf("wasm: %q takes %d arguments, got %d", name, len(sig.Params), len(args))
 	}
-	// A trap leaves the execution state wherever it stopped, so every
+	f := &in.fns[fi]
+	if f.code == nil {
+		return in.hosts[fi].Fn(slices.Clone(args))
+	}
+	// A trap leaves the frame stack wherever it stopped, so every
 	// invocation starts from scratch.
-	in.sp, in.nlocals, in.ctrl, in.frames = 0, 0, in.ctrl[:0], 0
-	copy(in.grow(0, len(args)), args)
-	in.sp = len(args)
-	if err := in.call(fi); err != nil {
+	in.calls = in.calls[:0]
+	in.reserve(0, f.size)
+	copy(in.st, args)
+	clear(in.st[f.np:f.nl])
+	s := state{code: f.code, fr: in.st, fn: fi, fuel: in.Fuel}
+	err = in.run(&s)
+	in.Fuel = s.fuel
+	if err != nil {
 		return nil, err
 	}
-	return append([]uint64(nil), in.stack[:in.sp]...), nil
+	return slices.Clone(in.st[:len(sig.Results)]), nil
 }
 
-// grow makes room for n values above sp on the value stack and returns it.
-func (in *Instance) grow(sp, n int) []uint64 {
-	if sp+n > len(in.stack) {
-		st := make([]uint64, max(2*len(in.stack), sp+n, 256))
-		copy(st, in.stack[:sp])
-		in.stack = st
+// reserve makes the frame arena hold n slots from base.
+func (in *Instance) reserve(base, n int) {
+	if base+n > len(in.st) {
+		st := make([]uint64, max(2*len(in.st), base+n, 256))
+		copy(st, in.st)
+		in.st = st
 	}
-	return in.stack
 }
 
-// call invokes function index fi taking its arguments from the top of
-// the value stack and leaving its results there.
-func (in *Instance) call(fi int) error {
-	if fi < len(in.hosts) {
-		return in.callHost(fi)
-	}
-	if in.frames >= maxFrames {
-		return trapf("call stack exhausted")
-	}
-	in.frames++
-	err := in.run(&in.bodies[fi-len(in.hosts)])
-	in.frames--
-	return err
-}
-
-func (in *Instance) callHost(fi int) error {
-	h := in.hosts[fi]
-	n := len(h.Type.Params)
-	if in.sp < n {
-		return trapf("host call underflow")
-	}
-	res, err := h.Fn(append([]uint64(nil), in.stack[in.sp-n:in.sp]...))
-	if err != nil {
-		return err
-	}
-	in.sp -= n
-	copy(in.grow(in.sp, len(res))[in.sp:], res)
-	in.sp += len(res)
-	return nil
-}
-
-// pushLabel pushes c onto cs, which run has sized to hold every label of
-// the frame.
-func pushLabel(cs []rtCtrl, c rtCtrl) []rtCtrl {
-	cs = cs[:len(cs)+1]
-	cs[len(cs)-1] = c
-	return cs
-}
-
-// branch transfers control to label depth d of the control stack cs,
-// moving the label's results down to its entry height. It returns the new
-// pc, stack pointer and control stack. The results move in a loop, not
-// with copy, which would call memmove from straight.
-func branch(st []uint64, sp int, cs []rtCtrl, d int) (int, int, []rtCtrl) {
-	e := &cs[len(cs)-1-d]
-	if e.isLoop {
-		return int(e.start), int(e.height), cs[:len(cs)-d]
-	}
-	h, ar := int(e.height), int(e.arity)
-	for i := range ar {
-		st[h+i] = st[sp-ar+i]
-	}
-	return int(e.cont), h + ar, cs[:len(cs)-1-d]
-}
-
-// frame is the dispatch state of one call: run keeps it on the Go stack,
-// and straight loads it into locals, advances it and stores it back.
-type frame struct {
-	code  []instr
-	st    []uint64 // the value stack, live below sp
-	loc   []uint64 // the call's locals
-	cs    []rtCtrl // the control stack; the call's labels sit above cb
-	cb    int
+// state is the dispatch state of a run: the running function, its code
+// and slots, the next rop, the frame's base in the arena, the original
+// index at which the current straight-line run began, and the fuel left.
+type state struct {
+	code  []rop
+	fr    []uint64
+	fn    int
 	pc    int
-	start int // the pc at which the current straight-line run began
-	sp    int
+	base  int
+	start int64
 	fuel  int64
 }
 
-// run executes one call of body. Its arguments are the top values of the
-// value stack; on return its results replace them. The frame lives on the
-// Go stack: its locals are a slice of the shared locals arena and its
-// labels the part of the shared control stack above cb. The value stack
-// and control stack are written back to the instance around calls and on
-// return. So is the fuel, which is also written back, with the stack
-// pointer, when this frame traps or runs out.
+// run executes the invocation s holds until its entry frame returns.
 //
-// Fuel is charged once per straight-line run, the instructions from start
-// through pc, at the transfer that ends it: an if, an else, a br, a taken
-// br_if or a call. A run that a frame exit or a trap ends is charged on
-// exit. A charge past the budget stops before the transfer takes effect,
-// so no host function is called past it. Validation guarantees that every
-// body ends in an end, so no instruction needs a guard of its own.
+// Fuel is charged once per straight-line run, the original instructions
+// from start to the x of the rop that ends it, at that rop: an if, a br,
+// a taken br_if, a call or a return, or a trap. A charge past the budget
+// stops before the rop takes effect, so no host function is called past
+// it.
 //
-// Every instruction that calls no Go function runs in straight. Go saves
-// no registers across a call, so a call anywhere in a dispatch loop makes
-// the compiler store the loop's state on every dispatch; straight calls
-// nothing and keeps it in registers. Labels go into a control stack sized
-// on entry, so a label push calls nothing either. This loop runs the
-// instructions straight leaves to it: calls, frame exits, traps, pushes
-// that must grow the value stack, memory.grow and budget stops. A trap
-// only records its message for the exit to build the error.
-func (in *Instance) run(body *fnBody) error {
-	st, sp := in.stack, in.sp
-	if sp < body.nParams {
-		return trapf("call underflow")
-	}
-	base := sp - body.nParams
-	lb, nl := in.nlocals, body.nParams+body.nLocals
-	if lb+nl > len(in.locals) {
-		l := make([]uint64, max(2*len(in.locals), lb+nl, 256))
-		copy(l, in.locals[:lb])
-		in.locals = l
-	}
-	in.nlocals = lb + nl
-	loc := in.locals[lb : lb+nl : lb+nl]
-	copy(loc, st[base:sp])
-	clear(loc[body.nParams:])
-	cs := in.ctrl
-	cb := len(cs)
-	if cb+body.depth > cap(cs) {
-		cs = make([]rtCtrl, cb, max(2*cap(cs), cb+body.depth, 64))
-		copy(cs, in.ctrl)
-	}
-	f := frame{code: body.code, st: st, loc: loc, cs: cs, cb: cb, sp: base, fuel: in.Fuel}
-	var trap string
-loop:
+// Every rop that calls no Go function runs in exec, wasm calls and
+// returns included. Go saves no registers across a call, so a call
+// anywhere in a dispatch loop makes the compiler store the loop's state
+// on every dispatch; exec calls nothing and keeps it in registers. This
+// loop runs the rops exec leaves to it: host calls, calls that must grow
+// the frame arena or frame stack, the entry frame's return, traps,
+// memory.grow and budget stops.
+func (in *Instance) run(s *state) error {
 	for {
-		in.straight(&f)
-		ins := &f.code[f.pc]
-		switch ins.op {
-		case OpCall, OpCallIndirect:
-			fi := int(ins.imm)
-			if ins.op == OpCallIndirect {
-				idx := uint32(f.st[f.sp-1])
-				if int(idx) >= len(in.table) {
-					trap = "undefined element"
-					break loop
+		in.exec(s)
+		o := &s.code[s.pc]
+		if o.op == rMemGrow {
+			s.fr[o.c] = in.growMemory(uint32(s.fr[o.a]))
+			s.pc++
+			continue
+		}
+		fuel := s.fuel - (int64(o.x) - s.start)
+		switch o.op {
+		case rCall, rCallInd:
+			fi, trap := in.callee(s, o)
+			if trap == "" && fuel >= 0 && in.fns[fi].code != nil && len(in.calls)+1 < maxFrames {
+				// exec stopped for room: make it, and let exec call.
+				in.reserve(s.base+int(o.a), in.fns[fi].size)
+				s.fr = in.st[s.base:]
+				if len(in.calls) == cap(in.calls) {
+					// The frame stack never holds more than maxFrames-1
+					// callers, so exec stops at the limit.
+					c := make([]caller, len(in.calls), min(max(2*cap(in.calls), 16), maxFrames-1))
+					copy(c, in.calls)
+					in.calls = c
 				}
-				target := in.table[idx]
-				if target < 0 {
-					trap = "uninitialized element"
-					break loop
-				}
-				if in.sigs[target] != in.typeIDs[fi] {
-					trap = "indirect call type mismatch"
-					break loop
-				}
-				f.sp--
-				fi = int(target)
+				continue
 			}
-			if f.fuel -= int64(f.pc + 1 - f.start); f.fuel < 0 {
-				break loop
+			s.fuel = fuel
+			switch {
+			case fuel < 0:
+				return ErrFuel
+			case trap != "":
+				return &Trap{Msg: trap}
+			case in.fns[fi].code != nil:
+				return &Trap{Msg: "call stack exhausted"}
 			}
-			in.sp, in.ctrl, in.Fuel = f.sp, f.cs, f.fuel
-			if e := in.call(fi); e != nil {
-				// The callee left the state where it stopped.
-				return e
+			if err := in.callHost(fi, s.fr[o.a:], &s.fr[o.c]); err != nil {
+				return err
 			}
-			// The callee may have grown any of the shared stacks.
-			f.st, f.sp, f.cs, f.fuel = in.stack, in.sp, in.ctrl, in.Fuel
-			f.loc = in.locals[lb : lb+nl : lb+nl]
-			f.pc++
-			f.start = f.pc
-		case OpEnd, OpReturn:
-			// straight leaves an end only at the frame's own.
-			break loop
-		case OpBr, OpBrIf:
-			// straight leaves a br_if only when it is taken, and either
-			// branch only out of the frame or past the budget.
-			if ins.op == OpBrIf {
-				f.sp--
+			s.pc++
+			s.start = int64(o.x)
+		case rRet, rRetIf:
+			// exec leaves a return only at the entry frame's exit or
+			// past the budget.
+			if s.fuel = fuel; fuel < 0 {
+				return ErrFuel
 			}
-			if int(ins.imm) < len(f.cs)-f.cb {
-				f.fuel -= int64(f.pc + 1 - f.start)
-			}
-			break loop
-		case OpIf, OpElse:
-			// straight leaves these only past the budget.
-			f.fuel -= int64(f.pc + 1 - f.start)
-			break loop
-		case OpLocalGet, OpGlobalGet, OpMemSize, OpI32Const, OpI64Const, OpF64Const,
-			opLocalGetLocalGet, opLocalGetI64Const:
-			// The value stack is full: grow it and rerun the instr.
-			f.st = in.grow(f.sp, 2)
-		case OpMemGrow:
-			delta := uint32(f.st[f.sp-1])
-			cur := len(in.mem) / PageSize
-			limit := 1 << 16
-			if in.m.MemMax > 0 {
-				limit = in.m.MemMax
-			}
-			if int(delta) > limit-cur {
-				f.st[f.sp-1] = uint64(uint32(0xFFFFFFFF))
-			} else {
-				in.mem = append(in.mem, make([]byte, int(delta)*PageSize)...)
-				f.st[f.sp-1] = uint64(uint32(cur))
-			}
-			f.pc++
-		case OpUnreachable:
-			trap = "unreachable executed"
-			break loop
-		case OpI32Load, OpI64Load, OpF64Load, OpI32Store, OpI64Store, OpF64Store:
-			trap = "out of bounds memory access"
-			break loop
-		case OpI64DivS, OpI64DivU, OpI64RemS, OpI64RemU:
-			trap = "integer divide by zero"
-			if f.st[f.sp-1] != 0 {
-				trap = "integer overflow"
-			}
-			break loop
+			s.fr[0] = s.fr[o.b]
+			return nil
+		case rBr, rBrIf, rIf, rIfLtS, rIfLtSK, rIfEq, rIfEqK, rIfEqz, rIfF64Gt:
+			// exec leaves these only past the budget.
+			s.fuel = fuel
+			return ErrFuel
 		default:
-			trap = fmt.Sprintf("unimplemented opcode 0x%02x", ins.op)
-			break loop
+			if s.fuel = fuel; fuel < 0 {
+				return ErrFuel
+			}
+			return &Trap{Msg: trapMessage(o, s.fr)}
 		}
 	}
-	if f.fuel >= 0 {
-		// The run a frame exit or a trap ends.
-		f.fuel -= int64(f.pc + 1 - f.start)
-	}
-	in.Fuel = f.fuel
-	if f.fuel < 0 {
-		in.sp = f.sp
-		return ErrFuel
-	}
-	if trap != "" {
-		in.sp = f.sp
-		return &Trap{Msg: trap}
-	}
-	ar := body.nResults
-	copy(f.st[base:], f.st[f.sp-ar:f.sp])
-	in.sp, in.ctrl, in.nlocals = base+ar, f.cs[:cb], lb
-	return nil
 }
 
-// straight runs f from f.pc, charging fuel as run does, up to the first
-// instr it cannot run without a call or a check of run's: a call, a frame
-// exit, a trap, a push onto a full value stack, memory.grow, or a
-// transfer whose charge would pass the budget. It leaves f.pc at that
-// instr, which has not run, with the value stack as the instr found it.
-func (in *Instance) straight(f *frame) {
-	code, st, loc, cs, cb := f.code, f.st, f.loc, f.cs, f.cb
-	pc, start, sp, fuel := f.pc, f.start, f.sp, f.fuel
+// callee returns the function a call rop calls, or why it traps.
+func (in *Instance) callee(s *state, o *rop) (int, string) {
+	if o.op == rCall {
+		return int(o.k), ""
+	}
+	i := uint32(s.fr[o.b])
+	switch {
+	case int(i) >= len(in.table):
+		return 0, "undefined element"
+	case in.table[i] < 0:
+		return 0, "uninitialized element"
+	case in.sigs[in.table[i]] != int32(o.k):
+		return 0, "indirect call type mismatch"
+	}
+	return int(in.table[i]), ""
+}
+
+// callHost calls import fi with its arguments at the start of args and
+// stores its result, if it has one, in *dst.
+func (in *Instance) callHost(fi int, args []uint64, dst *uint64) error {
+	h := in.hosts[fi]
+	res, err := h.Fn(slices.Clone(args[:len(h.Type.Params)]))
+	if err == nil && len(res) > 0 {
+		*dst = res[0]
+	}
+	return err
+}
+
+// growMemory runs memory.grow by delta pages.
+func (in *Instance) growMemory(delta uint32) uint64 {
+	cur := len(in.mem) / PageSize
+	limit := 1 << 16
+	if in.m.MemMax > 0 {
+		limit = in.m.MemMax
+	}
+	if int(delta) > limit-cur {
+		return uint64(uint32(0xFFFFFFFF))
+	}
+	in.mem = append(in.mem, make([]byte, int(delta)*PageSize)...)
+	return uint64(uint32(cur))
+}
+
+// trapMessage says why the trapping rop o traps on frame fr.
+func trapMessage(o *rop, fr []uint64) string {
+	switch o.op {
+	case rUnreachable:
+		return "unreachable executed"
+	case rI32Load, rI64Load, rI32Store, rI64Store, rI64StoreK:
+		return "out of bounds memory access"
+	case rI64DivS, rI64DivU, rI64RemS, rI64RemU:
+		if fr[o.b] != 0 {
+			return "integer overflow"
+		}
+		return "integer divide by zero"
+	}
+	return fmt.Sprintf("unimplemented register op %d", o.op)
+}
+
+// exec runs s from s.pc, charging fuel as run does, up to the first rop
+// it cannot run without a call or a check of run's: a host call, a call
+// that needs a larger arena or frame stack or would pass maxFrames, the
+// entry frame's return, a trap, memory.grow, or a transfer whose charge
+// would pass the budget. It leaves s.pc at that rop, which has not run.
+func (in *Instance) exec(s *state) {
+	code, fr, pc, start, fuel := s.code, s.fr, s.pc, s.start, s.fuel
+	mem, globals := in.mem, in.globals
 loop:
 	for {
-		ins := &code[pc]
+		o := &code[pc]
 		pc++
-		switch ins.op {
-		case OpNop:
-		case OpBlock:
-			cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
-		case OpLoop:
-			cs = pushLabel(cs, rtCtrl{
-				isLoop: true, start: int32(pc), cont: ins.x + 1,
-				arity: int8(ins.imm), height: int32(sp),
-			})
-		case OpIf:
-			n := fuel - int64(pc-start)
-			if n < 0 {
+		switch o.op {
+		case rCopy:
+			fr[o.c] = fr[o.a]
+		case rConst:
+			fr[o.c] = o.k
+		case rGlobalGet:
+			fr[o.c] = globals[o.k]
+		case rGlobalSet:
+			globals[o.k] = fr[o.a]
+		case rI32Load:
+			a := uint64(uint32(fr[o.a])) + uint64(o.b)
+			if a+4 > uint64(len(mem)) {
 				break loop
 			}
-			fuel = n
-			sp--
-			if uint32(st[sp]) != 0 {
-				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
-			} else if ins.y >= 0 {
-				cs = pushLabel(cs, rtCtrl{cont: ins.x + 1, arity: int8(ins.imm), height: int32(sp)})
-				pc = int(ins.y) + 1
+			fr[o.c] = uint64(binary.LittleEndian.Uint32(mem[a:]))
+		case rI64Load:
+			a := uint64(uint32(fr[o.a])) + uint64(o.b)
+			if a+8 > uint64(len(mem)) {
+				break loop
+			}
+			fr[o.c] = binary.LittleEndian.Uint64(mem[a:])
+		case rI32Store:
+			a := uint64(uint32(fr[o.a])) + uint64(o.b)
+			if a+4 > uint64(len(mem)) {
+				break loop
+			}
+			binary.LittleEndian.PutUint32(mem[a:], uint32(fr[o.c]))
+		case rI64Store:
+			a := uint64(uint32(fr[o.a])) + uint64(o.b)
+			if a+8 > uint64(len(mem)) {
+				break loop
+			}
+			binary.LittleEndian.PutUint64(mem[a:], fr[o.c])
+		case rI64StoreK:
+			a := uint64(uint32(fr[o.a])) + uint64(o.b)
+			if a+8 > uint64(len(mem)) {
+				break loop
+			}
+			binary.LittleEndian.PutUint64(mem[a:], o.k)
+		case rMemSize:
+			fr[o.c] = uint64(len(mem) / PageSize)
+		case rSelect:
+			if uint32(fr[o.b]) != 0 {
+				fr[o.c] = fr[o.a]
 			} else {
-				pc = int(ins.x) + 1
+				fr[o.c] = fr[o.k]
 			}
-			start = pc
-		case OpElse:
-			// True arm finished: jump to the matching end, which pops.
-			n := fuel - int64(pc-start)
-			if n < 0 {
+		case rSelectK:
+			if uint32(fr[o.b]) != 0 {
+				fr[o.c] = fr[o.a]
+			} else {
+				fr[o.c] = o.k
+			}
+
+		case rI32Eqz:
+			fr[o.c] = b2i(uint32(fr[o.a]) == 0)
+		case rI64Eqz:
+			fr[o.c] = b2i(fr[o.a] == 0)
+		case rWrap:
+			fr[o.c] = uint64(uint32(fr[o.a]))
+		case rExtendS:
+			fr[o.c] = uint64(int64(int32(uint32(fr[o.a]))))
+		case rF64Abs:
+			fr[o.c] = fr[o.a] &^ (1 << 63)
+		case rF64Neg:
+			fr[o.c] = fr[o.a] ^ (1 << 63)
+		case rF64Sqrt:
+			fr[o.c] = math.Float64bits(math.Sqrt(f64(fr[o.a])))
+		case rDemote:
+			fr[o.c] = uint64(math.Float32bits(float32(f64(fr[o.a]))))
+		case rConvS:
+			fr[o.c] = math.Float64bits(float64(int64(fr[o.a])))
+		case rConvU:
+			fr[o.c] = math.Float64bits(float64(fr[o.a]))
+		case rPromote:
+			fr[o.c] = math.Float64bits(float64(math.Float32frombits(uint32(fr[o.a]))))
+
+		case rI32Eq:
+			fr[o.c] = b2i(uint32(fr[o.a]) == uint32(fr[o.b]))
+		case rI32Ne:
+			fr[o.c] = b2i(uint32(fr[o.a]) != uint32(fr[o.b]))
+		case rI32Add:
+			fr[o.c] = uint64(uint32(fr[o.a]) + uint32(fr[o.b]))
+		case rI32Sub:
+			fr[o.c] = uint64(uint32(fr[o.a]) - uint32(fr[o.b]))
+		case rI32And:
+			fr[o.c] = uint64(uint32(fr[o.a]) & uint32(fr[o.b]))
+		case rI32Or:
+			fr[o.c] = uint64(uint32(fr[o.a]) | uint32(fr[o.b]))
+		case rI64Eq:
+			fr[o.c] = b2i(fr[o.a] == fr[o.b])
+		case rI64Ne:
+			fr[o.c] = b2i(fr[o.a] != fr[o.b])
+		case rI64LtS:
+			fr[o.c] = b2i(int64(fr[o.a]) < int64(fr[o.b]))
+		case rI64LtU:
+			fr[o.c] = b2i(fr[o.a] < fr[o.b])
+		case rI64GtS:
+			fr[o.c] = b2i(int64(fr[o.a]) > int64(fr[o.b]))
+		case rI64GtU:
+			fr[o.c] = b2i(fr[o.a] > fr[o.b])
+		case rI64LeS:
+			fr[o.c] = b2i(int64(fr[o.a]) <= int64(fr[o.b]))
+		case rI64LeU:
+			fr[o.c] = b2i(fr[o.a] <= fr[o.b])
+		case rI64GeS:
+			fr[o.c] = b2i(int64(fr[o.a]) >= int64(fr[o.b]))
+		case rI64GeU:
+			fr[o.c] = b2i(fr[o.a] >= fr[o.b])
+		case rI64Add:
+			fr[o.c] = fr[o.a] + fr[o.b]
+		case rI64Sub:
+			fr[o.c] = fr[o.a] - fr[o.b]
+		case rI64Mul:
+			fr[o.c] = fr[o.a] * fr[o.b]
+		case rI64DivS:
+			a, b := int64(fr[o.a]), int64(fr[o.b])
+			if b == 0 || a == math.MinInt64 && b == -1 {
 				break loop
 			}
-			fuel = n
-			pc = int(ins.x)
-			start = pc
-		case OpEnd:
-			if len(cs) == cb {
+			fr[o.c] = uint64(a / b)
+		case rI64DivU:
+			if fr[o.b] == 0 {
 				break loop
 			}
-			cs = cs[:len(cs)-1]
-		case OpBr:
-			n := fuel - int64(pc-start)
-			if int(ins.imm) >= len(cs)-cb || n < 0 {
+			fr[o.c] = fr[o.a] / fr[o.b]
+		case rI64RemS:
+			a, b := int64(fr[o.a]), int64(fr[o.b])
+			if b == 0 {
 				break loop
 			}
-			fuel = n
-			pc, sp, cs = branch(st, sp, cs, int(ins.imm))
-			start = pc
-		case OpBrIf:
-			if uint32(st[sp-1]) == 0 {
-				sp--
+			if b == -1 {
+				fr[o.c] = 0
+			} else {
+				fr[o.c] = uint64(a % b)
+			}
+		case rI64RemU:
+			if fr[o.b] == 0 {
+				break loop
+			}
+			fr[o.c] = fr[o.a] % fr[o.b]
+		case rI64And:
+			fr[o.c] = fr[o.a] & fr[o.b]
+		case rI64Or:
+			fr[o.c] = fr[o.a] | fr[o.b]
+		case rI64Xor:
+			fr[o.c] = fr[o.a] ^ fr[o.b]
+		case rI64Shl:
+			fr[o.c] = fr[o.a] << (fr[o.b] & 63)
+		case rI64ShrS:
+			fr[o.c] = uint64(int64(fr[o.a]) >> (fr[o.b] & 63))
+		case rI64ShrU:
+			fr[o.c] = fr[o.a] >> (fr[o.b] & 63)
+		case rF64Eq:
+			fr[o.c] = b2i(f64(fr[o.a]) == f64(fr[o.b]))
+		case rF64Ne:
+			fr[o.c] = b2i(f64(fr[o.a]) != f64(fr[o.b]))
+		case rF64Lt:
+			fr[o.c] = b2i(f64(fr[o.a]) < f64(fr[o.b]))
+		case rF64Gt:
+			fr[o.c] = b2i(f64(fr[o.a]) > f64(fr[o.b]))
+		case rF64Le:
+			fr[o.c] = b2i(f64(fr[o.a]) <= f64(fr[o.b]))
+		case rF64Ge:
+			fr[o.c] = b2i(f64(fr[o.a]) >= f64(fr[o.b]))
+		case rF64Add:
+			fr[o.c] = math.Float64bits(f64(fr[o.a]) + f64(fr[o.b]))
+		case rF64Sub:
+			fr[o.c] = math.Float64bits(f64(fr[o.a]) - f64(fr[o.b]))
+		case rF64Mul:
+			fr[o.c] = math.Float64bits(f64(fr[o.a]) * f64(fr[o.b]))
+		case rF64Div:
+			fr[o.c] = math.Float64bits(f64(fr[o.a]) / f64(fr[o.b]))
+
+		case rI64EqK:
+			fr[o.c] = b2i(fr[o.a] == o.k)
+		case rI64NeK:
+			fr[o.c] = b2i(fr[o.a] != o.k)
+		case rI64LtSK:
+			fr[o.c] = b2i(int64(fr[o.a]) < int64(o.k))
+		case rI64LtUK:
+			fr[o.c] = b2i(fr[o.a] < o.k)
+		case rI64GtSK:
+			fr[o.c] = b2i(int64(fr[o.a]) > int64(o.k))
+		case rI64GtUK:
+			fr[o.c] = b2i(fr[o.a] > o.k)
+		case rI64LeSK:
+			fr[o.c] = b2i(int64(fr[o.a]) <= int64(o.k))
+		case rI64LeUK:
+			fr[o.c] = b2i(fr[o.a] <= o.k)
+		case rI64GeSK:
+			fr[o.c] = b2i(int64(fr[o.a]) >= int64(o.k))
+		case rI64GeUK:
+			fr[o.c] = b2i(fr[o.a] >= o.k)
+		case rI64AddK:
+			fr[o.c] = fr[o.a] + o.k
+		case rI64SubK:
+			fr[o.c] = fr[o.a] - o.k
+		case rI64MulK:
+			fr[o.c] = fr[o.a] * o.k
+		case rI64AndK:
+			fr[o.c] = fr[o.a] & o.k
+		case rI64OrK:
+			fr[o.c] = fr[o.a] | o.k
+		case rI64XorK:
+			fr[o.c] = fr[o.a] ^ o.k
+		case rI64ShlK:
+			fr[o.c] = fr[o.a] << (o.k & 63)
+		case rI64ShrSK:
+			fr[o.c] = uint64(int64(fr[o.a]) >> (o.k & 63))
+		case rI64ShrUK:
+			fr[o.c] = fr[o.a] >> (o.k & 63)
+
+		case rBrIf:
+			if uint32(fr[o.a]) == 0 {
 				break
 			}
-			n := fuel - int64(pc-start)
-			if int(ins.imm) >= len(cs)-cb || n < 0 {
+			fallthrough
+		case rBr:
+			n := fuel - (int64(o.x) - start)
+			if n < 0 {
 				break loop
 			}
 			fuel = n
-			pc, sp, cs = branch(st, sp-1, cs, int(ins.imm))
-			start = pc
-		case OpDrop:
-			sp--
-		case OpSelect:
-			sp -= 2
-			if uint32(st[sp+1]) == 0 {
-				st[sp-1] = st[sp]
-			}
-		case OpLocalGet:
-			if sp == len(st) {
+			fr[o.c] = fr[o.b]
+			pc, start = int(uint32(o.k)), int64(o.k>>32)
+		case rIf, rIfLtS, rIfLtSK, rIfEq, rIfEqK, rIfEqz, rIfF64Gt:
+			n := fuel - (int64(o.x) - start)
+			if n < 0 {
 				break loop
 			}
-			st[sp] = loc[ins.imm]
-			sp++
-		case OpLocalSet:
-			sp--
-			loc[ins.imm] = st[sp]
-		case OpLocalTee:
-			loc[ins.imm] = st[sp-1]
-		case OpGlobalGet:
-			if sp == len(st) {
-				break loop
+			fuel = n
+			var taken bool
+			switch o.op {
+			case rIf:
+				taken = uint32(fr[o.a]) != 0
+			case rIfLtS:
+				taken = int64(fr[o.a]) < int64(fr[o.b])
+			case rIfLtSK:
+				taken = int64(fr[o.a]) < int64(int32(o.b))
+			case rIfEq:
+				taken = fr[o.a] == fr[o.b]
+			case rIfEqK:
+				taken = fr[o.a] == uint64(int32(o.b))
+			case rIfEqz:
+				taken = fr[o.a] == 0
+			case rIfF64Gt:
+				taken = f64(fr[o.a]) > f64(fr[o.b])
 			}
-			st[sp] = in.globals[ins.imm]
-			sp++
-		case OpGlobalSet:
-			sp--
-			in.globals[ins.imm] = st[sp]
-		case OpI32Load:
-			a, ok := in.effAddr(st[sp-1], ins, 4)
-			if !ok {
-				break loop
-			}
-			st[sp-1] = uint64(binary.LittleEndian.Uint32(in.mem[a:]))
-		case OpI64Load, OpF64Load:
-			a, ok := in.effAddr(st[sp-1], ins, 8)
-			if !ok {
-				break loop
-			}
-			st[sp-1] = binary.LittleEndian.Uint64(in.mem[a:])
-		case OpI32Store:
-			a, ok := in.effAddr(st[sp-2], ins, 4)
-			if !ok {
-				break loop
-			}
-			sp -= 2
-			binary.LittleEndian.PutUint32(in.mem[a:], uint32(st[sp+1]))
-		case OpI64Store, OpF64Store:
-			a, ok := in.effAddr(st[sp-2], ins, 8)
-			if !ok {
-				break loop
-			}
-			sp -= 2
-			binary.LittleEndian.PutUint64(in.mem[a:], st[sp+1])
-		case OpMemSize:
-			if sp == len(st) {
-				break loop
-			}
-			st[sp] = uint64(len(in.mem) / PageSize)
-			sp++
-		case OpI32Const:
-			if sp == len(st) {
-				break loop
-			}
-			// readInstr left i32 constants sign-extended in imm.
-			st[sp] = uint64(uint32(ins.imm))
-			sp++
-		case OpI64Const, OpF64Const:
-			if sp == len(st) {
-				break loop
-			}
-			st[sp] = uint64(ins.imm)
-			sp++
-
-		// A fused instr runs both halves and steps pc past the second,
-		// which is the next instr, so the run that holds it counts both.
-		case opLocalGetLocalGet:
-			if sp+2 > len(st) {
-				break loop
-			}
-			st[sp] = loc[ins.imm]
-			st[sp+1] = loc[code[pc].imm]
-			sp += 2
-			pc++
-		case opLocalGetI64Const:
-			if sp+2 > len(st) {
-				break loop
-			}
-			st[sp] = loc[ins.imm]
-			st[sp+1] = uint64(code[pc].imm)
-			sp += 2
-			pc++
-		case opLocalSetLocalGet:
-			loc[ins.imm] = st[sp-1]
-			st[sp-1] = loc[code[pc].imm]
-			pc++
-		case opI64ConstI64Add:
-			st[sp-1] += uint64(ins.imm)
-			pc++
-
-		case OpI32Eqz:
-			st[sp-1] = b2i(uint32(st[sp-1]) == 0)
-		case OpI32Eq:
-			sp--
-			st[sp-1] = b2i(uint32(st[sp-1]) == uint32(st[sp]))
-		case OpI32Ne:
-			sp--
-			st[sp-1] = b2i(uint32(st[sp-1]) != uint32(st[sp]))
-		case OpI32Add:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) + uint32(st[sp]))
-		case OpI32Sub:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) - uint32(st[sp]))
-		case OpI32And:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) & uint32(st[sp]))
-		case OpI32Or:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) | uint32(st[sp]))
-		case OpI64Eqz:
-			st[sp-1] = b2i(st[sp-1] == 0)
-		case OpI64Eq:
-			sp--
-			st[sp-1] = b2i(st[sp-1] == st[sp])
-		case OpI64Ne:
-			sp--
-			st[sp-1] = b2i(st[sp-1] != st[sp])
-		case OpI64LtS:
-			sp--
-			st[sp-1] = b2i(int64(st[sp-1]) < int64(st[sp]))
-		case OpI64LtU:
-			sp--
-			st[sp-1] = b2i(st[sp-1] < st[sp])
-		case OpI64GtS:
-			sp--
-			st[sp-1] = b2i(int64(st[sp-1]) > int64(st[sp]))
-		case OpI64GtU:
-			sp--
-			st[sp-1] = b2i(st[sp-1] > st[sp])
-		case OpI64LeS:
-			sp--
-			st[sp-1] = b2i(int64(st[sp-1]) <= int64(st[sp]))
-		case OpI64LeU:
-			sp--
-			st[sp-1] = b2i(st[sp-1] <= st[sp])
-		case OpI64GeS:
-			sp--
-			st[sp-1] = b2i(int64(st[sp-1]) >= int64(st[sp]))
-		case OpI64GeU:
-			sp--
-			st[sp-1] = b2i(st[sp-1] >= st[sp])
-		case OpF64Eq:
-			sp--
-			st[sp-1] = b2i(f64(st[sp-1]) == f64(st[sp]))
-		case OpF64Ne:
-			sp--
-			st[sp-1] = b2i(f64(st[sp-1]) != f64(st[sp]))
-		case OpF64Lt:
-			sp--
-			st[sp-1] = b2i(f64(st[sp-1]) < f64(st[sp]))
-		case OpF64Gt:
-			sp--
-			st[sp-1] = b2i(f64(st[sp-1]) > f64(st[sp]))
-		case OpF64Le:
-			sp--
-			st[sp-1] = b2i(f64(st[sp-1]) <= f64(st[sp]))
-		case OpF64Ge:
-			sp--
-			st[sp-1] = b2i(f64(st[sp-1]) >= f64(st[sp]))
-		case OpI64Add:
-			sp--
-			st[sp-1] += st[sp]
-		case OpI64Sub:
-			sp--
-			st[sp-1] -= st[sp]
-		case OpI64Mul:
-			sp--
-			st[sp-1] *= st[sp]
-		case OpI64DivS:
-			b, c := int64(st[sp-2]), int64(st[sp-1])
-			if c == 0 || b == math.MinInt64 && c == -1 {
-				break loop
-			}
-			sp--
-			st[sp-1] = uint64(b / c)
-		case OpI64DivU:
-			if st[sp-1] == 0 {
-				break loop
-			}
-			sp--
-			st[sp-1] /= st[sp]
-		case OpI64RemS:
-			b, c := int64(st[sp-2]), int64(st[sp-1])
-			if c == 0 {
-				break loop
-			}
-			sp--
-			if c == -1 {
-				st[sp-1] = 0
+			if taken {
+				start = int64(o.x)
 			} else {
-				st[sp-1] = uint64(b % c)
+				pc, start = int(uint32(o.k)), int64(o.k>>32)
 			}
-		case OpI64RemU:
-			if st[sp-1] == 0 {
+
+		case rCall, rCallInd:
+			fi := int(o.k)
+			if o.op == rCallInd {
+				i := uint32(fr[o.b])
+				if int(i) >= len(in.table) {
+					break loop
+				}
+				fi = int(in.table[i])
+				if fi < 0 || in.sigs[fi] != int32(o.k) {
+					break loop
+				}
+			}
+			f := &in.fns[fi]
+			n := fuel - (int64(o.x) - start)
+			base := s.base + int(o.a)
+			nc := len(in.calls)
+			if n < 0 || f.code == nil || nc == cap(in.calls) || base+f.size > len(in.st) {
 				break loop
 			}
-			sp--
-			st[sp-1] %= st[sp]
-		case OpI64And:
-			sp--
-			st[sp-1] &= st[sp]
-		case OpI64Or:
-			sp--
-			st[sp-1] |= st[sp]
-		case OpI64Xor:
-			sp--
-			st[sp-1] ^= st[sp]
-		case OpI64Shl:
-			sp--
-			st[sp-1] <<= st[sp] & 63
-		case OpI64ShrS:
-			sp--
-			st[sp-1] = uint64(int64(st[sp-1]) >> (st[sp] & 63))
-		case OpI64ShrU:
-			sp--
-			st[sp-1] >>= st[sp] & 63
-		case OpF64Abs:
-			st[sp-1] &^= 1 << 63
-		case OpF64Neg:
-			st[sp-1] ^= 1 << 63
-		case OpF64Sqrt:
-			st[sp-1] = math.Float64bits(math.Sqrt(f64(st[sp-1])))
-		case OpF64Add:
-			sp--
-			st[sp-1] = math.Float64bits(f64(st[sp-1]) + f64(st[sp]))
-		case OpF64Sub:
-			sp--
-			st[sp-1] = math.Float64bits(f64(st[sp-1]) - f64(st[sp]))
-		case OpF64Mul:
-			sp--
-			st[sp-1] = math.Float64bits(f64(st[sp-1]) * f64(st[sp]))
-		case OpF64Div:
-			sp--
-			st[sp-1] = math.Float64bits(f64(st[sp-1]) / f64(st[sp]))
-		case OpI32WrapI64, OpI64ExtendI32U:
-			st[sp-1] = uint64(uint32(st[sp-1]))
-		case OpI64ExtendI32S:
-			st[sp-1] = uint64(int64(int32(uint32(st[sp-1]))))
-		case OpF32DemoteF64:
-			st[sp-1] = uint64(math.Float32bits(float32(f64(st[sp-1]))))
-		case OpF64ConvertI64S:
-			st[sp-1] = math.Float64bits(float64(int64(st[sp-1])))
-		case OpF64ConvertI64U:
-			st[sp-1] = math.Float64bits(float64(st[sp-1]))
-		case OpF64PromoteF32:
-			st[sp-1] = math.Float64bits(float64(math.Float32frombits(uint32(st[sp-1]))))
-		case OpI64ReinterpretF64, OpF64ReinterpretI64:
-			// Bit pattern is the representation: no-op.
+			fuel = n
+			in.calls = in.calls[:nc+1]
+			in.calls[nc] = caller{fn: int32(s.fn), pc: int32(pc), start: o.x, dst: int32(o.c), base: s.base}
+			s.fn, s.base = fi, base
+			fr = in.st[base:]
+			for i := f.np; i < f.nl; i++ {
+				fr[i] = 0
+			}
+			code, pc, start = f.code, 0, 0
+		case rRetIf:
+			if uint32(fr[o.a]) == 0 {
+				break
+			}
+			fallthrough
+		case rRet:
+			n := fuel - (int64(o.x) - start)
+			nc := len(in.calls) - 1
+			if n < 0 || nc < 0 {
+				break loop
+			}
+			fuel = n
+			v := fr[o.b]
+			c := in.calls[nc]
+			in.calls = in.calls[:nc]
+			s.fn, s.base = int(c.fn), c.base
+			code, pc, start = in.fns[c.fn].code, int(c.pc), int64(c.start)
+			fr = in.st[c.base:]
+			fr[c.dst] = v
 		default:
-			// Unreachable, return, calls, memory.grow and any unknown op.
+			// unreachable and memory.grow.
 			break loop
 		}
 	}
-	f.pc, f.start, f.sp, f.fuel, f.cs = pc-1, start, sp, fuel, cs
-}
-
-// effAddr returns the address of a size-byte access at base plus ins's
-// offset, and whether it is in bounds.
-func (in *Instance) effAddr(base uint64, ins *instr, size uint64) (uint64, bool) {
-	a := uint64(uint32(base)) + uint64(ins.imm)
-	return a, a+size <= uint64(len(in.mem))
+	s.code, s.fr, s.pc, s.start, s.fuel = code, fr, pc-1, start, fuel
 }
 
 func f64(v uint64) float64 { return math.Float64frombits(v) }

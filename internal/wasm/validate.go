@@ -15,10 +15,10 @@ const maxPages = 65536
 func Validate(m *Module) error { return m.validate(nil) }
 
 // validate runs Validate's checks. If body is not nil, it is handed each
-// function body in order as the checker decoded it, with every block,
-// loop and if resolved (see checker), and the body's deepest block
-// nesting. The code slice is reused for the next body.
-func (m *Module) validate(body func(fi int, code []instr, depth int)) error {
+// function body in order as the checker decoded it, with each block,
+// loop and if holding its result arity in imm. The code slice is reused
+// for the next body.
+func (m *Module) validate(body func(fi int, code []instr)) error {
 	for i, im := range m.Imports {
 		if im.TypeIdx < 0 || im.TypeIdx >= len(m.Types) {
 			return fmt.Errorf("wasm: import %d (%s.%s): type index out of range", i, im.Module, im.Name)
@@ -98,7 +98,7 @@ func (m *Module) validate(body func(fi int, code []instr, depth int)) error {
 			return fmt.Errorf("wasm: function %d: %w", len(m.Imports)+i, err)
 		}
 		if body != nil {
-			body(i, v.code, v.depth)
+			body(i, v.code)
 		}
 	}
 	return nil
@@ -108,8 +108,7 @@ func (m *Module) validate(body func(fi int, code []instr, depth int)) error {
 const unknownType ValType = 0
 
 type ctrlFrame struct {
-	op          byte  // OpBlock, OpLoop, OpIf, OpElse; OpEnd marks the function frame
-	at          int32 // index of the opening block, loop or if in code; -1 for the function
+	op          byte // OpBlock, OpLoop, OpIf, OpElse; OpEnd marks the function frame
 	start, end  []ValType
 	height      int
 	unreachable bool
@@ -122,17 +121,15 @@ func (c *ctrlFrame) labelTypes() []ValType {
 	return c.end
 }
 
-// checker type-checks one function body at a time and records it as the
-// interpreter runs it: each block, loop and if holds its result arity in
-// imm and the index of its end in x, an if also the index of its else in
-// y (or -1), and an else the index of the end.
+// checker type-checks one function body at a time and records its
+// decoded instructions, each block, loop and if holding its result arity
+// in imm.
 type checker struct {
 	m      *Module
 	opds   []ValType
 	ctrls  []ctrlFrame
 	locals []ValType
 	code   []instr // the body checked last
-	depth  int     // its deepest block, loop and if nesting
 }
 
 func (v *checker) pushOpd(t ValType) { v.opds = append(v.opds, t) }
@@ -170,8 +167,8 @@ func (v *checker) popAll(ts []ValType) error {
 	return nil
 }
 
-func (v *checker) pushCtrl(op byte, at int32, start, end []ValType) {
-	v.ctrls = append(v.ctrls, ctrlFrame{op: op, at: at, start: start, end: end, height: len(v.opds)})
+func (v *checker) pushCtrl(op byte, start, end []ValType) {
+	v.ctrls = append(v.ctrls, ctrlFrame{op: op, start: start, end: end, height: len(v.opds)})
 	v.opds = append(v.opds, start...)
 }
 
@@ -203,13 +200,13 @@ func (v *checker) label(depth int64) (*ctrlFrame, error) {
 	return &v.ctrls[len(v.ctrls)-1-int(depth)], nil
 }
 
-// function decodes and type-checks body fi into v.code and v.depth.
+// function decodes and type-checks body fi into v.code.
 func (v *checker) function(fi int) error {
 	f := &v.m.Funcs[fi]
 	sig := v.m.Types[f.TypeIdx]
-	v.opds, v.ctrls, v.code, v.depth = v.opds[:0], v.ctrls[:0], v.code[:0], 0
+	v.opds, v.ctrls, v.code = v.opds[:0], v.ctrls[:0], v.code[:0]
 	v.locals = append(append(v.locals[:0], sig.Params...), f.Locals...)
-	v.pushCtrl(OpEnd, -1, nil, sig.Results)
+	v.pushCtrl(OpEnd, nil, sig.Results)
 
 	r := &reader{data: f.Code}
 	for !r.done() {
@@ -237,10 +234,8 @@ func (v *checker) function(fi int) error {
 	return fmt.Errorf("function body not terminated")
 }
 
-// step type-checks ins, which is to be appended to v.code, and resolves
-// the structured control it opens or closes.
+// step type-checks ins, which is to be appended to v.code.
 func (v *checker) step(ins *instr) error {
-	pc := int32(len(v.code))
 	switch ins.op {
 	case OpUnreachable:
 		v.setUnreachable()
@@ -251,8 +246,7 @@ func (v *checker) step(ins *instr) error {
 				return err
 			}
 		}
-		v.pushCtrl(ins.op, pc, nil, res)
-		v.depth = max(v.depth, len(v.ctrls)-1)
+		v.pushCtrl(ins.op, nil, res)
 		ins.imm = int64(len(res))
 	case OpElse:
 		c, err := v.popCtrl()
@@ -262,8 +256,7 @@ func (v *checker) step(ins *instr) error {
 		if c.op != OpIf {
 			return fmt.Errorf("else outside if")
 		}
-		v.code[c.at].y = pc
-		v.pushCtrl(OpElse, c.at, c.start, c.end)
+		v.pushCtrl(OpElse, c.start, c.end)
 	case OpEnd:
 		c, err := v.popCtrl()
 		if err != nil {
@@ -271,14 +264,6 @@ func (v *checker) step(ins *instr) error {
 		}
 		if c.op == OpIf && len(c.end) > 0 {
 			return fmt.Errorf("if with result type lacks an else arm")
-		}
-		if c.at >= 0 {
-			open := &v.code[c.at]
-			open.x = pc
-			if open.y >= 0 {
-				// The else jumps over the false arm to the end.
-				v.code[open.y].x = pc
-			}
 		}
 		v.opds = append(v.opds, c.end...)
 	case OpBr, OpBrIf:
