@@ -135,7 +135,8 @@ BASE ?= HEAD~1
 bench-diff:
 	sh scripts/bench-diff.sh $(BASE)
 
-# bench-full runs the whole evaluation harness at laptop scale.
+# bench-full runs the wall-clock compile-time benchmarks of the evaluation
+# (Tables 4 and 5); the deterministic tables are pinned by TestPaperTables.
 bench-full:
 	$(GO) test -bench=. -benchmem -run='^$$'
 
@@ -143,5 +144,7 @@ bench-full:
 bench-passes:
 	$(GO) test -bench=BenchmarkPassTimings -run='^$$'
 
+# tables prints every table, figure and ablation of EXPERIMENTS.md at full
+# size (a few seconds).
 tables:
-	$(GO) run ./cmd/thorin-bench -all -fast
+	$(GO) run ./cmd/thorin-bench -all

@@ -14,7 +14,10 @@
 //	thorin-bench -figure runtime   # the headline runtime comparison
 //	thorin-bench -figure sweep     # overhead vs input size
 //	thorin-bench -ablation all     # consing / schedule / mem2reg ablations
-//	thorin-bench -fast             # reduced problem sizes everywhere
+//
+// Every table except 4, 5 and 6 (wall clock) is deterministic;
+// TestPaperTables in internal/bench pins those and checks that
+// EXPERIMENTS.md shows each verbatim.
 package main
 
 import (
@@ -31,14 +34,8 @@ func main() {
 		figure   = flag.String("figure", "", "print figure: runtime | sweep")
 		ablation = flag.String("ablation", "", "print ablation: consing | schedule | mem2reg | all")
 		all      = flag.Bool("all", false, "print every table, figure and ablation")
-		fast     = flag.Bool("fast", false, "use reduced problem sizes")
 	)
 	flag.Parse()
-
-	var sizes bench.Sizes
-	if *fast {
-		sizes = bench.FastSizes
-	}
 
 	out := os.Stdout
 	ran := false
@@ -52,13 +49,13 @@ func main() {
 	}
 
 	if *all || *table == 1 {
-		check(bench.Table1(out, sizes))
+		check(bench.Table1(out))
 	}
 	if *all || *table == 2 {
-		check(bench.Table2(out, sizes))
+		check(bench.Table2(out))
 	}
 	if *all || *figure == "runtime" {
-		check(bench.FigureRuntime(out, sizes))
+		check(bench.FigureRuntime(out))
 	}
 	if *all || *figure == "sweep" {
 		check(bench.FigureSweep(out))
@@ -79,10 +76,10 @@ func main() {
 		check(bench.AblationConsing(out))
 	}
 	if *all || *ablation == "schedule" || *ablation == "all" {
-		check(bench.AblationSchedule(out, sizes))
+		check(bench.AblationSchedule(out))
 	}
 	if *all || *ablation == "mem2reg" || *ablation == "all" {
-		check(bench.AblationMem2Reg(out, sizes))
+		check(bench.AblationMem2Reg(out))
 	}
 	if !ran {
 		flag.Usage()

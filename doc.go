@@ -6,7 +6,8 @@
 // for the evaluation.
 //
 // See README.md for an overview, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for recorded results. The benchmarks
-// in bench_test.go regenerate every table and figure; the same data is
-// printed by cmd/thorin-bench.
+// experiment index, and EXPERIMENTS.md for recorded results.
+// cmd/thorin-bench prints every table and figure, TestPaperTables in
+// internal/bench checks the deterministic ones against EXPERIMENTS.md, and
+// the benchmarks in bench_test.go time the compile-time experiments.
 package thorin

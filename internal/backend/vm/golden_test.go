@@ -2,7 +2,6 @@ package vmbackend
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,14 +13,13 @@ import (
 	"thorin/internal/vm"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden disassembly files")
-
 // goldenPrograms pin the VM emitter's instruction selection: each source is
 // compiled through the standard O2 pipeline and its disassembly compared
 // byte-for-byte against testdata/<name>.disasm. A diff means instruction
 // selection, register allocation or block layout changed — fine when
-// intentional (re-bless with `go test -run TestGoldenDisasm -update`), a
-// regression when not. Together with the driver's artifact-determinism
+// intentional (re-bless with
+// `THORIN_UPDATE_GOLDEN=1 go test -run TestGoldenDisasm ./internal/backend/vm`),
+// a regression when not. Together with the driver's artifact-determinism
 // tests this keeps vm codegen both stable and reviewable.
 var goldenPrograms = []struct {
 	name string
@@ -79,7 +77,7 @@ func TestGoldenDisasm(t *testing.T) {
 			vm.Disassemble(&buf, prog)
 
 			path := filepath.Join("testdata", tc.name+".disasm")
-			if *updateGolden {
+			if os.Getenv("THORIN_UPDATE_GOLDEN") != "" {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -90,10 +88,10 @@ func TestGoldenDisasm(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
+				t.Fatalf("missing golden (create with THORIN_UPDATE_GOLDEN=1): %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("disassembly drifted from %s (re-bless with -update if intended)\n--- got ---\n%s--- want ---\n%s",
+				t.Errorf("disassembly drifted from %s (re-bless with THORIN_UPDATE_GOLDEN=1 if intended)\n--- got ---\n%s--- want ---\n%s",
 					path, buf.String(), want)
 			}
 		})

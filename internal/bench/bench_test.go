@@ -66,9 +66,19 @@ func TestManglingRemovesIndirectCalls(t *testing.T) {
 	}
 }
 
+// maxFunImpRatio bounds each program's functional/imperative instruction
+// ratio at θO2 and smallN: the measured ratio plus about 3%, rounded up to
+// 0.05. The counts are deterministic, so the slack only absorbs small
+// deliberate codegen changes; lower a bound when a change lowers its ratio.
+var maxFunImpRatio = map[string]float64{
+	"mapreduce": 1.15, "filter": 1.15, "compose": 1.70, "mandelbrot": 1.05,
+	"nbody": 1.10, "spectralnorm": 1.15, "qsort": 1.20, "matmul": 1.15,
+	"nqueens": 1.10,
+}
+
 // TestFunctionalMatchesImperative checks the headline claim (Figure
 // "runtime"): with full optimization the functional variant is within a
-// modest factor of the imperative one compiled through the same pipeline.
+// measured factor of the imperative one compiled through the same pipeline.
 func TestFunctionalMatchesImperative(t *testing.T) {
 	for i := range Suite {
 		p := &Suite[i]
@@ -88,8 +98,8 @@ func TestFunctionalMatchesImperative(t *testing.T) {
 			if p.Name == "fib" {
 				t.Skip("variants are algorithmically different")
 			}
-			if ratio > 2.0 {
-				t.Errorf("functional/imperative instruction ratio %.2f > 2.0", ratio)
+			if bound := maxFunImpRatio[p.Name]; ratio > bound {
+				t.Errorf("functional/imperative instruction ratio %.3f > %.2f", ratio, bound)
 			}
 			t.Logf("ratio %.3f (func %d, imp %d)", ratio,
 				fun.Counters.Instructions, imp.Counters.Instructions)

@@ -13,31 +13,11 @@ import (
 	"thorin/internal/transform"
 )
 
-// Sizes optionally overrides per-benchmark problem sizes (nil = defaults).
-type Sizes map[string]int64
-
-// FastSizes are the reduced problem sizes of `thorin-bench -fast` and of the
-// root package's go-test benchmarks: laptop scale, seconds per table.
-var FastSizes = Sizes{
-	"fib": 18, "mapreduce": 3000, "filter": 3000, "compose": 3000,
-	"mandelbrot": 16, "nbody": 200, "spectralnorm": 16, "qsort": 1000,
-	"matmul": 12, "nqueens": 7,
-}
-
-func (s Sizes) of(p *Program) int64 {
-	if s != nil {
-		if n, ok := s[p.Name]; ok {
-			return n
-		}
-	}
-	return p.DefaultN
-}
-
 // Table1 prints the benchmark and IR statistics table: source size and the
 // sizes of the unoptimized IRs produced by both frontends. The graph IR
 // counts continuations + hash-consed primop nodes; the baseline counts SSA
 // instructions + φ-functions.
-func Table1(w io.Writer, sizes Sizes) error {
+func Table1(w io.Writer) error {
 	fmt.Fprintf(w, "Table 1: benchmark suite and IR statistics (functional variants)\n")
 	fmt.Fprintf(w, "%-14s %6s %6s | %8s %9s | %9s %6s\n",
 		"benchmark", "LoC-f", "LoC-i", "θ-conts", "θ-primops", "ssa-instr", "ssa-φ")
@@ -72,13 +52,13 @@ func Table1(w io.Writer, sizes Sizes) error {
 // and indirect calls of the functional variants before and after conversion
 // to control-flow form, plus the number of continuations still violating
 // CFF after optimization.
-func Table2(w io.Writer, sizes Sizes) error {
+func Table2(w io.Writer) error {
 	fmt.Fprintf(w, "Table 2: higher-order overhead before/after lambda mangling (functional variants)\n")
 	fmt.Fprintf(w, "%-14s %8s | %10s %10s | %10s %10s | %6s\n",
 		"benchmark", "n", "O0-clos", "O0-icalls", "O2-clos", "O2-icalls", "resid")
 	for i := range Suite {
 		p := &Suite[i]
-		n := sizes.of(p)
+		n := p.DefaultN
 		o0, err := Run(p.Functional, ThorinO0, n)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
@@ -99,13 +79,13 @@ func Table2(w io.Writer, sizes Sizes) error {
 // FigureRuntime prints the headline runtime comparison: executed VM
 // instructions of each arm, normalized to the imperative variant compiled
 // through the classical SSA baseline ( = 1.00).
-func FigureRuntime(w io.Writer, sizes Sizes) error {
+func FigureRuntime(w io.Writer) error {
 	fmt.Fprintf(w, "Figure 'runtime': executed instructions normalized to imperative/ssa-baseline\n")
 	fmt.Fprintf(w, "%-14s %8s | %9s %9s | %9s %9s %9s %9s\n",
 		"benchmark", "n", "imp/ssa", "imp/θO2", "fun/θO2", "fun/nomng", "fun/θO0", "fun/ssa")
 	for i := range Suite {
 		p := &Suite[i]
-		n := sizes.of(p)
+		n := p.DefaultN
 		ref, err := Run(p.Imperative, Baseline, n)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
@@ -331,12 +311,12 @@ func AblationConsing(w io.Writer) error {
 
 // AblationSchedule prints executed instructions per scheduling mode
 // (imperative variants, fully optimized).
-func AblationSchedule(w io.Writer, sizes Sizes) error {
+func AblationSchedule(w io.Writer) error {
 	fmt.Fprintf(w, "Ablation: primop scheduling mode (imperative variants, θO2, executed instructions)\n")
 	fmt.Fprintf(w, "%-14s %8s | %12s %12s %12s\n", "benchmark", "n", "early", "late", "smart")
 	for i := range Suite {
 		p := &Suite[i]
-		n := sizes.of(p)
+		n := p.DefaultN
 		var cells [3]int64
 		for mi, mode := range []analysis.Mode{analysis.ScheduleEarly, analysis.ScheduleLate, analysis.ScheduleSmart} {
 			res, err := driver.CompileSpec(p.Imperative, transform.O2, mode, driver.Config{})
@@ -356,7 +336,7 @@ func AblationSchedule(w io.Writer, sizes Sizes) error {
 
 // AblationMem2Reg prints runtime memory traffic with and without slot
 // promotion (imperative variants).
-func AblationMem2Reg(w io.Writer, sizes Sizes) error {
+func AblationMem2Reg(w io.Writer) error {
 	withoutMem2Reg, _, err := pm.StripPass(transform.O2, "mem2reg")
 	if err != nil {
 		return err
@@ -365,7 +345,7 @@ func AblationMem2Reg(w io.Writer, sizes Sizes) error {
 	fmt.Fprintf(w, "%-14s %8s | %12s %12s\n", "benchmark", "n", "with", "without")
 	for i := range Suite {
 		p := &Suite[i]
-		n := sizes.of(p)
+		n := p.DefaultN
 		var cells [2]int64
 		for oi, spec := range []string{transform.O2, withoutMem2Reg} {
 			res, err := driver.CompileSpec(p.Imperative, spec, analysis.ScheduleSmart, driver.Config{})

@@ -9,7 +9,8 @@ import (
 // ParseWorld parses the textual dump format produced by Print back into a
 // World, enabling IR round-trips, hand-written IR test fixtures and external
 // tooling. Continuation names must be unique (Print guarantees this by
-// suffixing duplicates with #gid).
+// suffixing duplicates with #gid) and printable: a non-empty name free of
+// the dump syntax's reserved characters, with at most that one #gid suffix.
 //
 // Intrinsic names (branch, print_i64, print_f64, print_char) resolve to the
 // corresponding compiler-known continuations.
@@ -93,7 +94,8 @@ func (p *worldParser) run(src string) error {
 			p.line = h.line
 			return p.errf("continuation %q redefined", h.name)
 		}
-		c := p.w.Continuation(p.w.FnType(h.types...), strings.SplitN(h.name, "#", 2)[0])
+		base, _, _ := strings.Cut(h.name, "#")
+		c := p.w.Continuation(p.w.FnType(h.types...), base)
 		c.SetExtern(h.extern)
 		p.conts[h.name] = c
 		p.defs[h.name] = c
@@ -165,8 +167,15 @@ func (p *worldParser) parseHeader(line string) (*contHeader, bool, error) {
 		return nil, false, p.errf("expected '(' in continuation header")
 	}
 	h.name = strings.TrimSpace(rest[:open])
-	if h.name == "" {
+	base, gid, hasGid := strings.Cut(h.name, "#")
+	if base == "" {
 		return nil, false, p.errf("empty continuation name")
+	}
+	if strings.ContainsAny(base, reservedNameChars) {
+		return nil, false, p.errf("reserved character in continuation name %q", h.name)
+	}
+	if _, err := strconv.ParseUint(gid, 10, 64); hasGid && err != nil {
+		return nil, false, p.errf("continuation name %q: expected a gid after '#'", h.name)
 	}
 	closeIdx := matchParen(rest, open)
 	if closeIdx < 0 {

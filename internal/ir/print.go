@@ -129,11 +129,14 @@ func (p *printer) defName(d Def) string {
 	return "?"
 }
 
-// sanitizeName strips characters that would collide with the dump syntax.
+// reservedNameChars are the characters of the dump syntax that a printed
+// name cannot contain.
+const reservedNameChars = "(),:= #"
+
+// sanitizeName replaces each reserved character with '_'.
 func sanitizeName(s string) string {
 	return strings.Map(func(r rune) rune {
-		switch r {
-		case '(', ')', ',', ':', '=', ' ', '#':
+		if strings.ContainsRune(reservedNameChars, r) {
 			return '_'
 		}
 		return r

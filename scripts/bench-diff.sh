@@ -7,15 +7,17 @@
 #
 # BASE (default HEAD~1) is checked out in a temporary git worktree. The
 # internal/bench test binaries of BASE and of the working tree are built
-# once, then run in 10 alternating pairs with the flags of
+# once, then run in 10 pairs with the flags of
 #
 #	go test -short -run '^$' -bench '^Benchmark(Optimize(Fuzz)?|Exec(VM|Wasm))$' -count 1 ./internal/bench
 #
-# The script prints each side's median ns/op with its interquartile range
-# and fails if the working tree's median is more than 10% over BASE's on
-# any benchmark. A benchmark BASE does not have is skipped, and the script
-# says so. Both sides run on the same host in the same minutes, so the
-# verdict tracks the change, not the machine.
+# BASE runs first in odd pairs and second in even ones, so an order effect
+# (the second run of a pair is often slower on a shared host) falls on
+# both sides alike. The script prints each side's median ns/op with its
+# interquartile range and fails if the working tree's median is more than
+# 10% over BASE's on any benchmark. A benchmark BASE does not have is
+# skipped, and the script says so. Both sides run on the same host in the
+# same minutes, so the verdict tracks the change, not the machine.
 set -eu
 
 base=${1:-HEAD~1}
@@ -45,8 +47,13 @@ run() {
 i=1
 while [ "$i" -le "$pairs" ]; do
 	echo "bench-diff: pair $i/$pairs" >&2
-	run base
-	run change
+	if [ $((i % 2)) -eq 1 ]; then
+		run base
+		run change
+	else
+		run change
+		run base
+	fi
 	i=$((i + 1))
 done
 
