@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
 	"thorin/internal/bench"
 	"thorin/internal/driver"
 	"thorin/internal/link"
@@ -19,29 +20,30 @@ import (
 )
 
 // vmGoldenFile pins the SHA-256 of the VM program emitted for every example
-// and crasher-corpus program at -O0 and -O2. The hashes were generated
-// before codegen was split into the backend-neutral lower layer and the
-// per-target emitters, so a passing run proves the refactored VM backend is
-// byte-identical to the pre-refactor codegen on the whole corpus.
-// Regenerate (only when bytecode output is intentionally changed) with:
+// and crasher-corpus program at -O0, -O1, -O2 and mangle-only. The VM hashes
+// were generated before codegen was split into the backend-neutral lower
+// layer and the per-target emitters, so a passing run proves the refactored
+// VM backend is byte-identical to the pre-refactor codegen on the whole
+// corpus. The same file pins the encoded wasm module of every corpus
+// program at -O0 and -O2 under "wasm/" keys, so a change to the shared
+// lower layer (schedule, CFG structure) that moves either backend's bytes
+// shows up as a golden diff. Regenerate (only when bytecode or wasm output
+// is intentionally changed) with:
 //
 //	THORIN_UPDATE_GOLDEN=1 go test -run TestVMGoldenArtifacts ./internal/driver
 const vmGoldenFile = "testdata/vm_golden.json"
 
 // vmGoldenPrograms enumerates the corpus: examples, both variants of every
 // benchmark-suite program, the linked module example in both link modes,
-// and every minimized crasher.
-func vmGoldenPrograms(t *testing.T) map[string]func(spec string) ([]byte, error) {
+// and every minimized crasher. Each entry compiles for the given target and
+// returns the payload bytes: the VM program's JSON or the wasm module.
+func vmGoldenPrograms(t *testing.T) map[string]func(spec string, target backend.Target) ([]byte, error) {
 	t.Helper()
-	progs := map[string]func(spec string) ([]byte, error){}
+	progs := map[string]func(spec string, target backend.Target) ([]byte, error){}
 
 	source := func(name, src string) {
-		progs[name] = func(spec string) ([]byte, error) {
-			res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{Jobs: 1})
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res.Program)
+		progs[name] = func(spec string, target backend.Target) ([]byte, error) {
+			return payload(driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{Jobs: 1, Target: target}))
 		}
 	}
 	single := func(path string) {
@@ -77,15 +79,22 @@ func vmGoldenPrograms(t *testing.T) map[string]func(spec string) ([]byte, error)
 	}
 	for _, lm := range []link.Mode{link.Trampoline, link.Mangle} {
 		lm := lm
-		progs["modules/"+string(lm)] = func(spec string) ([]byte, error) {
-			res, err := driver.CompileModules(modSrcs, spec, analysis.ScheduleSmart, lm, driver.Config{Jobs: 1})
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res.Program)
+		progs["modules/"+string(lm)] = func(spec string, target backend.Target) ([]byte, error) {
+			return payload(driver.CompileModules(modSrcs, spec, analysis.ScheduleSmart, lm, driver.Config{Jobs: 1, Target: target}))
 		}
 	}
 	return progs
+}
+
+// payload returns the bytes a compile produced for its target.
+func payload(res *driver.Result, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	if res.Target == backend.Wasm {
+		return res.Wasm, nil
+	}
+	return json.Marshal(res.Program)
 }
 
 // mangleOnlySpec isolates lambda mangling: CFF conversion plus slot
@@ -102,12 +111,20 @@ func TestVMGoldenArtifacts(t *testing.T) {
 	got := map[string]string{}
 	for name, compile := range vmGoldenPrograms(t) {
 		for level, spec := range specs {
-			data, err := compile(spec)
+			data, err := compile(spec, backend.VM)
 			if err != nil {
 				t.Fatalf("%s at %s: %v", name, level, err)
 			}
 			sum := sha256.Sum256(data)
 			got[name+"@"+level] = hex.EncodeToString(sum[:])
+		}
+		for _, level := range []string{"O0", "O2"} {
+			data, err := compile(specs[level], backend.Wasm)
+			if err != nil {
+				t.Fatalf("%s at %s for wasm: %v", name, level, err)
+			}
+			sum := sha256.Sum256(data)
+			got["wasm/"+name+"@"+level] = hex.EncodeToString(sum[:])
 		}
 	}
 
@@ -149,7 +166,7 @@ func TestVMGoldenArtifacts(t *testing.T) {
 		if g, ok := got[k]; !ok {
 			t.Errorf("%s: in golden file but not produced (corpus changed?)", k)
 		} else if g != w {
-			t.Errorf("%s: VM program hash %s, golden %s — bytecode output changed", k, g, w)
+			t.Errorf("%s: payload hash %s, golden %s — bytecode or wasm output changed", k, g, w)
 		}
 	}
 }
