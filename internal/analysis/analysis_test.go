@@ -196,34 +196,31 @@ func TestLoopTree(t *testing.T) {
 	w := ir.NewWorld()
 	f, head, body, done := buildLoop(w)
 	g := NewCFG(NewScope(f))
-	dom := NewDomTree(g)
-	lt := NewLoopTree(g, dom)
-	if len(lt.Loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(lt.Loops))
-	}
-	l := lt.Loops[0]
-	if l.Header != g.NodeOf(head) {
-		t.Error("loop header must be head")
-	}
-	if !l.Body[g.NodeOf(body)] {
-		t.Error("loop body must contain body")
-	}
-	if lt.Depth(g.NodeOf(head)) != 1 || lt.Depth(g.NodeOf(body)) != 1 {
-		t.Error("head/body must have loop depth 1")
-	}
-	if lt.Depth(g.NodeOf(f)) != 0 || lt.Depth(g.NodeOf(done)) != 0 {
-		t.Error("entry/done must have loop depth 0")
+	depth, header := LoopDepths(g, NewDomTree(g))
+	for _, c := range []struct {
+		c      *ir.Continuation
+		depth  int
+		header bool
+	}{{f, 0, false}, {head, 1, true}, {body, 1, false}, {done, 0, false}} {
+		n := g.NodeOf(c.c)
+		if depth[n.Index] != c.depth || header[n.Index] != c.header {
+			t.Errorf("%s: depth %d header %v, want %d %v", c.c.Name(), depth[n.Index], header[n.Index], c.depth, c.header)
+		}
 	}
 }
 
-func TestNestedLoops(t *testing.T) {
-	// f: outer(mem,0); outer(mem,i): branch(i<n, inner_init, exit)
-	// inner_init(mem): inner(mem, 0)
-	// inner(mem,j): branch(j<n, ibody, onext)
-	// ibody(mem): inner(mem, j+1)
-	// onext(mem): outer(mem, i+1)
-	// exit(mem): ret(mem, 0)
-	w := ir.NewWorld()
+// buildNestedLoops constructs two nested counting loops:
+//
+//	f(mem, n, ret): outer(mem, 0)
+//	outer(mem, i): branch(i<n, inner_init, exit)
+//	inner_init(mem): inner(mem, 0)
+//	inner(mem, j): branch(j<n, ibody, onext)
+//	ibody(mem): inner(mem, j+1)
+//	onext(mem): outer(mem, i+1)
+//	exit(mem): ret(mem, 0)
+//
+// It returns the continuations in that order.
+func buildNestedLoops(w *ir.World) []*ir.Continuation {
 	i64 := w.PrimType(ir.PrimI64)
 	mem := w.MemType()
 	ret := w.FnType(mem, i64)
@@ -245,22 +242,21 @@ func TestNestedLoops(t *testing.T) {
 	ibody.Jump(inner, ibody.Param(0), w.Arith(ir.OpAdd, j, w.LitI64(1)))
 	onext.Jump(outer, onext.Param(0), w.Arith(ir.OpAdd, i, w.LitI64(1)))
 	exit.Jump(f.Param(2), exit.Param(0), w.LitI64(0))
+	return []*ir.Continuation{f, outer, innerInit, inner, ibody, onext, exit}
+}
 
-	g := NewCFG(NewScope(f))
-	dom := NewDomTree(g)
-	lt := NewLoopTree(g, dom)
-	if len(lt.Loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(lt.Loops))
-	}
-	if lt.Depth(g.NodeOf(ibody)) != 2 {
-		t.Errorf("inner body depth = %d, want 2", lt.Depth(g.NodeOf(ibody)))
-	}
-	if lt.Depth(g.NodeOf(outer)) != 1 {
-		t.Errorf("outer header depth = %d, want 1", lt.Depth(g.NodeOf(outer)))
-	}
-	innerLoop := lt.InnermostLoop(g.NodeOf(ibody))
-	if innerLoop == nil || innerLoop.Parent == nil || innerLoop.Parent.Header != g.NodeOf(outer) {
-		t.Error("inner loop must be nested in outer loop")
+func TestNestedLoops(t *testing.T) {
+	w := ir.NewWorld()
+	conts := buildNestedLoops(w)
+	g := NewCFG(NewScope(conts[0]))
+	depth, header := LoopDepths(g, NewDomTree(g))
+	wantDepth := []int{0, 1, 1, 2, 2, 1, 0}
+	wantHeader := []bool{false, true, false, true, false, false, false}
+	for i, c := range conts {
+		n := g.NodeOf(c)
+		if depth[n.Index] != wantDepth[i] || header[n.Index] != wantHeader[i] {
+			t.Errorf("%s: depth %d header %v, want %d %v", c.Name(), depth[n.Index], header[n.Index], wantDepth[i], wantHeader[i])
+		}
 	}
 }
 
@@ -396,7 +392,7 @@ func TestBlockTopologicalOrder(t *testing.T) {
 	f.Jump(f.Param(2), f.Param(0), c)
 
 	sched := NewSchedule(NewScope(f), ScheduleSmart)
-	blk := sched.Block(sched.CFG.NodeOf(f))
+	blk := sched.Blocks[sched.CFG.NodeOf(f).Index]
 	pos := map[ir.Def]int{}
 	for i, p := range blk.PrimOps {
 		pos[p] = i
@@ -449,5 +445,10 @@ func TestDotExport(t *testing.T) {
 	WriteCFGDot(&sb, NewScope(g))
 	if !strings.Contains(sb.String(), "loop depth 1") {
 		t.Error("cfg dot missing loop depth annotation")
+	}
+	sb.Reset()
+	WriteCFGDot(&sb, NewScope(buildNestedLoops(ir.NewWorld())[0]))
+	if !strings.Contains(sb.String(), "loop depth 2") {
+		t.Error("cfg dot missing the inner loop's depth 2")
 	}
 }

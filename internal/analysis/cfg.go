@@ -73,13 +73,8 @@ func NewCFG(s *Scope) *CFG {
 		if len(n.Succs) != 0 || !c.HasBody() {
 			return
 		}
-		visited := map[*ir.Continuation]bool{}
 		for _, t := range Successors(s, c) {
-			if visited[t] {
-				continue
-			}
-			visited[t] = true
-			link(n, node(t))
+			link(n, node(t)) // link drops duplicate edges
 		}
 		for _, succ := range n.Succs {
 			visit(succ.Cont)

@@ -1,127 +1,89 @@
 package analysis
 
 // DomTree is a dominator tree over a CFG, computed with the iterative
-// algorithm of Cooper, Harvey and Kennedy.
+// algorithm of Cooper, Harvey and Kennedy. Both slices are indexed by
+// Node.Index, the reverse-postorder number.
 type DomTree struct {
-	root  *Node
-	idom  map[*Node]*Node
-	depth map[*Node]int
-	kids  map[*Node][]*Node
+	idom  []*Node
+	depth []int
 }
 
 // NewDomTree computes the dominator tree of g.
 func NewDomTree(g *CFG) *DomTree {
-	t := &DomTree{
-		root:  g.Nodes[0],
-		idom:  make(map[*Node]*Node),
-		depth: make(map[*Node]int),
-		kids:  make(map[*Node][]*Node),
-	}
 	order := g.Nodes // reverse postorder
-
-	rpoIndex := make(map[*Node]int, len(order))
-	for i, n := range order {
-		rpoIndex[n] = i
-	}
-
-	t.idom[t.root] = t.root
+	t := &DomTree{idom: make([]*Node, len(order)), depth: make([]int, len(order))}
+	t.idom[0] = order[0]
 	changed := true
 	for changed {
 		changed = false
-		for _, n := range order {
-			if n == t.root {
-				continue
-			}
+		for _, n := range order[1:] {
 			var newIdom *Node
 			for _, p := range n.Preds {
-				if _, ok := t.idom[p]; !ok {
+				if t.idom[p.Index] == nil {
 					continue
 				}
 				if newIdom == nil {
 					newIdom = p
 				} else {
-					newIdom = t.intersect(rpoIndex, p, newIdom)
+					newIdom = t.intersect(p, newIdom)
 				}
 			}
 			if newIdom == nil {
 				continue // unreachable
 			}
-			if t.idom[n] != newIdom {
-				t.idom[n] = newIdom
+			if t.idom[n.Index] != newIdom {
+				t.idom[n.Index] = newIdom
 				changed = true
 			}
 		}
 	}
 
-	// Children and depths.
-	for n, d := range t.idom {
-		if n != t.root {
-			t.kids[d] = append(t.kids[d], n)
-		}
+	// An idom precedes its node in reverse postorder, so one forward sweep
+	// sees every parent's depth before its children's.
+	for _, n := range order[1:] {
+		t.depth[n.Index] = t.depth[t.idom[n.Index].Index] + 1
 	}
-	var setDepth func(n *Node, d int)
-	setDepth = func(n *Node, d int) {
-		t.depth[n] = d
-		for _, k := range t.kids[n] {
-			setDepth(k, d+1)
-		}
-	}
-	setDepth(t.root, 0)
 	return t
 }
 
-func (t *DomTree) intersect(rpo map[*Node]int, a, b *Node) *Node {
+func (t *DomTree) intersect(a, b *Node) *Node {
 	for a != b {
-		for rpo[a] > rpo[b] {
-			a = t.idom[a]
+		for a.Index > b.Index {
+			a = t.idom[a.Index]
 		}
-		for rpo[b] > rpo[a] {
-			b = t.idom[b]
+		for b.Index > a.Index {
+			b = t.idom[b.Index]
 		}
 	}
 	return a
 }
 
-// Root returns the tree root, the entry.
-func (t *DomTree) Root() *Node { return t.root }
-
 // IDom returns the immediate dominator of n (the root dominates itself).
-func (t *DomTree) IDom(n *Node) *Node { return t.idom[n] }
+func (t *DomTree) IDom(n *Node) *Node { return t.idom[n.Index] }
 
 // Depth returns n's depth in the dominator tree.
-func (t *DomTree) Depth(n *Node) int { return t.depth[n] }
+func (t *DomTree) Depth(n *Node) int { return t.depth[n.Index] }
 
-// Children returns the nodes immediately dominated by n.
-func (t *DomTree) Children(n *Node) []*Node { return t.kids[n] }
-
-// Dominates reports whether a dominates b.
+// Dominates reports whether a dominates b: climbing from b to a's depth
+// reaches a.
 func (t *DomTree) Dominates(a, b *Node) bool {
-	for {
-		if a == b {
-			return true
-		}
-		if b == t.root {
-			return false
-		}
-		nb, ok := t.idom[b]
-		if !ok || nb == b {
-			return false
-		}
-		b = nb
+	for t.depth[b.Index] > t.depth[a.Index] {
+		b = t.idom[b.Index]
 	}
+	return a == b
 }
 
 // LCA returns the least common ancestor of a and b in the dominator tree.
 func (t *DomTree) LCA(a, b *Node) *Node {
-	for t.depth[a] > t.depth[b] {
-		a = t.idom[a]
+	for t.depth[a.Index] > t.depth[b.Index] {
+		a = t.idom[a.Index]
 	}
-	for t.depth[b] > t.depth[a] {
-		b = t.idom[b]
+	for t.depth[b.Index] > t.depth[a.Index] {
+		b = t.idom[b.Index]
 	}
 	for a != b {
-		a = t.idom[a]
-		b = t.idom[b]
+		a = t.idom[a.Index]
+		b = t.idom[b.Index]
 	}
 	return a
 }

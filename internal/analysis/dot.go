@@ -75,14 +75,13 @@ func WriteScopeDot(out io.Writer, s *Scope) {
 // continuation, successor edges) in Graphviz format, annotating loop depths.
 func WriteCFGDot(out io.Writer, s *Scope) {
 	g := NewCFG(s)
-	dom := NewDomTree(g)
-	loops := NewLoopTree(g, dom)
+	depth, _ := LoopDepths(g, NewDomTree(g))
 
 	fmt.Fprintf(out, "digraph %q {\n", s.Entry.Name()+".cfg")
 	fmt.Fprintln(out, "  node [shape=box fontname=\"monospace\"];")
 	for _, n := range g.Nodes {
 		label := n.Cont.Name()
-		if d := loops.Depth(n); d > 0 {
+		if d := depth[n.Index]; d > 0 {
 			label = fmt.Sprintf("%s\\nloop depth %d", label, d)
 		}
 		fmt.Fprintf(out, "  b%d [label=%q];\n", n.Index, label)

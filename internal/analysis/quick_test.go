@@ -8,9 +8,10 @@ import (
 	"thorin/internal/ir"
 )
 
-// randCFGWorld builds a random (reducible-or-not) intra-function CFG: n
-// blocks, random branch/jump terminators, every block given a chance to be
-// reachable. Returns the entry.
+// randCFGWorld builds a random (reducible-or-not) intra-function CFG: 2 to
+// 13 blocks, random branch/jump terminators, every block given a chance to
+// be reachable. Half the terminators branch, so loops with several back
+// edges and nested loops are common. Returns the entry.
 func randCFGWorld(r *rand.Rand) (*ir.World, *ir.Continuation) {
 	w := ir.NewWorld()
 	i64 := w.PrimType(ir.PrimI64)
@@ -19,19 +20,19 @@ func randCFGWorld(r *rand.Rand) (*ir.World, *ir.Continuation) {
 	entry := w.Continuation(w.FnType(mem, i64, retT), "entry")
 	entry.SetExtern(true)
 
-	n := r.Intn(8) + 2
+	n := r.Intn(12) + 2
 	blocks := make([]*ir.Continuation, n)
 	for i := range blocks {
 		blocks[i] = w.Continuation(w.FnType(mem), "b")
 	}
-	// Terminators: jump forward/backward, branch, or return.
+	// Terminators: jump forward/backward (1/6), branch (1/2), or return.
 	x := entry.Param(1)
 	cond := w.Cmp(ir.OpLt, x, w.LitI64(0))
 	term := func(c *ir.Continuation, m ir.Def, idx int) {
-		switch r.Intn(4) {
+		switch r.Intn(6) {
 		case 0:
 			c.Jump(blocks[r.Intn(n)], m)
-		case 1:
+		case 1, 2, 3:
 			t1, t2 := blocks[r.Intn(n)], blocks[r.Intn(n)]
 			if t1 == t2 {
 				c.Jump(t1, m)
@@ -50,9 +51,37 @@ func randCFGWorld(r *rand.Rand) (*ir.World, *ir.Continuation) {
 	return w, entry
 }
 
-// Property: dominator-tree invariants hold on random CFGs — the entry
-// dominates every node, idom(n) strictly dominates n, and LCA is
-// commutative and itself dominates both arguments.
+// reachable returns the nodes reachable from start along next without
+// entering avoid; start itself is included unless it is avoid.
+func reachable(start, avoid *Node, next func(*Node) []*Node) map[*Node]bool {
+	seen := map[*Node]bool{}
+	stack := []*Node{start}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == avoid || seen[n] {
+			continue
+		}
+		seen[n] = true
+		stack = append(stack, next(n)...)
+	}
+	return seen
+}
+
+func succs(n *Node) []*Node { return n.Succs }
+func preds(n *Node) []*Node { return n.Preds }
+
+// refDominates is the brute-force definition of dominance: a dominates b
+// iff a == b, a is the entry, or b cannot be reached from the entry once a
+// is removed.
+func refDominates(g *CFG, a, b *Node) bool {
+	return a == b || a == g.Entry() || !reachable(g.Entry(), a, succs)[b]
+}
+
+// Property: dominator-tree invariants hold on random CFGs — Dominates
+// agrees with the brute-force reachability definition on every pair,
+// idom(n) strictly dominates n one level up, and LCA is commutative and
+// itself dominates both arguments.
 func TestDomTreeInvariantsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -63,19 +92,18 @@ func TestDomTreeInvariantsProperty(t *testing.T) {
 		}
 		g := NewCFG(NewScope(entry))
 		dom := NewDomTree(g)
-		root := g.Entry()
-		for _, n := range g.Nodes {
-			if !dom.Dominates(root, n) {
-				return false
+		for _, a := range g.Nodes {
+			for _, b := range g.Nodes {
+				if dom.Dominates(a, b) != refDominates(g, a, b) {
+					t.Logf("seed %d: Dominates(%d, %d) = %v", seed, a.Index, b.Index, dom.Dominates(a, b))
+					return false
+				}
 			}
-			if n != root {
-				id := dom.IDom(n)
-				if id == nil || id == n || !dom.Dominates(id, n) {
-					return false
-				}
-				if dom.Depth(n) != dom.Depth(id)+1 {
-					return false
-				}
+		}
+		for _, n := range g.Nodes[1:] {
+			id := dom.IDom(n)
+			if id == nil || id == n || !dom.Dominates(id, n) || dom.Depth(n) != dom.Depth(id)+1 {
+				return false
 			}
 		}
 		for i := 0; i < 10; i++ {
@@ -93,38 +121,43 @@ func TestDomTreeInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: every loop body is dominated by its header, and per-node loop
-// depth equals the number of loops containing the node.
+// Property: LoopDepths agrees with an independent count on random CFGs.
+// The reference finds back edges u→h with the brute-force dominance, takes
+// h's natural loop as h plus every node reaching a back-edge source
+// without passing through h, and counts the loops containing each node;
+// every header must dominate its loop.
 func TestLoopTreeInvariantsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		_, entry := randCFGWorld(r)
 		g := NewCFG(NewScope(entry))
 		dom := NewDomTree(g)
-		lt := NewLoopTree(g, dom)
-		for _, l := range lt.Loops {
-			for n := range l.Body {
-				if !dom.Dominates(l.Header, n) {
+		depth, header := LoopDepths(g, dom)
+		count := map[*Node]int{}
+		for _, h := range g.Nodes {
+			loop := map[*Node]bool{}
+			for _, u := range h.Preds {
+				if refDominates(g, h, u) {
+					loop[h] = true
+					for n := range reachable(u, h, preds) {
+						loop[n] = true
+					}
+				}
+			}
+			if header[h.Index] != (len(loop) > 0) {
+				t.Logf("seed %d: header[%d] = %v", seed, h.Index, header[h.Index])
+				return false
+			}
+			for n := range loop {
+				count[n]++
+				if !dom.Dominates(h, n) {
 					return false
 				}
 			}
-			if l.Parent != nil && !l.Parent.Body[l.Header] {
-				return false
-			}
 		}
 		for _, n := range g.Nodes {
-			count := 0
-			for _, l := range lt.Loops {
-				if l.Body[n] {
-					count++
-				}
-			}
-			// Depth is the nesting level of the innermost containing loop;
-			// with merged headers this equals the number of enclosing loops.
-			if count > 0 && lt.Depth(n) == 0 {
-				return false
-			}
-			if count == 0 && lt.Depth(n) != 0 {
+			if depth[n.Index] != count[n] {
+				t.Logf("seed %d: depth[%d] = %d, want %d", seed, n.Index, depth[n.Index], count[n])
 				return false
 			}
 		}

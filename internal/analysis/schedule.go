@@ -54,14 +54,13 @@ type Block struct {
 // of the CFG. The IR itself has no instruction order — primops float in the
 // dependency graph — so any backend needs a schedule first.
 type Schedule struct {
-	CFG    *CFG
-	Dom    *DomTree
-	Loops  *LoopTree
-	Blocks []*Block // in reverse postorder
+	CFG *CFG
+	Dom *DomTree
+	// Blocks is indexed by Node.Index: in reverse postorder.
+	Blocks []*Block
 	// Hoisted counts region-pure loads that ScheduleSmart moved to a
 	// strictly smaller loop depth than their effect-chain position.
 	Hoisted int
-	byNode  map[*Node]*Block
 	place   map[*ir.PrimOp]*Node
 }
 
@@ -69,18 +68,14 @@ type Schedule struct {
 func NewSchedule(s *Scope, mode Mode) *Schedule {
 	g := NewCFG(s)
 	dom := NewDomTree(g)
-	loops := NewLoopTree(g, dom)
 	sched := &Schedule{
 		CFG:    g,
 		Dom:    dom,
-		Loops:  loops,
-		byNode: make(map[*Node]*Block),
+		Blocks: make([]*Block, len(g.Nodes)),
 		place:  make(map[*ir.PrimOp]*Node),
 	}
 	for _, n := range g.Nodes {
-		b := &Block{Node: n}
-		sched.Blocks = append(sched.Blocks, b)
-		sched.byNode[n] = b
+		sched.Blocks[n.Index] = &Block{Node: n}
 	}
 
 	primops := s.ReachablePrimOps()
@@ -141,7 +136,9 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 		// the mem projection stays pinned at the original chain position so
 		// downstream effectful ops do not move.
 		hoistBound := map[*ir.PrimOp]*Node{}
+		var loopDepth []int // read by ScheduleSmart only
 		if mode == ScheduleSmart {
+			loopDepth, _ = LoopDepths(g, dom)
 			oracle := NewAliasOracle()
 			for _, p := range primops {
 				if p.OpKind() != ir.OpLoad {
@@ -192,7 +189,7 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 				if ve := findValueProj(p, inSet); ve != nil {
 					sched.place[p] = sched.place[ve]
 				}
-				if loops.Depth(sched.place[p]) < loops.Depth(early[p]) {
+				if loopDepth[sched.place[p].Index] < loopDepth[early[p].Index] {
 					sched.Hoisted++
 				}
 				continue
@@ -237,7 +234,7 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 			// minimal loop depth (ties broken towards late).
 			best := late
 			for n := late; ; n = dom.IDom(n) {
-				if loops.Depth(n) < loops.Depth(best) {
+				if loopDepth[n.Index] < loopDepth[best.Index] {
 					best = n
 				}
 				if n == bound {
@@ -250,11 +247,11 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 
 	// -- Emit per-block topological order. ---------------------------------
 	for _, p := range primops {
-		n := sched.place[p]
-		sched.byNode[n].PrimOps = append(sched.byNode[n].PrimOps, p)
+		b := sched.Blocks[sched.place[p].Index]
+		b.PrimOps = append(b.PrimOps, p)
 	}
 	for _, b := range sched.Blocks {
-		sortTopological(b, sched.place)
+		sortTopological(b)
 	}
 	return sched
 }
@@ -290,12 +287,9 @@ func isMemTuple(p *ir.PrimOp) bool {
 // BlockOf returns the node p was placed in (nil if p was not scheduled).
 func (s *Schedule) BlockOf(p *ir.PrimOp) *Node { return s.place[p] }
 
-// Block returns the scheduled block for a CFG node.
-func (s *Schedule) Block(n *Node) *Block { return s.byNode[n] }
-
 // sortTopological orders a block's primops so every operand placed in the
 // same block precedes its users; ties are broken by gid for determinism.
-func sortTopological(b *Block, place map[*ir.PrimOp]*Node) {
+func sortTopological(b *Block) {
 	ops := b.PrimOps
 	sort.Slice(ops, func(i, j int) bool { return ops[i].GID() < ops[j].GID() })
 	inBlock := map[*ir.PrimOp]bool{}

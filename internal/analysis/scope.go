@@ -1,6 +1,7 @@
 // Package analysis provides the demand-driven analyses of the Thorin IR:
 // scope identification, control-flow graph extraction, dominance, loop
-// forests and primop scheduling.
+// depth and primop scheduling. Per-node CFG facts are slices indexed by
+// Node.Index, the reverse-postorder number.
 //
 // Because the IR is a graph without syntactic nesting, the scope of a
 // continuation is not stored anywhere — it is *computed* as the set of nodes

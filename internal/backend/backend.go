@@ -1,7 +1,7 @@
 // Package backend defines the target-neutral code generation surface: a
 // Backend lowers a closure-converted Thorin world into a target program,
 // and a process-wide registry maps target names to emitters. The shared
-// lowering machinery (schedule, loop forest, CFF blocks, terminator
+// lowering machinery (schedule, loop structure, CFF blocks, terminator
 // classification) lives in the lower subpackage; each emitter consumes it
 // and owns only its instruction selection and encoding.
 package backend

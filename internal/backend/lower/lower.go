@@ -119,14 +119,13 @@ func (u *Unit) Globals() []*ir.PrimOp { return u.globals }
 // GlobalInit returns a global's literal initializer.
 func GlobalInit(p *ir.PrimOp) *ir.Literal { return p.Op(0).(*ir.Literal) }
 
-// Func is the lowered form of one function: its scope, schedule and block
-// numbering. Every continuation of the scope's CFG becomes a basic block.
+// Func is the lowered form of one function: its scope and schedule. Every
+// continuation of the scope's CFG becomes a basic block, numbered by its
+// node's reverse-postorder Index.
 type Func struct {
 	Entry *ir.Continuation
 	Scope *analysis.Scope
 	Sched *analysis.Schedule
-
-	blkIdx map[*analysis.Node]int
 }
 
 // NewFunc computes the scope and schedule for entry. It rejects functions
@@ -137,23 +136,11 @@ func (u *Unit) NewFunc(entry *ir.Continuation) (*Func, error) {
 	if !s.TopLevel() {
 		return nil, fmt.Errorf("%s captures enclosing parameters; run closure conversion first", entry.Name())
 	}
-	f := &Func{
-		Entry:  entry,
-		Scope:  s,
-		Sched:  analysis.NewSchedule(s, u.Mode),
-		blkIdx: map[*analysis.Node]int{},
-	}
-	for i, n := range f.Sched.CFG.Nodes {
-		f.blkIdx[n] = i
-	}
-	return f, nil
+	return &Func{Entry: entry, Scope: s, Sched: analysis.NewSchedule(s, u.Mode)}, nil
 }
 
 // Nodes returns the CFG nodes in reverse postorder ([0] is the entry).
 func (f *Func) Nodes() []*analysis.Node { return f.Sched.CFG.Nodes }
-
-// BlockIndex returns a node's block number (its reverse-postorder index).
-func (f *Func) BlockIndex(n *analysis.Node) int { return f.blkIdx[n] }
 
 // IsVal reports whether d carries a runtime value (mem tokens do not).
 func IsVal(d ir.Def) bool { return !ir.IsMemType(d.Type()) }

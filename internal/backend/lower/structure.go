@@ -7,70 +7,62 @@ import "thorin/internal/analysis"
 // block whose label forward branches target), which are loop headers (they
 // get an enclosing loop whose label back edges target), and each node's
 // merge children in the dominator tree. The construction follows Ramsey's
-// "Beyond Relooper" recipe over the existing CFG/dominator-tree/loop-forest
-// trio: reverse postorder decides block nesting, so every forward branch
-// targets a label that is still open.
+// "Beyond Relooper" recipe over the CFG, its dominator tree and the loop
+// headers of analysis.LoopDepths: reverse postorder decides block nesting,
+// so every forward branch targets a label that is still open. Every slice
+// is indexed by Node.Index.
 type Structure struct {
 	f *Func
 	// merge marks nodes with two or more forward in-edges.
-	merge map[*analysis.Node]bool
+	merge []bool
 	// header marks loop headers (nodes with a back in-edge).
-	header map[*analysis.Node]bool
+	header []bool
 	// mergeChildren lists each node's dominator-tree children that are
 	// merge nodes, in ascending reverse-postorder index — the last child
 	// gets the outermost enclosing block.
-	mergeChildren map[*analysis.Node][]*analysis.Node
+	mergeChildren [][]*analysis.Node
 }
 
 // NewStructure analyzes f's CFG for structured emission.
 func NewStructure(f *Func) *Structure {
+	nodes := f.Nodes()
+	dom := f.Sched.Dom
+	_, header := analysis.LoopDepths(f.Sched.CFG, dom)
 	s := &Structure{
 		f:             f,
-		merge:         map[*analysis.Node]bool{},
-		header:        map[*analysis.Node]bool{},
-		mergeChildren: map[*analysis.Node][]*analysis.Node{},
+		merge:         make([]bool, len(nodes)),
+		header:        header,
+		mergeChildren: make([][]*analysis.Node, len(nodes)),
 	}
-	dom := f.Sched.Dom
-	for _, n := range f.Nodes() {
+	for _, n := range nodes {
+		// An in-edge p→n is a back edge iff n dominates p.
 		forward := 0
 		for _, p := range n.Preds {
-			if s.IsBackEdge(p, n) {
-				s.header[n] = true
-			} else {
+			if !dom.Dominates(n, p) {
 				forward++
 			}
 		}
-		if forward >= 2 {
-			s.merge[n] = true
-		}
+		s.merge[n.Index] = forward >= 2
 	}
 	// Dominator-tree children in ascending RPO: CFG.Nodes is already in
 	// reverse postorder, so a forward sweep appends children in order.
-	for _, n := range f.Nodes() {
-		if n == f.Nodes()[0] {
-			continue
-		}
-		if idom := dom.IDom(n); idom != nil && s.merge[n] {
+	for _, n := range nodes[1:] {
+		if s.merge[n.Index] {
+			idom := dom.IDom(n).Index
 			s.mergeChildren[idom] = append(s.mergeChildren[idom], n)
 		}
 	}
 	return s
 }
 
-// IsBackEdge reports whether the CFG edge p→n closes a loop: in a
-// reducible CFG every retreating edge targets a dominator of its source.
-func (s *Structure) IsBackEdge(p, n *analysis.Node) bool {
-	return s.f.Sched.Dom.Dominates(n, p)
-}
-
 // IsLoopHeader reports whether n has a back in-edge and therefore needs an
 // enclosing loop label.
-func (s *Structure) IsLoopHeader(n *analysis.Node) bool { return s.header[n] }
+func (s *Structure) IsLoopHeader(n *analysis.Node) bool { return s.header[n.Index] }
 
 // MergeChildren returns n's merge-node dominator children in ascending
 // reverse-postorder index.
 func (s *Structure) MergeChildren(n *analysis.Node) []*analysis.Node {
-	return s.mergeChildren[n]
+	return s.mergeChildren[n.Index]
 }
 
 // Inlinable reports whether target can be emitted inline at a jump from
@@ -79,8 +71,5 @@ func (s *Structure) MergeChildren(n *analysis.Node) []*analysis.Node {
 // the emitter wraps them in their loop on arrival. A jump to a node that
 // is neither labeled nor inlinable means the CFG is irreducible.
 func (s *Structure) Inlinable(src, target *analysis.Node) bool {
-	if s.merge[target] {
-		return false
-	}
-	return s.f.Sched.Dom.IDom(target) == src
+	return !s.merge[target.Index] && s.f.Sched.Dom.IDom(target) == src
 }

@@ -257,7 +257,7 @@ func (e *fnEmitter) emitTerminator(c *ir.Continuation) ([]vm.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []vm.Instr{{Op: vm.OpBr, A: cond, B: e.f.BlockIndex(t.True), C: e.f.BlockIndex(t.False)}}, nil
+		return []vm.Instr{{Op: vm.OpBr, A: cond, B: t.True.Index, C: t.False.Index}}, nil
 
 	case lower.TermPrint:
 		v, err := e.regOf(t.Val)
@@ -273,7 +273,7 @@ func (e *fnEmitter) emitTerminator(c *ir.Continuation) ([]vm.Instr, error) {
 		}
 		ins := []vm.Instr{{Op: op, A: v}}
 		if t.Next != nil {
-			ins = append(ins, vm.Instr{Op: vm.OpJmp, Imm: int64(e.f.BlockIndex(t.Next))})
+			ins = append(ins, vm.Instr{Op: vm.OpJmp, Imm: int64(t.Next.Index)})
 		} else {
 			ins = append(ins, vm.Instr{Op: vm.OpRet})
 		}
@@ -284,7 +284,7 @@ func (e *fnEmitter) emitTerminator(c *ir.Continuation) ([]vm.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []vm.Instr{{Op: vm.OpJmp, Imm: int64(e.f.BlockIndex(t.Target)), Args: args}}, nil
+		return []vm.Instr{{Op: vm.OpJmp, Imm: int64(t.Target.Index), Args: args}}, nil
 
 	case lower.TermRet:
 		args, err := e.valArgs(t.Args)
@@ -301,7 +301,7 @@ func (e *fnEmitter) emitTerminator(c *ir.Continuation) ([]vm.Instr, error) {
 		var rets []int
 		retBlock := 0
 		if !t.Tail {
-			retBlock = e.f.BlockIndex(t.RetNode)
+			retBlock = t.RetNode.Index
 			for _, p := range lower.ValParams(t.RetCont, nil) {
 				reg, err := e.regOf(p)
 				if err != nil {

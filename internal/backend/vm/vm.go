@@ -212,7 +212,7 @@ func (e *fnEmitter) run() error {
 	var bodies [][]vm.Instr
 	for _, n := range e.f.Nodes() {
 		var body []vm.Instr
-		for _, p := range e.f.Sched.Block(n).PrimOps {
+		for _, p := range e.f.Sched.Blocks[n.Index].PrimOps {
 			ins, err := e.emitPrimOp(p)
 			if err != nil {
 				return err

@@ -375,7 +375,7 @@ func (e *fnEmitter) emitBlocks(n *analysis.Node, ms []*analysis.Node) error {
 
 // emitCode emits n's scheduled primops and its terminator.
 func (e *fnEmitter) emitCode(n *analysis.Node) error {
-	for _, p := range e.f.Sched.Block(n).PrimOps {
+	for _, p := range e.f.Sched.Blocks[n.Index].PrimOps {
 		if err := e.emitPrimOp(p); err != nil {
 			return fmt.Errorf("%s (in %s)", err, n.Cont.Name())
 		}

@@ -674,8 +674,7 @@ func (p *promoter) rewrite() (int, error) {
 		new  *ir.Continuation
 		phis []*m2rPhi
 	}
-	var blocks []*blockInfo
-	byNode := map[*analysis.Node]*blockInfo{}
+	blocks := make([]*blockInfo, 0, len(p.sched.CFG.Nodes)) // by Node.Index
 
 	for _, n := range p.sched.CFG.Nodes {
 		c := n.Cont
@@ -702,7 +701,6 @@ func (p *promoter) rewrite() (int, error) {
 			phiParams += len(info.phis)
 		}
 		blocks = append(blocks, info)
-		byNode[n] = info
 	}
 
 	// Def rewriter shared across blocks.
@@ -710,7 +708,7 @@ func (p *promoter) rewrite() (int, error) {
 	var valDef func(v any) ir.Def
 
 	phiDef := func(phi *m2rPhi) ir.Def {
-		bi := byNode[phi.block]
+		bi := blocks[phi.block.Index]
 		base := bi.old.NumParams()
 		for i, q := range bi.phis {
 			if q == phi {
@@ -823,10 +821,10 @@ func (p *promoter) rewrite() (int, error) {
 		if t, ok := callee.(*ir.Continuation); ok && t.Intrinsic() != ir.IntrinsicBranch {
 			if tn := p.sched.CFG.NodeOf(t); tn != nil {
 				// Direct jump to a block in scope: pass the φ values inline.
-				for _, phi := range byNode[tn].phis {
+				for _, phi := range blocks[tn.Index].phis {
 					args = append(args, endArg(bi, phi))
 				}
-				bi.new.Jump(byNode[tn].new, args...)
+				bi.new.Jump(blocks[tn.Index].new, args...)
 				continue
 			}
 		}
@@ -839,10 +837,10 @@ func (p *promoter) rewrite() (int, error) {
 				continue
 			}
 			tn := p.sched.CFG.NodeOf(t)
-			if tn == nil || len(byNode[tn].phis) == 0 {
+			if tn == nil || len(blocks[tn.Index].phis) == 0 {
 				continue
 			}
-			args[j] = trampoline(t, byNode[tn])
+			args[j] = trampoline(t, blocks[tn.Index])
 		}
 		bi.new.Jump(rw(callee), args...)
 	}
