@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci fuzz-smoke fuzz crashers loadtest modules wasm chaos bench bench-diff bench-full bench-passes tables perfbench-check
+.PHONY: all build test race vet fmt ci fuzz-smoke fuzz crashers loadtest modules wasm chaos bench bench-diff bench-full bench-passes tables perfbench-check loc
 
 all: build test
 
@@ -81,11 +81,17 @@ wasm:
 # reference interpreter disagree at a budget drawn from the input. The VM
 # fuzzer's array.new sizes are small (below 2^12) or above
 # vm.MaxArrayLen, which must fail with out of memory.
+# -fuzzminimizetime=1s: Go's fuzzer minimizes every input that finds new
+# coverage for up to 60 s by default, and its execs counter leaves those
+# runs out, so with a warm fuzz cache a 10 s smoke can spend its whole
+# window minimizing one input (execs frozen, run still PASS). Smoke runs
+# want breadth; `make fuzz` keeps the default because its crashers are
+# meant to be minimized.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzFoldArith -fuzztime=10s ./internal/ir
-	$(GO) test -run='^$$' -fuzz=FuzzParseWorld -fuzztime=10s ./internal/ir
-	$(GO) test -run='^$$' -fuzz=FuzzVMProgram -fuzztime=10s ./internal/vm
-	$(GO) test -run='^$$' -fuzz=FuzzWasmExec -fuzztime=10s ./internal/wasm
+	$(GO) test -run='^$$' -fuzz=FuzzFoldArith -fuzztime=10s -fuzzminimizetime=1s ./internal/ir
+	$(GO) test -run='^$$' -fuzz=FuzzParseWorld -fuzztime=10s -fuzzminimizetime=1s ./internal/ir
+	$(GO) test -run='^$$' -fuzz=FuzzVMProgram -fuzztime=10s -fuzzminimizetime=1s ./internal/vm
+	$(GO) test -run='^$$' -fuzz=FuzzWasmExec -fuzztime=10s -fuzzminimizetime=1s ./internal/wasm
 
 # fuzz runs the differential pipeline fuzzer: random well-typed programs,
 # reference interpreter as oracle, compiled arms at -O0/-O2 × jobs 1/4.
@@ -143,6 +149,15 @@ bench-full:
 # bench-passes records the per-pass compile-time breakdown only.
 bench-passes:
 	$(GO) test -bench=BenchmarkPassTimings -run='^$$'
+
+# loc prints the Go line counts of the root module, tracked files and new
+# ones not yet ignored alike, leaving out perfbench/ (a separate module)
+# and files deleted from the working tree: non-test lines, then _test.go
+# lines. Each change states its net non-test delta from these two numbers.
+loc:
+	@files="$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v '^perfbench/' | while read -r f; do [ -f "$$f" ] && echo "$$f"; done)"; \
+	echo "non-test $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
 
 # tables prints every table, figure and ablation of EXPERIMENTS.md at full
 # size (a few seconds).
