@@ -13,10 +13,13 @@ test:
 # race also re-runs the pass-manager, transform and driver packages with four
 # analysis workers forced, so the parallel scope scheduler is exercised under
 # the race detector even on single-core hosts (the transform tests run
-# mem2reg through the pass manager).
+# mem2reg through the pass manager), and checks at four workers that the
+# exact scope-build and pass-run pins of TestIncrementalWorkIsExact do not
+# depend on the jobs level.
 race:
 	$(GO) test -race ./...
 	THORIN_JOBS=4 $(GO) test -race ./internal/pm/... ./internal/transform/... ./internal/driver/...
+	THORIN_JOBS=4 $(GO) test -race -run TestIncrementalWorkIsExact ./internal/bench
 
 vet:
 	$(GO) vet ./...

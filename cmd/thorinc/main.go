@@ -29,7 +29,7 @@
 //	thorinc -passes="cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure" \
 //	    -emit=pass-report prog.imp         # custom pipeline + per-pass table
 //	thorinc -verify-each prog.imp          # ir.Verify after every pass
-//	thorinc -incremental=off prog.imp      # disable journal-driven pass skipping
+//	thorinc -incremental=off prog.imp      # run every pass, skipping none
 //	thorinc -budget "nodes=500000" -deadline 30s prog.imp  # bounded compile
 //	thorinc -on-failure=degrade -run prog.imp 10       # survive a buggy pass
 //	thorinc -replay .thorin-crash/crash-ab12cd34ef56   # re-run a crash bundle
@@ -88,7 +88,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.passes, "passes", "", "explicit pass-pipeline spec, e.g. \"cleanup,pe,fix(cff,contify,mem2reg,inline-once),cleanup,closure\" (overrides -O)")
 	fs.BoolVar(&f.verifyEach, "verify-each", false, "run ir.Verify after every pass and fail naming the offending pass")
 	fs.IntVar(&f.jobs, "jobs", runtime.GOMAXPROCS(0), "worker count for the parallel analysis phase of scope-level passes (output is identical at every value)")
-	fs.StringVar(&f.incremental, "incremental", "on", "journal-driven incremental re-running: on | off (output is identical either way; off re-runs every pass)")
+	fs.StringVar(&f.incremental, "incremental", "on", "incremental re-running (skip passes whose input did not change): on | off (output is identical either way; off re-runs every pass)")
 	fs.StringVar(&f.link, "link", "trampoline", "cross-module resolution for multi-module compiles: trampoline (forwarding stubs) | mangle (whole-program specialization across module boundaries)")
 	fs.BoolVar(&f.run, "run", false, "execute main with the trailing integer arguments (at most 4e9 VM instructions or wasm fuel units)")
 	fs.BoolVar(&f.stats, "stats", false, "print compilation and execution statistics")

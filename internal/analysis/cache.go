@@ -8,15 +8,13 @@ import (
 )
 
 // CacheStats counts how a Cache was used over its lifetime. Hits and
-// Misses are per lookup (one ScopeOf call is one lookup); Invalidations
-// counts InvalidateAll calls that actually dropped entries; Stale counts
-// entries dropped by generation validation because a scope member was
-// touched after the entry was computed.
+// Misses are per lookup (one ScopeOf call is one lookup); Stale counts
+// entries dropped because the world's rewrite generation moved after the
+// entry was computed.
 type CacheStats struct {
-	Hits          int `json:"hits"`
-	Misses        int `json:"misses"`
-	Invalidations int `json:"invalidations"`
-	Stale         int `json:"stale"`
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"`
+	Stale  int `json:"stale"`
 }
 
 // contEntry holds the memoized scope of one continuation. All fields are
@@ -27,32 +25,25 @@ type CacheStats struct {
 type contEntry struct {
 	mu    sync.Mutex
 	scope *Scope
-	// stamp is the world's rewrite generation read immediately before the
-	// scope was computed: the scope is valid iff no scope member was touched
-	// after stamp. Reading the generation *before* NewScope makes a
-	// concurrent touch look stale rather than silently valid.
-	stamp int64
-	// validatedAt caches the most recent generation at which the stamp walk
-	// succeeded, so back-to-back lookups with no interleaving mutation skip
-	// the walk entirely.
-	validatedAt int64
+	// gen is the world's rewrite generation read immediately before the
+	// scope was computed: the scope is valid iff the generation still equals
+	// gen. Reading it *before* NewScope makes a concurrent mutation look
+	// stale rather than silently valid.
+	gen int64
 }
 
 // Cache memoizes per-continuation scopes across the passes of one pipeline
 // run; passes derive CFGs and dominator trees from the scope themselves.
-// Scopes are pure functions of the IR; every lookup validates the entry
-// against the world's change journal (no def in the cached scope's closure
-// may carry a stamp newer than the entry's), so entries survive unrelated
-// mutations and go stale precisely when their own scope was touched. Callers
-// may additionally force recomputation with InvalidateAll (the pass manager
-// does this after changed passes when incremental mode is off). Cached
-// scopes are shared snapshots: callers must treat them as immutable.
+// Scopes are pure functions of the IR, and an entry is served only while
+// the world's rewrite generation (ir.World.RewriteGen) equals the one it was
+// built at: any graph mutation makes every entry stale, and the next lookup
+// rebuilds it. Cached scopes are shared snapshots: callers must treat them
+// as immutable.
 //
 // A Cache is safe for concurrent lookups: the entry map is guarded by a
 // cache-wide mutex and each continuation's scope by a per-continuation
 // lock, so parallel scope workers share a memoized scope without computing
-// it twice. Invalidation must not race with lookups — the pass manager
-// only invalidates between (not during) parallel phases.
+// it twice.
 //
 // A nil *Cache is valid and simply computes every scope from scratch
 // without storing anything, so transformation code can thread an optional
@@ -61,10 +52,9 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[*ir.Continuation]*contEntry
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	invalidations atomic.Int64
-	stale         atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
+	stale  atomic.Int64
 }
 
 // NewCache creates an empty analysis cache.
@@ -84,26 +74,6 @@ func (c *Cache) entryFor(entry *ir.Continuation) *contEntry {
 	return e
 }
 
-// validateLocked drops e's memoized scope if one of its members has been
-// touched since the scope was computed. e.mu must be held; call it before
-// serving e.scope.
-func (c *Cache) validateLocked(e *contEntry, entry *ir.Continuation) {
-	if e.scope == nil {
-		return
-	}
-	cur := entry.World().RewriteGen()
-	if cur == e.validatedAt {
-		return
-	}
-	if e.scope.UnchangedSince(e.stamp) {
-		e.validatedAt = cur
-		return
-	}
-	e.scope = nil
-	e.stamp, e.validatedAt = 0, 0
-	c.stale.Add(1)
-}
-
 // ScopeOf returns the scope of entry, computing and memoizing it on a miss.
 func (c *Cache) ScopeOf(entry *ir.Continuation) *Scope {
 	if c == nil {
@@ -112,41 +82,18 @@ func (c *Cache) ScopeOf(entry *ir.Continuation) *Scope {
 	e := c.entryFor(entry)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c.validateLocked(e, entry)
+	gen := entry.World().RewriteGen()
 	if e.scope != nil {
-		c.hits.Add(1)
-		return e.scope
+		if e.gen == gen {
+			c.hits.Add(1)
+			return e.scope
+		}
+		c.stale.Add(1)
 	}
 	c.misses.Add(1)
-	gen := entry.World().RewriteGen()
 	e.scope = NewScope(entry)
-	e.stamp, e.validatedAt = gen, gen
+	e.gen = gen
 	return e.scope
-}
-
-// InvalidateAll drops every cached result. Stamp validation makes this
-// unnecessary for correctness; the pass manager still applies it after any
-// changed pass when incremental mode is off, as the conservative reference
-// behaviour the incremental mode is differenced against.
-func (c *Cache) InvalidateAll() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	populated := false
-	for _, e := range c.entries {
-		e.mu.Lock()
-		populated = e.scope != nil
-		e.mu.Unlock()
-		if populated {
-			break
-		}
-	}
-	if populated {
-		c.invalidations.Add(1)
-	}
-	c.entries = make(map[*ir.Continuation]*contEntry)
 }
 
 // Stats returns the lifetime counters.
@@ -155,9 +102,8 @@ func (c *Cache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		Hits:          int(c.hits.Load()),
-		Misses:        int(c.misses.Load()),
-		Invalidations: int(c.invalidations.Load()),
-		Stale:         int(c.stale.Load()),
+		Hits:   int(c.hits.Load()),
+		Misses: int(c.misses.Load()),
+		Stale:  int(c.stale.Load()),
 	}
 }

@@ -100,22 +100,6 @@ func NewScope(entry *ir.Continuation) *Scope {
 // Contains reports whether d belongs to the scope.
 func (s *Scope) Contains(d ir.Def) bool { return s.Defs[d] }
 
-// UnchangedSince reports whether no member of the scope has been touched
-// (ir.Def.LastTouched) after the given rewrite generation. When it holds, a
-// scope computed at gen — and every analysis derived from it — is still
-// valid: scope membership is the use-closure of the entry's params, and any
-// mutation that grows the closure stamps the used def, any that shrinks it
-// stamps the no-longer-used def, and any body change stamps the jumping
-// continuation, all of which were members at gen.
-func (s *Scope) UnchangedSince(gen int64) bool {
-	for d := range s.Defs {
-		if d.LastTouched() > gen {
-			return false
-		}
-	}
-	return true
-}
-
 // FreeDefs returns the non-continuation, non-literal defs referenced by
 // scope members but defined outside the scope, in ascending gid order.
 // These are the values lambda lifting must turn into parameters. The result

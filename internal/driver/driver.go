@@ -102,12 +102,11 @@ type Config struct {
 	// target changes only the final emission step: frontend, pipeline and
 	// schedule are shared, which is the point of the Backend split.
 	Target backend.Target
-	// DisableIncremental turns off journal-driven work skipping in the pass
-	// manager (pm.Context.Incremental), so every pass runs every time it is
-	// named and the analysis cache is invalidated wholesale after each
-	// changing pass. The produced IR and program are byte-identical either
-	// way; this is the escape hatch (and the reference mode the differential
-	// tests compare against). thorinc exposes it as -incremental=off.
+	// DisableIncremental turns off whole-pass skipping in the pass manager
+	// (pm.Context.Incremental), so every pass runs every time it is named.
+	// The produced IR and program are byte-identical either way; this is the
+	// escape hatch (and the reference mode the differential tests compare
+	// against). thorinc exposes it as -incremental=off.
 	DisableIncremental bool
 	// Ctx, when non-nil, cancels the compile cooperatively: the pipeline
 	// stops at the next pass boundary (or between parallel analysis

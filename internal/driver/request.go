@@ -69,7 +69,7 @@ type Request struct {
 	// budget it never enters the cache key — a deadline can only fail a
 	// compile, never change a successful one's output.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// DisableIncremental turns off journal-driven pass skipping. Like
+	// DisableIncremental turns off incremental pass skipping. Like
 	// Jobs it never enters the cache key: output is identical either way.
 	DisableIncremental bool `json:"disable_incremental,omitempty"`
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Use records that Def uses the subject def as operand Index.
@@ -62,10 +61,6 @@ type Def interface {
 	EachUse(f func(Use) bool)
 	// NumUses returns the number of recorded uses.
 	NumUses() int
-	// LastTouched returns the rewrite generation (World.RewriteGen) at
-	// which this def was last modified or gained/lost a user. 0 means the
-	// def has been untouched since creation.
-	LastTouched() int64
 
 	base() *defBase
 }
@@ -84,11 +79,6 @@ type defBase struct {
 	// removals replace the backing array instead of compacting in place
 	// (copy-on-write), so a snapshot is immutable once taken.
 	uses []Use
-	// stamp is the rewrite generation of the last modification affecting
-	// this def: its own body changing (continuations), or a user being
-	// added/removed (which changes the use-closure any enclosing scope is
-	// built from). See journal.go.
-	stamp atomic.Int64
 }
 
 func (d *defBase) GID() int         { return d.gid }
@@ -100,8 +90,6 @@ func (d *defBase) Name() string     { return d.name }
 func (d *defBase) SetName(n string) { d.name = n }
 func (d *defBase) World() *World    { return d.world }
 func (d *defBase) base() *defBase   { return d }
-
-func (d *defBase) LastTouched() int64 { return d.stamp.Load() }
 
 func (d *defBase) NumUses() int {
 	mu := d.world.useStripe(d.gid)
@@ -144,18 +132,16 @@ func (d *defBase) Uses() []Use {
 // shared mutable state (concurrent workers interning nodes may touch the
 // same operand), so each append happens under the operand's use stripe.
 //
-// Gaining a user is a scope-relevant change to the operand — the use-closure
-// of any scope containing it may grow — so every operand is stamped with one
-// fresh rewrite generation (journal.go).
+// Gaining a user can grow the use-closure of any scope containing an
+// operand, so registration advances the rewrite generation (journal.go).
 func registerUses(user Def) {
 	w := user.base().world
-	gen := w.nextStamp()
+	w.advance()
 	for i, op := range user.Ops() {
 		if op == nil {
 			continue
 		}
 		b := op.base()
-		b.stamp.Store(gen)
 		mu := w.useStripe(b.gid)
 		mu.Lock()
 		b.uses = append(b.uses, Use{Def: user, Index: i})
@@ -167,17 +153,16 @@ func registerUses(user Def) {
 // is copy-on-write: live snapshots taken by concurrent readers keep seeing
 // the old backing array, and insertion order is preserved.
 //
-// Losing a user can shrink the use-closure of an enclosing scope, so each
-// operand is stamped just like in registerUses.
+// Losing a user can shrink the use-closure of an enclosing scope, so
+// removal advances the rewrite generation just like registerUses.
 func unregisterUses(user Def) {
 	w := user.base().world
-	gen := w.nextStamp()
+	w.advance()
 	for i, op := range user.Ops() {
 		if op == nil {
 			continue
 		}
 		b := op.base()
-		b.stamp.Store(gen)
 		mu := w.useStripe(b.gid)
 		mu.Lock()
 		for j, u := range b.uses {
@@ -397,8 +382,6 @@ func (c *Continuation) Jump(callee Def, args ...Def) {
 	c.ops = append(c.ops, callee)
 	c.ops = append(c.ops, args...)
 	registerUses(c)
-	c.world.touch(c)
-	c.world.journal(c)
 }
 
 // Unset removes the continuation's body.
@@ -406,8 +389,6 @@ func (c *Continuation) Unset() {
 	if len(c.ops) != 0 {
 		unregisterUses(c)
 		c.ops = nil
-		c.world.touch(c)
-		c.world.journal(c)
 	}
 }
 

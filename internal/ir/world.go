@@ -67,14 +67,8 @@ type World struct {
 	useStripes [numUseStripes]sync.RWMutex
 
 	// rewriteGen is the rewrite generation: it advances on every observable
-	// graph mutation, and defs are stamped with it (see journal.go).
+	// graph mutation (see journal.go).
 	rewriteGen atomic.Int64
-
-	// The change journal: continuations touched since the last DrainDirty,
-	// deduplicated by dirtySet, ordered first-touched-first in dirtyList.
-	dirtyMu   sync.Mutex
-	dirtySet  map[*Continuation]struct{}
-	dirtyList []*Continuation
 
 	// NoCons disables hash-consing (for the ablation experiment A1).
 	NoCons bool
@@ -87,7 +81,6 @@ func NewWorld() *World {
 		primops:    make(map[uint64][]*PrimOp),
 		literals:   make(map[uint64][]*Literal),
 		intrinsics: make(map[Intrinsic]*Continuation),
-		dirtySet:   make(map[*Continuation]struct{}),
 	}
 	return w
 }
@@ -186,11 +179,10 @@ func (w *World) Continuation(t *FnType, name string) *Continuation {
 	w.contsMu.Lock()
 	w.conts = append(w.conts, c)
 	w.contsMu.Unlock()
-	// Creation is journaled so a drain sees brand-new continuations even
-	// before their first Jump (cleanup may sweep a bodyless cont, and a pass
-	// that only creates conts must still read as "changed something").
-	w.touch(c)
-	w.journal(c)
+	// Creation advances the generation even before the first Jump: cleanup
+	// may sweep a bodyless cont, and a pass that only creates conts must
+	// still read as "changed something".
+	w.advance()
 	return c
 }
 
@@ -211,22 +203,19 @@ func (w *World) RemoveContinuations(dead []*Continuation) {
 	for _, c := range dead {
 		drop[c] = true
 	}
-	var removed []*Continuation
 	w.contsMu.Lock()
 	kept := w.conts[:0]
 	for _, c := range w.conts {
-		if drop[c] {
-			removed = append(removed, c)
-		} else {
+		if !drop[c] {
 			kept = append(kept, c)
 		}
 	}
+	removed := len(w.conts) - len(kept)
 	clear(w.conts[len(kept):])
 	w.conts = kept
 	w.contsMu.Unlock()
-	for _, c := range removed {
-		w.touch(c)
-		w.journal(c)
+	if removed > 0 {
+		w.advance()
 	}
 }
 

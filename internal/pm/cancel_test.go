@@ -143,7 +143,7 @@ func TestCancelStopsParallelAnalyze(t *testing.T) {
 			ctx.Jobs = jobs
 			ctx.Ctx = cctx
 
-			_, _, _, _, err := runScoped(ctx, r)
+			_, _, _, err := runScoped(ctx, r)
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("err = %v, want ErrCanceled", err)
 			}
@@ -171,7 +171,7 @@ func TestCancelStopsCommitLoop(t *testing.T) {
 	ctx := NewContext(w)
 	ctx.Ctx = cctx
 
-	_, _, _, _, err := runScoped(ctx, r)
+	_, _, _, err := runScoped(ctx, r)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -86,7 +86,7 @@ func TestScopedPanicIsolation(t *testing.T) {
 			ctx.Jobs = jobs
 
 			base := runtime.NumGoroutine()
-			_, _, _, _, err := runScoped(ctx, pr)
+			_, _, _, err := runScoped(ctx, pr)
 			stableGoroutines(t, base)
 
 			var pp *PassPanicError
@@ -131,7 +131,7 @@ func TestScopedPanicPhases(t *testing.T) {
 			pr := &panickyRewriter{targets: targets, phase: tc.phase, panicAt: 3}
 			ctx := NewContext(w)
 			ctx.Jobs = 4
-			_, _, _, _, err := runScoped(ctx, pr)
+			_, _, _, err := runScoped(ctx, pr)
 			var pp *PassPanicError
 			if !errors.As(err, &pp) {
 				t.Fatalf("err = %v, want a *PassPanicError", err)

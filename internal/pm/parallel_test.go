@@ -67,7 +67,7 @@ func TestRunScopedCommitsInTargetOrder(t *testing.T) {
 			ctx := NewContext(w)
 			ctx.Jobs = jobs
 
-			res, parallelism, stats, _, err := runScoped(ctx, fr)
+			res, parallelism, stats, err := runScoped(ctx, fr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestRunScopedFailsDeterministically(t *testing.T) {
 		ctx := NewContext(w)
 		ctx.Jobs = jobs
 
-		_, _, _, _, err := runScoped(ctx, fr)
+		_, _, _, err := runScoped(ctx, fr)
 		if err == nil || err.Error() != "analyze failed on target 3" {
 			t.Fatalf("jobs=%d: err = %v, want the target-order first failure", jobs, err)
 		}
@@ -133,7 +133,7 @@ func TestRunScopedNoTargets(t *testing.T) {
 	fr := &fakeRewriter{failAt: -1, analyzed: map[*ir.Continuation]int{}}
 	ctx := NewContext(w)
 	ctx.Jobs = 8
-	res, _, _, _, err := runScoped(ctx, fr)
+	res, _, _, err := runScoped(ctx, fr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,13 @@ type Result struct {
 	Rewrites int
 	// Changed forces the pass to count as changing even with zero
 	// rewrites. The runner additionally fingerprints the world before and
-	// after each run, so a pass that forgets to set either still triggers
-	// invalidation when it allocates or removes nodes.
+	// after each run, so a pass that forgets to set either still counts as
+	// changing when it allocates or removes nodes.
 	Changed bool
 	// Saturated reports that the pass hit an internal iteration bound while
 	// still rewriting: it did NOT reach its fixpoint, so the incremental
-	// runner must not skip its next occurrence even if the journal is quiet.
+	// runner must not skip its next occurrence even if the world's rewrite
+	// generation has not moved since.
 	Saturated bool
 }
 
@@ -88,10 +89,9 @@ type ScopeRewriter interface {
 // pass-family state (e.g. accumulated typed statistics).
 type Context struct {
 	World *ir.World
-	// Cache memoizes scopes per continuation, validating every lookup
-	// against the world's rewrite generation (stale entries rebuild
-	// themselves). In non-incremental mode the runner additionally
-	// invalidates it wholesale after every pass that changed the IR.
+	// Cache memoizes scopes per continuation, serving an entry only while
+	// the world's rewrite generation is unchanged since it was built (stale
+	// entries rebuild themselves).
 	Cache *analysis.Cache
 	// VerifyEach makes the runner call ir.Verify after every pass and
 	// abort the pipeline naming the offending pass.
@@ -110,18 +110,18 @@ type Context struct {
 	// timed out). This is how an abandoned compile-server request frees its
 	// jobs-pool workers instead of compiling into the void.
 	Ctx context.Context
-	// Incremental enables journal-driven work skipping (see incremental.go):
-	// self-fixpointing passes whose input has not changed since they last ran
-	// are recorded as Skipped instead of executed, and ScopeRewriter analysis
-	// plans are memoized per target keyed by scope pointer identity. The
-	// produced IR is byte-identical either way; only the work differs. On by
-	// default; driver.Config.DisableIncremental (thorinc -incremental=off)
-	// turns it off.
+	// Incremental enables whole-pass skipping (see incremental.go):
+	// self-fixpointing passes that already ran with the world's rewrite
+	// generation unchanged since are recorded as Skipped instead of
+	// executed. The produced IR is byte-identical either way; only the work
+	// differs. On by default; driver.Config.DisableIncremental (thorinc
+	// -incremental=off) turns it off.
 	Incremental bool
 
 	data     map[string]any
 	passDone map[string]*passRecord
-	memos    map[string]map[*ir.Continuation]*planMemo
+	// seenGen is the rewrite generation noteDirty saw last.
+	seenGen int64
 }
 
 // NewContext creates a run context for w with a fresh analysis cache. The
@@ -142,7 +142,6 @@ func NewContext(w *ir.World) *Context {
 		Incremental: true,
 		data:        make(map[string]any),
 		passDone:    make(map[string]*passRecord),
-		memos:       make(map[string]map[*ir.Continuation]*planMemo),
 	}
 }
 

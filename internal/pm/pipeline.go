@@ -38,9 +38,9 @@ func snapshot(w *ir.World) fingerprint {
 // accumulated so far, even when a pass or a verification fails.
 func (p *Pipeline) Run(ctx *Context) (*Report, error) {
 	rep := &Report{Spec: p.Spec}
-	// Drain journal activity that predates this run (IR construction,
-	// external mutations on a reused context): it dirties every pass record,
-	// so nothing is skipped based on stale knowledge.
+	// Note mutations that predate this run (IR construction, external
+	// mutations on a reused context): they dirty every pass record, so
+	// nothing is skipped based on stale knowledge.
 	ctx.noteDirty("")
 	start := time.Now()
 	_, err := p.runSeq(ctx, p.items, rep, "", 0)
@@ -109,10 +109,10 @@ func (p *Pipeline) runPass(ctx *Context, pass Pass, rep *Report, path string, it
 	}
 	if ctx.Incremental {
 		if _, ok := pass.(SelfFixpointing); ok && ctx.passClean(pass.Name()) {
-			// The pass saturated on exactly this IR already and nothing was
-			// journaled since: running it again is provably a no-op. Record
-			// the skip (Rewrites 0, Changed false) and move on — no
-			// verification, no invalidation.
+			// The pass saturated on exactly this IR already and the rewrite
+			// generation has not moved since: running it again is provably a
+			// no-op. Record the skip (Rewrites 0, Changed false) and move on
+			// — no verification.
 			rep.Runs = append(rep.Runs, PassRun{Name: pass.Name(), Path: path, Iter: iter, Skipped: true})
 			return false, nil
 		}
@@ -123,11 +123,10 @@ func (p *Pipeline) runPass(ctx *Context, pass Pass, rep *Report, path string, it
 	var res Result
 	var err error
 	var parallelism int
-	var memoHits int
 	var workers []WorkerStat
 	switch pass := pass.(type) {
 	case ScopeRewriter:
-		res, parallelism, workers, memoHits, err = runScoped(ctx, pass)
+		res, parallelism, workers, err = runScoped(ctx, pass)
 	case Runner:
 		// Panic containment boundary for ordinary passes: a panicking pass
 		// fails its pipeline with a structured *PassPanicError instead of
@@ -144,14 +143,8 @@ func (p *Pipeline) runPass(ctx *Context, pass Pass, rep *Report, path string, it
 	cacheAfter := ctx.Cache.Stats()
 
 	changed := res.Changed || res.Rewrites > 0 || after != before
-	if changed && !ctx.Incremental {
-		// Conservative invalidation rule for the non-incremental reference
-		// mode: any reported or fingerprinted mutation voids every memoized
-		// analysis. Incremental mode instead relies on the cache's per-lookup
-		// stamp validation, which evicts exactly the entries that went stale.
-		ctx.Cache.InvalidateAll()
-	}
-	// Update the skip records: journal activity dirties every other pass;
+	// Update the skip records: a moved rewrite generation dirties every
+	// other pass;
 	// this pass just saturated on the result of its own rewrites, so it
 	// stays clean unless it hit its round cap. A failed run dirties itself
 	// too — its partial mutations are not a fixpoint of anything.
@@ -176,7 +169,6 @@ func (p *Pipeline) runPass(ctx *Context, pass Pass, rep *Report, path string, it
 		CacheHits:     cacheAfter.Hits - cacheBefore.Hits,
 		CacheMisses:   cacheAfter.Misses - cacheBefore.Misses,
 		Parallelism:   parallelism,
-		MemoHits:      memoHits,
 		Workers:       workers,
 	}
 	if err != nil {

@@ -38,11 +38,8 @@ type PassRun struct {
 	// self-fixpointing and nothing it reads changed since it last ran, so
 	// executing it would provably have been a no-op (Rewrites 0, Changed
 	// false, zero time).
-	Skipped bool `json:"skipped,omitempty"`
-	// MemoHits counts the targets of a ScopeRewriter pass whose analysis
-	// plan was served from the per-target memo instead of recomputed.
-	MemoHits int    `json:"memo_hits,omitempty"`
-	Err      string `json:"error,omitempty"`
+	Skipped bool   `json:"skipped,omitempty"`
+	Err     string `json:"error,omitempty"`
 }
 
 // Label renders the run's position in the pipeline, e.g. "cleanup" or
@@ -98,10 +95,9 @@ func (r *Report) Rewrites() int {
 	return n
 }
 
-// Skips counts the runs the incremental runner elided, and MemoHits sums the
-// analysis plans served from the per-target memo. Both are zero in
-// non-incremental mode — they are the report-level measure of what
-// incrementality saved.
+// Skips counts the runs the incremental runner elided. It is zero in
+// non-incremental mode — the report-level measure of what incrementality
+// saved.
 func (r *Report) Skips() int {
 	n := 0
 	for _, run := range r.Runs {
@@ -112,14 +108,10 @@ func (r *Report) Skips() int {
 	return n
 }
 
-// MemoHits sums the memoized analysis plans across all runs (see Skips).
-func (r *Report) MemoHits() int {
-	n := 0
-	for _, run := range r.Runs {
-		n += run.MemoHits
-	}
-	return n
-}
+// MemoHits returns 0: the runner memoizes no analysis plans. It stays only
+// because perfbench reports it as pm.memo_hits; delete it once perfbench
+// stops calling root-module internals (ROADMAP item 16).
+func (r *Report) MemoHits() int { return 0 }
 
 // WriteText renders the report as an aligned table.
 func (r *Report) WriteText(w io.Writer) {

@@ -24,11 +24,10 @@ type ClosureStats struct {
 // records, so running the optimizer first (LowerToCFFWith) minimizes this
 // pass's output.
 //
-// Scopes are read through an optional analysis cache (nil = compute fresh);
-// scopes of continuations that need no conversion stay
-// cached, and a conversion's mutations stamp the defs they touch so the
-// cache evicts exactly the entries that went stale. A mangling failure
-// aborts the pass with the stats so far.
+// Scopes are read through an optional analysis cache (nil = compute fresh)
+// and built only for candidates; a conversion's mutations advance the
+// world's rewrite generation, which stales every cached scope. A mangling
+// failure aborts the pass with the stats so far.
 func ClosureConvertWith(w *ir.World, ac *analysis.Cache) (ClosureStats, error) {
 	var stats ClosureStats
 	const maxRounds = 32

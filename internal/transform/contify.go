@@ -15,8 +15,8 @@ import (
 // framework it is a one-call specialization.
 //
 // Scopes are read through an optional analysis cache (nil = compute fresh).
-// Cached scopes are validated against the change journal on every lookup, so
-// a specialization's mutations evict exactly the entries they staled and the
+// A cached scope is served only while the world's rewrite generation is
+// unchanged, so a specialization's mutations stale every entry and the
 // mutation-free probing stretches stay cache hits. The bool result reports
 // saturation: the round cap was reached while still contifying, so another
 // run could make progress. A mangling failure aborts the pass with the count

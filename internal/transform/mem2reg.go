@@ -48,9 +48,9 @@ func (s *Mem2RegStats) add(o Mem2RegStats) {
 // pairwise disjoint (a def of one scope that referenced another scope's
 // parameter would make that parameter free, contradicting top-levelness), so
 // planning every root before committing any is equivalent to an interleaved
-// plan-commit loop. Scopes of scanned-but-unchanged roots stay cached for
-// later passes; a promotion's mutations stamp the defs they touch, so the
-// cache evicts exactly the entries that went stale.
+// plan-commit loop. Scopes of scanned roots stay cached for later passes
+// until a promotion's mutations advance the world's rewrite generation,
+// which stales every cached scope.
 
 // m2rTargets enumerates the candidate promotion roots in creation order.
 func m2rTargets(w *ir.World) []*ir.Continuation {
@@ -89,7 +89,7 @@ func m2rAnalyze(w *ir.World, ac *analysis.Cache, c *ir.Continuation) *m2rPlan {
 	return planNonBlock(w, s)
 }
 
-// m2rCommit applies one plan. Stamp validation in the cache handles the
+// m2rCommit applies one plan. The cache's generation check handles the
 // mutations a promotion makes; no explicit invalidation is needed.
 func m2rCommit(w *ir.World, ac *analysis.Cache, plan *m2rPlan) (Mem2RegStats, error) {
 	st := plan.reasons

@@ -45,7 +45,7 @@ func (p stdPass) Run(ctx *pm.Context) (pm.Result, error) {
 	return p.run(ctx, ctxStats(ctx))
 }
 
-// SelfFixpointing opts every standard pass into journal-driven skipping:
+// SelfFixpointing opts every standard pass into incremental skipping:
 // each one iterates to an internal fixpoint (and reports Result.Saturated
 // when it hits its round cap instead), so re-running it on unchanged IR is
 // a no-op by construction.
