@@ -33,8 +33,9 @@ func ScopeBuildCount() int64 { return scopeBuilds.Load() }
 // scope members but outside the set are the scope's free defs.
 type Scope struct {
 	Entry *ir.Continuation
-	// Defs contains every def belonging to the scope (incl. entry, params).
-	Defs map[ir.Def]bool
+	// defs holds the gid of every def belonging to the scope (incl. entry,
+	// params). Contains is its reader.
+	defs map[int]bool
 	// Conts lists the scope's continuations in ascending gid order with the
 	// entry first.
 	Conts []*ir.Continuation
@@ -54,13 +55,17 @@ type Scope struct {
 // edges starting at entry's parameters (the algorithm of the paper's §4).
 func NewScope(entry *ir.Continuation) *Scope {
 	scopeBuilds.Add(1)
-	s := &Scope{Entry: entry, Defs: make(map[ir.Def]bool)}
+	s := &Scope{Entry: entry, defs: make(map[int]bool), Conts: []*ir.Continuation{entry}}
 
 	var queue []ir.Def
 	push := func(d ir.Def) {
-		if !s.Defs[d] {
-			s.Defs[d] = true
-			queue = append(queue, d)
+		if s.defs[d.GID()] {
+			return
+		}
+		s.defs[d.GID()] = true
+		queue = append(queue, d)
+		if c, ok := d.(*ir.Continuation); ok && c != entry {
+			s.Conts = append(s.Conts, c)
 		}
 	}
 	push(entry)
@@ -74,7 +79,8 @@ func NewScope(entry *ir.Continuation) *Scope {
 			// Follow use edges: everything that uses a scope member depends
 			// on the entry's params and therefore belongs to the scope.
 			// EachUse keeps the closure allocation-free; visit order does
-			// not matter because membership is a set and Conts is sorted.
+			// not matter because membership is a set and Conts is sorted
+			// after the closure.
 			d.EachUse(func(u ir.Use) bool {
 				push(u.Def)
 				return true
@@ -87,18 +93,13 @@ func NewScope(entry *ir.Continuation) *Scope {
 		}
 	}
 
-	for d := range s.Defs {
-		if c, ok := d.(*ir.Continuation); ok && c != entry {
-			s.Conts = append(s.Conts, c)
-		}
-	}
-	sort.Slice(s.Conts, func(i, j int) bool { return s.Conts[i].GID() < s.Conts[j].GID() })
-	s.Conts = append([]*ir.Continuation{entry}, s.Conts...)
+	rest := s.Conts[1:]
+	sort.Slice(rest, func(i, j int) bool { return rest[i].GID() < rest[j].GID() })
 	return s
 }
 
 // Contains reports whether d belongs to the scope.
-func (s *Scope) Contains(d ir.Def) bool { return s.Defs[d] }
+func (s *Scope) Contains(d ir.Def) bool { return s.defs[d.GID()] }
 
 // FreeDefs returns the non-continuation, non-literal defs referenced by
 // scope members but defined outside the scope, in ascending gid order.
@@ -111,15 +112,15 @@ func (s *Scope) FreeDefs() []ir.Def {
 }
 
 func (s *Scope) computeFreeDefs() []ir.Def {
-	seen := map[ir.Def]bool{}
+	seen := map[int]bool{}
 	var free []ir.Def
 	var visit func(d ir.Def)
 	visit = func(d ir.Def) {
-		if seen[d] {
+		if seen[d.GID()] {
 			return
 		}
-		seen[d] = true
-		if s.Defs[d] {
+		seen[d.GID()] = true
+		if s.defs[d.GID()] {
 			// Scope members: recurse into their operands.
 			for _, op := range d.Ops() {
 				visit(op)
@@ -164,18 +165,19 @@ func (s *Scope) FreeParams() []*ir.Param {
 
 func (s *Scope) computeFreeParams() []*ir.Param {
 	var out []*ir.Param
-	seen := map[ir.Def]bool{}
+	seen := map[int]bool{}
 	var visit func(d ir.Def)
 	visit = func(d ir.Def) {
-		if seen[d] {
+		if seen[d.GID()] {
 			return
 		}
-		seen[d] = true
-		if p, ok := d.(*ir.Param); ok && !s.Defs[p] {
+		seen[d.GID()] = true
+		inScope := s.defs[d.GID()]
+		if p, ok := d.(*ir.Param); ok && !inScope {
 			out = append(out, p)
 			return
 		}
-		if !s.Defs[d] {
+		if !inScope {
 			if _, ok := d.(*ir.PrimOp); !ok {
 				return
 			}
@@ -203,18 +205,15 @@ func (s *Scope) TopLevel() bool { return len(s.FreeParams()) == 0 }
 // ReachablePrimOps returns every primop reachable from the bodies of the
 // scope's continuations (the defs a backend must materialize), in gid order.
 func (s *Scope) ReachablePrimOps() []*ir.PrimOp {
-	seen := map[ir.Def]bool{}
+	seen := map[int]bool{}
 	var out []*ir.PrimOp
 	var visit func(d ir.Def)
 	visit = func(d ir.Def) {
-		if seen[d] {
-			return
-		}
-		seen[d] = true
 		p, ok := d.(*ir.PrimOp)
-		if !ok {
+		if !ok || seen[p.GID()] {
 			return
 		}
+		seen[p.GID()] = true
 		for _, op := range p.Ops() {
 			visit(op)
 		}

@@ -52,12 +52,14 @@ type Def interface {
 	// operand index). The returned slice is fresh; callers may keep it.
 	Uses() []Use
 	// EachUse calls f for every recorded use of this def, in insertion
-	// order, until f returns false. It allocates nothing: f runs against a
-	// snapshot of the use list, so f may create nodes or rewire
-	// continuations (mutations become visible to the *next* traversal, as
-	// with Uses). Insertion order is node-creation order and therefore
-	// deterministic wherever construction is — callers whose *output*
-	// depends on visit order should use the gid-sorted Uses instead.
+	// order, until f returns false. It allocates nothing and iterates the
+	// live use list, so f must not mutate the graph: no Jump, Unset or
+	// construction of a node with operands. EachUse panics if the world's
+	// rewrite generation moved during a callback. A caller that rewires
+	// users collects them first and jumps them after the loop. Insertion
+	// order is registration order and therefore deterministic wherever
+	// construction is — callers whose *output* depends on visit order
+	// should use the gid-sorted Uses instead.
 	EachUse(f func(Use) bool)
 	// NumUses returns the number of recorded uses.
 	NumUses() int
@@ -73,11 +75,12 @@ type defBase struct {
 	name  string
 	ops   []Def
 	// uses is the compact use list, in insertion (= registration) order,
-	// guarded by the world's use stripe for this def's gid. Readers snapshot
-	// the slice header under the stripe's read lock and iterate lock-free:
-	// appends only touch indexes beyond every snapshot's length, and
-	// removals replace the backing array instead of compacting in place
-	// (copy-on-write), so a snapshot is immutable once taken.
+	// guarded by the world's use stripe for this def's gid. It is mutated
+	// in place: appends reuse spare capacity and removals shift the tail
+	// down inside the same backing array. Readers take the slice header
+	// under the stripe's read lock and iterate lock-free, which is safe
+	// because no writer runs while anyone iterates: analysis workers only
+	// read, and EachUse callbacks must not mutate (see Def.EachUse).
 	uses []Use
 }
 
@@ -99,9 +102,9 @@ func (d *defBase) NumUses() int {
 	return n
 }
 
-// snapshotUses returns the current use list without copying it. The result
-// is safe to iterate without the lock (see the uses field invariant).
-func (d *defBase) snapshotUses() []Use {
+// currentUses returns the current use list without copying it. It stays
+// valid only until the next mutation of the graph (see the uses field).
+func (d *defBase) currentUses() []Use {
 	mu := d.world.useStripe(d.gid)
 	mu.RLock()
 	uses := d.uses
@@ -110,15 +113,20 @@ func (d *defBase) snapshotUses() []Use {
 }
 
 func (d *defBase) EachUse(f func(Use) bool) {
-	for _, u := range d.snapshotUses() {
-		if !f(u) {
+	gen := d.world.RewriteGen()
+	for _, u := range d.currentUses() {
+		more := f(u)
+		if d.world.RewriteGen() != gen {
+			panic("ir: EachUse callback mutated the graph")
+		}
+		if !more {
 			return
 		}
 	}
 }
 
 func (d *defBase) Uses() []Use {
-	uses := append([]Use(nil), d.snapshotUses()...)
+	uses := append([]Use(nil), d.currentUses()...)
 	sort.Slice(uses, func(i, j int) bool {
 		if uses[i].Def.GID() != uses[j].Def.GID() {
 			return uses[i].Def.GID() < uses[j].Def.GID()
@@ -150,8 +158,10 @@ func registerUses(user Def) {
 }
 
 // unregisterUses removes user from the use lists of its operands. Removal
-// is copy-on-write: live snapshots taken by concurrent readers keep seeing
-// the old backing array, and insertion order is preserved.
+// is in place: the tail shifts down one slot inside the same backing array,
+// so the remaining uses keep their insertion order, the vacated last slot is
+// zeroed for the garbage collector, and the re-registration that follows in
+// Continuation.Jump appends into the freed capacity without allocating.
 //
 // Losing a user can shrink the use-closure of an enclosing scope, so
 // removal advances the rewrite generation just like registerUses.
@@ -167,10 +177,10 @@ func unregisterUses(user Def) {
 		mu.Lock()
 		for j, u := range b.uses {
 			if u.Def == user && u.Index == i {
-				next := make([]Use, 0, len(b.uses)-1)
-				next = append(next, b.uses[:j]...)
-				next = append(next, b.uses[j+1:]...)
-				b.uses = next
+				last := len(b.uses) - 1
+				copy(b.uses[j:], b.uses[j+1:])
+				b.uses[last] = Use{}
+				b.uses = b.uses[:last]
 				break
 			}
 		}
@@ -186,6 +196,8 @@ type Literal struct {
 	I      int64
 	F      float64
 	Bottom bool
+	// next links the literals sharing one interning-table bucket.
+	next *Literal
 }
 
 // IsLit reports whether d is a (non-bottom) literal.

@@ -122,6 +122,8 @@ type PrimOp struct {
 	// the interning table; 0 for ordinary hash-consed primops. It is part of
 	// the structural identity checked on hash collisions.
 	salt int
+	// next links the primops sharing one interning-table bucket.
+	next *PrimOp
 }
 
 // OpKind returns the operation kind.

@@ -139,17 +139,14 @@ func verifyBranch(c *Continuation) error {
 }
 
 func verifyOps(c *Continuation) error {
-	seen := map[Def]bool{}
+	seen := map[int]bool{}
 	var walk func(d Def) error
 	walk = func(d Def) error {
-		if seen[d] {
-			return nil
-		}
-		seen[d] = true
 		p, ok := d.(*PrimOp)
-		if !ok {
+		if !ok || seen[p.gid] {
 			return nil
 		}
+		seen[p.gid] = true
 		for i, op := range p.Ops() {
 			if op == nil {
 				return fmt.Errorf("ir: primop %s in %s: nil operand %d", p.kind, c.name, i)

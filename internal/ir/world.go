@@ -32,7 +32,9 @@ func hashU64(h, v uint64) uint64 {
 //
 // A World is safe for concurrent node construction: the interning tables and
 // their statistics share one mutex, the id/salt counters are atomic, and the
-// use lists are guarded by striped reader/writer locks.
+// use lists are guarded by striped reader/writer locks. Use lists are
+// mutated in place, so reading them (EachUse, Uses) must not race with a
+// Jump, an Unset or the creation of a node with operands.
 // Note that hash-consing makes concurrent interning order-independent for
 // node identity (both racers get the same node), but gid assignment still
 // depends on arrival order — parallel phases that must stay deterministic
@@ -46,12 +48,13 @@ type World struct {
 	salt    atomic.Int64 // uniquifier for non-consed primops (slot/alloc/global)
 
 	// internMu guards both interning tables and the interning statistics.
-	// Buckets are keyed by the full 64-bit structural hash; entries that
-	// collide on the hash are disambiguated by structural equality (see
-	// (*PrimOp).structEq).
+	// Buckets are keyed by the full 64-bit structural hash. Each maps to
+	// the head of a chain linked through the nodes' next fields, so a new
+	// node costs no bucket slice; entries that collide on the hash are
+	// disambiguated by structural equality (see (*PrimOp).structEq).
 	internMu sync.Mutex
-	primops  map[uint64][]*PrimOp
-	literals map[uint64][]*Literal
+	primops  map[uint64]*PrimOp
+	literals map[uint64]*Literal
 	stats    InternStats
 
 	contsMu sync.RWMutex
@@ -78,8 +81,8 @@ type World struct {
 func NewWorld() *World {
 	w := &World{
 		types:      newTypeTable(),
-		primops:    make(map[uint64][]*PrimOp),
-		literals:   make(map[uint64][]*Literal),
+		primops:    make(map[uint64]*PrimOp),
+		literals:   make(map[uint64]*Literal),
 		intrinsics: make(map[Intrinsic]*Continuation),
 	}
 	return w
@@ -275,13 +278,13 @@ func (w *World) literal(t Type, i int64, f float64, bottom bool) *Literal {
 	}
 	w.internMu.Lock()
 	defer w.internMu.Unlock()
-	for _, l := range w.literals[h] {
+	for l := w.literals[h]; l != nil; l = l.next {
 		if l.typ == t && l.I == i && math.Float64bits(l.F) == fbits && l.Bottom == bottom {
 			return l
 		}
 	}
-	l := &Literal{defBase: defBase{world: w, gid: w.newGID(), typ: t}, I: i, F: f, Bottom: bottom}
-	w.literals[h] = append(w.literals[h], l)
+	l := &Literal{defBase: defBase{world: w, gid: w.newGID(), typ: t}, I: i, F: f, Bottom: bottom, next: w.literals[h]}
+	w.literals[h] = l
 	return l
 }
 
@@ -393,11 +396,18 @@ func (w *World) cseSalted(kind OpKind, t Type, salt int, ops ...Def) *PrimOp {
 	if w.NoCons {
 		salt = int(w.salt.Add(1))
 	}
-	h := primopHash(kind, t, salt, ops)
+	return w.internPrimOp(primopHash(kind, t, salt, ops), kind, t, salt, ops)
+}
+
+// internPrimOp returns the primop (kind, t, salt, ops) from the bucket h,
+// creating and chaining it there if the bucket has no structurally equal
+// node. At most one node in a bucket can match, so chain order is moot.
+func (w *World) internPrimOp(h uint64, kind OpKind, t Type, salt int, ops []Def) *PrimOp {
 	w.internMu.Lock()
 	defer w.internMu.Unlock()
 	w.stats.Requested++
-	for _, p := range w.primops[h] {
+	head := w.primops[h]
+	for p := head; p != nil; p = p.next {
 		if p.structEq(kind, t, salt, ops) {
 			w.stats.ConsHits++
 			return p
@@ -407,9 +417,10 @@ func (w *World) cseSalted(kind OpKind, t Type, salt int, ops ...Def) *PrimOp {
 		defBase: defBase{world: w, gid: w.newGID(), typ: t, ops: append([]Def(nil), ops...)},
 		kind:    kind,
 		salt:    salt,
+		next:    head,
 	}
 	registerUses(p)
-	w.primops[h] = append(w.primops[h], p)
+	w.primops[h] = p
 	w.stats.Nodes++
 	return p
 }

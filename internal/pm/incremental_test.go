@@ -22,18 +22,19 @@ func bump(ctx *Context, key string) int {
 
 func init() {
 	// A self-fixpointing no-op: eligible for skipping as soon as it ran once
-	// with no journal activity since.
+	// without the rewrite generation moving since.
 	Register(markedPass{"t-fix", func(ctx *Context) Result {
 		bump(ctx, "t-fix.runs")
 		return Result{}
 	}})
 	// A self-fixpointing pass that always reports saturation: never
-	// skippable, no matter how quiet the journal is.
+	// skippable, even when the rewrite generation has not moved.
 	Register(markedPass{"t-satfix", func(ctx *Context) Result {
 		bump(ctx, "t-satfix.runs")
 		return Result{Saturated: true}
 	}})
-	// An unmarked pass that journals a continuation creation.
+	// An unmarked pass whose continuation creation moves the rewrite
+	// generation.
 	Register(testPass{"t-mut", func(ctx *Context) Result {
 		w := ctx.World
 		w.Continuation(w.FnType(), "tmut")
@@ -83,13 +84,13 @@ func TestIncrementalOffRunsEverything(t *testing.T) {
 	}
 }
 
-func TestJournalActivityPreventsSkip(t *testing.T) {
+func TestMutationPreventsSkip(t *testing.T) {
 	ctx, rep := runSpec(t, "t-fix,t-mut,t-fix", true)
 	if got, _ := ctx.Get("t-fix.runs").(int); got != 2 {
 		t.Fatalf("marked pass executed %d times, want 2 (mutation in between)", got)
 	}
 	if rep.Skips() != 0 {
-		t.Fatalf("Skips() = %d, want 0: the journal was not quiet", rep.Skips())
+		t.Fatalf("Skips() = %d, want 0: the rewrite generation moved in between", rep.Skips())
 	}
 }
 

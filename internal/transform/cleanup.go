@@ -257,26 +257,23 @@ func eliminateDeadParams(w *ir.World, ac *analysis.Cache) int {
 		for _, i := range deadIdx {
 			args[i] = w.Bottom(c.Param(i).Type())
 		}
-		// Every use is a distinct caller at index 0 (checked above) and Jump
-		// creates no nodes, so re-jumping from the EachUse snapshot is
-		// order-independent even though each Jump rewrites c's use list.
-		c.EachUse(func(u ir.Use) bool {
-			caller := u.Def.(*ir.Continuation)
+		// Every use is a distinct caller at index 0 (checked above). Jump
+		// rewrites c's use list, so each loop collects the callers first
+		// and jumps them afterwards, in EachUse order.
+		for _, caller := range directCallers(c) {
 			newArgs := append([]ir.Def(nil), caller.Args()...)
 			for _, i := range deadIdx {
 				newArgs[i] = args[i]
 			}
 			caller.Jump(c, newArgs...)
-			return true
-		})
+		}
 
 		slim, err := Drop(ac.ScopeOf(c), args)
 		if err != nil {
 			continue // args is sized to c by construction; be safe anyway
 		}
 		slim.SetName(c.Name())
-		c.EachUse(func(u ir.Use) bool {
-			caller := u.Def.(*ir.Continuation)
+		for _, caller := range directCallers(c) {
 			var kept []ir.Def
 			for i, a := range caller.Args() {
 				if args[i] == nil {
@@ -284,11 +281,24 @@ func eliminateDeadParams(w *ir.World, ac *analysis.Cache) int {
 				}
 			}
 			caller.Jump(slim, kept...)
-			return true
-		})
+		}
 		n += len(deadIdx)
 	}
 	return n
+}
+
+// directCallers returns the continuations that call c (use it at index 0),
+// in EachUse order. Callers that re-jump them collect them first because
+// Jump rewrites c's use list, and jump order decides later use order.
+func directCallers(c *ir.Continuation) []*ir.Continuation {
+	var out []*ir.Continuation
+	c.EachUse(func(u ir.Use) bool {
+		if caller, ok := u.Def.(*ir.Continuation); ok && u.Index == 0 {
+			out = append(out, caller)
+		}
+		return true
+	})
+	return out
 }
 
 // traceMemChain walks the body's jump memory argument back to the

@@ -43,15 +43,12 @@ func ContifyWith(w *ir.World, ac *analysis.Cache) (int, bool, error) {
 				return n, false, err
 			}
 			spec.SetName(f.Name() + ".cont")
-			// One use per caller at index 0 and Jump creates no nodes, so the
-			// snapshot iteration is order-independent.
-			f.EachUse(func(u ir.Use) bool {
-				if caller, ok := u.Def.(*ir.Continuation); ok && u.Index == 0 {
-					kept := caller.Args()[:caller.NumArgs()-1]
-					caller.Jump(spec, kept...)
-				}
-				return true
-			})
+			// Jump rewrites f's use list, so collect the callers first and
+			// jump them afterwards, in EachUse order.
+			for _, caller := range directCallers(f) {
+				kept := caller.Args()[:caller.NumArgs()-1]
+				caller.Jump(spec, kept...)
+			}
 			n++
 			changed = true
 		}
@@ -78,7 +75,7 @@ func commonRetArg(f *ir.Continuation) *ir.Continuation {
 	external := 0
 	bad := false
 	// Every site must agree on the answer, so visit order is moot and the
-	// allocation-free snapshot iteration is safe.
+	// allocation-free EachUse is the right iteration.
 	f.EachUse(func(u ir.Use) bool {
 		caller, ok := u.Def.(*ir.Continuation)
 		if !ok || u.Index != 0 {
