@@ -135,8 +135,9 @@ bench:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./internal/bench
 
 # bench-diff is the wall-clock and allocation regression gate: a same-host
-# A/B of the Optimize benchmarks and the ExecVM/ExecWasm execution
-# benchmarks, BASE against the working tree in 10 alternating pairs; it
+# A/B of the Optimize benchmarks, the CompileSuite whole-compile benchmark
+# (the suite at -O2 for both targets, jobs 1) and the ExecVM/ExecWasm
+# execution benchmarks, BASE against the working tree in 10 alternating pairs; it
 # fails if any median ns/op is more than 10% over BASE's or any median B/op
 # more than 2% over BASE's, and skips a benchmark BASE lacks (see
 # scripts/bench-diff.sh). Deterministic counts (scope builds, skipped

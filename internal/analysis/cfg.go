@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
+	"thorin/internal/gidtab"
 	"thorin/internal/ir"
 )
 
@@ -38,20 +40,21 @@ type CFG struct {
 	// Nodes in reverse postorder; Nodes[0] is the entry.
 	Nodes []*Node
 	// Exit is the virtual exit node (not part of Nodes).
-	Exit   *Node
-	byCont map[*ir.Continuation]*Node
+	Exit *Node
+	// nodes[i] is the node of Scope.Conts[i] (Cont == nil while the
+	// continuation is not a node) and nodes[len(Scope.Conts)] is Exit, so
+	// one allocation holds every node and NodeOf needs no map.
+	nodes []Node
 }
 
 // NewCFG builds the CFG of s.
 func NewCFG(s *Scope) *CFG {
-	g := &CFG{Scope: s, Exit: &Node{}, byCont: make(map[*ir.Continuation]*Node)}
+	g := &CFG{Scope: s, nodes: make([]Node, len(s.Conts)+1)}
+	g.Exit = &g.nodes[len(s.Conts)]
 
 	node := func(c *ir.Continuation) *Node {
-		if n, ok := g.byCont[c]; ok {
-			return n
-		}
-		n := &Node{Cont: c}
-		g.byCont[c] = n
+		n := &g.nodes[s.contIndex(c)]
+		n.Cont = c
 		return n
 	}
 
@@ -83,7 +86,7 @@ func NewCFG(s *Scope) *CFG {
 	visit(s.Entry)
 
 	// Reverse postorder.
-	g.Nodes = postorderReversed(node(s.Entry))
+	g.Nodes = postorderReversed(node(s.Entry), s.Entry.World())
 	for i, n := range g.Nodes {
 		n.Index = i
 	}
@@ -136,29 +139,33 @@ func Successors(s *Scope, c *ir.Continuation) []*ir.Continuation {
 
 // postorderReversed returns the nodes reachable from entry in reverse
 // postorder.
-func postorderReversed(entry *Node) []*Node {
+func postorderReversed(entry *Node, w *ir.World) []*Node {
 	var order []*Node
-	seen := map[*Node]bool{}
+	seen := tableFor(w)
+	defer gidtab.Put(seen)
 	var dfs func(n *Node)
 	dfs = func(n *Node) {
-		if seen[n] {
+		if !seen.Add(n.Cont.GID()) {
 			return
 		}
-		seen[n] = true
 		for _, s := range n.Succs {
 			dfs(s)
 		}
 		order = append(order, n)
 	}
 	dfs(entry)
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order)
 	return order
 }
 
 // NodeOf returns the CFG node for c, or nil if c is not a reachable node.
-func (g *CFG) NodeOf(c *ir.Continuation) *Node { return g.byCont[c] }
+func (g *CFG) NodeOf(c *ir.Continuation) *Node {
+	i := g.Scope.contIndex(c)
+	if i < 0 || g.nodes[i].Cont == nil {
+		return nil
+	}
+	return &g.nodes[i]
+}
 
 // Entry returns the entry node.
 func (g *CFG) Entry() *Node { return g.Nodes[0] }

@@ -2,8 +2,9 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"thorin/internal/gidtab"
 	"thorin/internal/ir"
 )
 
@@ -61,32 +62,50 @@ type Schedule struct {
 	// Hoisted counts region-pure loads that ScheduleSmart moved to a
 	// strictly smaller loop depth than their effect-chain position.
 	Hoisted int
-	place   map[*ir.PrimOp]*Node
+	// prims is the scope's ReachablePrimOps (ascending gid) and place[i]
+	// the node prims[i] was placed in; BlockOf binary-searches prims.
+	prims []*ir.PrimOp
+	place []*Node
 }
 
 // NewSchedule computes a schedule for s under the given mode.
 func NewSchedule(s *Scope, mode Mode) *Schedule {
 	g := NewCFG(s)
 	dom := NewDomTree(g)
+	primops := s.ReachablePrimOps()
 	sched := &Schedule{
 		CFG:    g,
 		Dom:    dom,
 		Blocks: make([]*Block, len(g.Nodes)),
-		place:  make(map[*ir.PrimOp]*Node),
+		prims:  primops,
+		place:  make([]*Node, len(primops)),
 	}
+	blocks := make([]Block, len(g.Nodes))
 	for _, n := range g.Nodes {
-		sched.Blocks[n.Index] = &Block{Node: n}
+		blocks[n.Index].Node = n
+		sched.Blocks[n.Index] = &blocks[n.Index]
 	}
 
-	primops := s.ReachablePrimOps()
-	inSet := map[*ir.PrimOp]bool{}
-	for _, p := range primops {
-		inSet[p] = true
+	// pos maps the gid of each scheduled primop to its index in primops;
+	// a primop is in the set iff pos has it.
+	pos := tableFor(s.Entry.World())
+	defer gidtab.Put(pos)
+	for i, p := range primops {
+		pos.Set(p.GID(), int32(i))
 	}
+	indexOf := func(p *ir.PrimOp) int {
+		if i, ok := pos.Get(p.GID()); ok {
+			return int(i)
+		}
+		return -1
+	}
+	place := sched.place
 
 	// -- Early placement: deepest block among the operands' blocks. --------
-	early := make(map[*ir.PrimOp]*Node, len(primops))
-	var earlyOf func(p *ir.PrimOp) *Node
+	// It fills place; the final placement below overwrites place[i] users
+	// first, reading only i's own early block and its users' final blocks.
+	early := place
+	var earlyOf func(i int) *Node
 	defBlock := func(d ir.Def) *Node {
 		switch d := d.(type) {
 		case *ir.Param:
@@ -95,52 +114,48 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 			}
 			return g.Entry() // free param of an enclosing scope
 		case *ir.PrimOp:
-			if inSet[d] {
-				return earlyOf(d)
+			if i := indexOf(d); i >= 0 {
+				return earlyOf(i)
 			}
 			return g.Entry()
 		default:
 			return g.Entry() // literals, continuations
 		}
 	}
-	earlyOf = func(p *ir.PrimOp) *Node {
-		if n, ok := early[p]; ok {
+	earlyOf = func(i int) *Node {
+		if n := early[i]; n != nil {
 			return n
 		}
 		n := g.Entry()
-		early[p] = n // break cycles defensively; the graph is acyclic
-		for _, op := range p.Ops() {
+		early[i] = n // break cycles defensively; the graph is acyclic
+		for _, op := range primops[i].Ops() {
 			b := defBlock(op)
 			if dom.Depth(b) > dom.Depth(n) {
 				n = b
 			}
 		}
-		early[p] = n
+		early[i] = n
 		return n
 	}
-	for _, p := range primops {
-		earlyOf(p)
+	for i := range primops {
+		earlyOf(i)
 	}
 
-	if mode == ScheduleEarly {
-		for _, p := range primops {
-			sched.place[p] = early[p]
-		}
-	} else {
+	if mode != ScheduleEarly {
 		// Region-pure loads (read-only, non-escaped alias region) may be
 		// scheduled as if they were pure: their mem operand only sequences
 		// them into the effect chain, it carries no dependence a read-only
-		// cell could observe. hoistBound maps each such load to its
-		// mem-blind early block (the ptr operand's block); the load and its
-		// value projection float between that bound and their uses, while
-		// the mem projection stays pinned at the original chain position so
-		// downstream effectful ops do not move.
-		hoistBound := map[*ir.PrimOp]*Node{}
-		var loopDepth []int // read by ScheduleSmart only
+		// cell could observe. hoistBound holds each such load's mem-blind
+		// early block (the ptr operand's block) at the load's index; the
+		// load and its value projection float between that bound and their
+		// uses, while the mem projection stays pinned at the original chain
+		// position so downstream effectful ops do not move.
+		var hoistBound []*Node // nil unless some load is region-pure
+		var loopDepth []int    // read by ScheduleSmart only
 		if mode == ScheduleSmart {
 			loopDepth, _ = LoopDepths(g, dom)
 			oracle := NewAliasOracle()
-			for _, p := range primops {
+			for i, p := range primops {
 				if p.OpKind() != ir.OpLoad {
 					continue
 				}
@@ -152,51 +167,64 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 					continue
 				}
 				if oracle.ReadOnlyIn(s, ptr) {
-					hoistBound[p] = defBlock(ptr)
+					if hoistBound == nil {
+						hoistBound = make([]*Node, len(primops))
+					}
+					hoistBound[i] = defBlock(ptr)
 				}
 			}
 		}
-		// valueProj reports whether p is the value projection of a
-		// hoistable load (extract index 1) — the one mem-tuple extract
-		// that is allowed to float.
-		valueProj := func(p *ir.PrimOp) (*ir.PrimOp, bool) {
+		hoisted := func(i int) *Node {
+			if hoistBound == nil {
+				return nil
+			}
+			return hoistBound[i]
+		}
+		// valueProj returns the index of the hoistable load whose value
+		// projection (extract index 1) p is — the one mem-tuple extract
+		// that is allowed to float — or -1.
+		valueProj := func(p *ir.PrimOp) int {
 			if p.OpKind() != ir.OpExtract {
-				return nil, false
+				return -1
 			}
 			src, ok := p.Op(0).(*ir.PrimOp)
-			if !ok || hoistBound[src] == nil {
-				return nil, false
+			if !ok {
+				return -1
 			}
-			i, ok := ir.LitValue(p.Op(1))
-			return src, ok && i == 1
+			j := indexOf(src)
+			if j < 0 || hoisted(j) == nil {
+				return -1
+			}
+			if i, ok := ir.LitValue(p.Op(1)); !ok || i != 1 {
+				return -1
+			}
+			return j
 		}
 
 		// -- Final placement, users first. ----------------------------------
-		// ReachablePrimOps returns operands before users (post-order), so
+		// primops is in gid order, which puts operands before users, so
 		// iterating in reverse sees every user's *final* position before the
 		// operand is placed — the Click-style global code motion invariant:
 		// a def's block must dominate the blocks its users actually end up
 		// in, not their theoretical latest positions.
 		for i := len(primops) - 1; i >= 0; i-- {
 			p := primops[i]
-			bound := early[p]
-			if src, ok := valueProj(p); ok {
+			e := early[i]
+			bound := e
+			if src := valueProj(p); src >= 0 {
 				bound = hoistBound[src]
-			} else if hoistBound[p] != nil {
+			} else if hoisted(i) != nil {
 				// The load follows its value projection (already placed:
 				// users come first), or stays put when the value is unused.
-				sched.place[p] = early[p]
-				if ve := findValueProj(p, inSet); ve != nil {
-					sched.place[p] = sched.place[ve]
+				if ve := findValueProj(p, indexOf); ve >= 0 {
+					place[i] = place[ve]
 				}
-				if loopDepth[sched.place[p].Index] < loopDepth[early[p].Index] {
+				if loopDepth[place[i].Index] < loopDepth[e.Index] {
 					sched.Hoisted++
 				}
 				continue
 			} else if p.OpKind().HasMemEffect() || isMemTuple(p) {
-				// Effectful ops are pinned to their mem chain's block.
-				sched.place[p] = early[p]
-				continue
+				continue // effectful ops are pinned to their mem chain's block
 			}
 			var late *Node
 			join := func(b *Node) {
@@ -217,8 +245,8 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 				case *ir.Continuation:
 					join(g.NodeOf(ud))
 				case *ir.PrimOp:
-					if inSet[ud] {
-						join(sched.place[ud])
+					if j := indexOf(ud); j >= 0 {
+						join(place[j])
 					}
 				}
 				return true
@@ -227,7 +255,7 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 				late = bound // users outside this scope: stay early
 			}
 			if mode == ScheduleLate {
-				sched.place[p] = late
+				place[i] = late
 				continue
 			}
 			// Smart: walk up from late towards early, take the block with
@@ -241,32 +269,49 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 					break
 				}
 			}
-			sched.place[p] = best
+			place[i] = best
 		}
 	}
 
 	// -- Emit per-block topological order. ---------------------------------
-	for _, p := range primops {
-		b := sched.Blocks[sched.place[p].Index]
+	// One backing array holds every block's primops: count each block's
+	// share, hand out capacity-capped windows, then fill them in gid order.
+	count := make([]int, len(blocks)+1)
+	for _, n := range place {
+		count[n.Index+1]++
+	}
+	all := make([]*ir.PrimOp, 2*len(primops))
+	for i := range blocks {
+		count[i+1] += count[i]
+		blocks[i].PrimOps = all[count[i]:count[i]:count[i+1]]
+	}
+	for i, p := range primops {
+		b := &blocks[place[i].Index]
 		b.PrimOps = append(b.PrimOps, p)
 	}
-	for _, b := range sched.Blocks {
-		sortTopological(b)
+	// The second half of all is scratch for sortTopological.
+	state := make([]uint8, len(primops))
+	for i := range blocks {
+		sortTopological(&blocks[i], all[len(primops):], indexOf, place, state)
 	}
 	return sched
 }
 
-// findValueProj returns the in-scope value projection extract(load, 1) of
-// a load, or nil.
-func findValueProj(load *ir.PrimOp, inSet map[*ir.PrimOp]bool) *ir.PrimOp {
-	var ve *ir.PrimOp
+// findValueProj returns the index of the in-schedule value projection
+// extract(load, 1) of a load, or -1.
+func findValueProj(load *ir.PrimOp, indexOf func(*ir.PrimOp) int) int {
+	ve := -1
 	load.EachUse(func(u ir.Use) bool {
 		e, ok := u.Def.(*ir.PrimOp)
-		if !ok || e.OpKind() != ir.OpExtract || u.Index != 0 || !inSet[e] {
+		if !ok || e.OpKind() != ir.OpExtract || u.Index != 0 {
+			return true
+		}
+		j := indexOf(e)
+		if j < 0 {
 			return true
 		}
 		if i, ok := ir.LitValue(e.Op(1)); ok && i == 1 {
-			ve = e
+			ve = j
 			return false
 		}
 		return true
@@ -285,35 +330,41 @@ func isMemTuple(p *ir.PrimOp) bool {
 }
 
 // BlockOf returns the node p was placed in (nil if p was not scheduled).
-func (s *Schedule) BlockOf(p *ir.PrimOp) *Node { return s.place[p] }
-
-// sortTopological orders a block's primops so every operand placed in the
-// same block precedes its users; ties are broken by gid for determinism.
-func sortTopological(b *Block) {
-	ops := b.PrimOps
-	sort.Slice(ops, func(i, j int) bool { return ops[i].GID() < ops[j].GID() })
-	inBlock := map[*ir.PrimOp]bool{}
-	for _, p := range ops {
-		inBlock[p] = true
+func (s *Schedule) BlockOf(p *ir.PrimOp) *Node {
+	i, ok := slices.BinarySearchFunc(s.prims, p.GID(), func(q *ir.PrimOp, gid int) int { return q.GID() - gid })
+	if !ok {
+		return nil
 	}
-	var order []*ir.PrimOp
-	state := map[*ir.PrimOp]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *ir.PrimOp)
-	visit = func(p *ir.PrimOp) {
-		if state[p] != 0 {
+	return s.place[i]
+}
+
+// sortTopological orders a block's primops, which arrive in gid order, so
+// every operand placed in the same block precedes its users; ties keep gid
+// order for determinism. tmp is scratch of at least the block's length,
+// indexOf and place locate a primop's schedule index and block, and state
+// (0 unvisited, 1 visiting, 2 done, by schedule index) starts zero for the
+// block's primops.
+func sortTopological(b *Block, tmp []*ir.PrimOp, indexOf func(*ir.PrimOp) int, place []*Node, state []uint8) {
+	ops := tmp[:copy(tmp, b.PrimOps)]
+	order := b.PrimOps[:0]
+	var visit func(p *ir.PrimOp, i int)
+	visit = func(p *ir.PrimOp, i int) {
+		if state[i] != 0 {
 			return
 		}
-		state[p] = 1
+		state[i] = 1
 		for _, op := range p.Ops() {
-			if q, ok := op.(*ir.PrimOp); ok && inBlock[q] {
-				visit(q)
+			if q, ok := op.(*ir.PrimOp); ok {
+				if j := indexOf(q); j >= 0 && place[j] == b.Node {
+					visit(q, j)
+				}
 			}
 		}
-		state[p] = 2
+		state[i] = 2
 		order = append(order, p)
 	}
 	for _, p := range ops {
-		visit(p)
+		visit(p, indexOf(p))
 	}
 	b.PrimOps = order
 }

@@ -11,10 +11,11 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"thorin/internal/gidtab"
 	"thorin/internal/ir"
 )
 
@@ -33,58 +34,70 @@ func ScopeBuildCount() int64 { return scopeBuilds.Load() }
 // scope members but outside the set are the scope's free defs.
 type Scope struct {
 	Entry *ir.Continuation
-	// defs holds the gid of every def belonging to the scope (incl. entry,
-	// params). Contains is its reader.
-	defs map[int]bool
+	// gids holds the gid of every def belonging to the scope (incl. entry,
+	// params) in ascending order. Contains binary-searches it, so a scope
+	// costs memory in proportion to its size, never to the world's.
+	gids []int32
 	// Conts lists the scope's continuations in ascending gid order with the
 	// entry first.
 	Conts []*ir.Continuation
 
-	// Free-variable sets are derived, immutable-once-computed properties of
-	// the scope; they are memoized because TopLevel() — asked for every
-	// scope by every scope-level pass — would otherwise re-derive the full
-	// set on each call. sync.Once keeps the memoization safe for the
+	// Free-variable sets and the reachable primops are derived,
+	// immutable-once-computed properties of the scope; they are memoized
+	// because TopLevel() — asked for every scope by every scope-level pass —
+	// and the several analyses of one mem2reg plan would otherwise re-derive
+	// them on each call. sync.Once keeps the memoization safe for the
 	// parallel analysis workers that share cached scopes.
 	freeDefsOnce   sync.Once
 	freeDefs       []ir.Def
 	freeParamsOnce sync.Once
 	freeParams     []*ir.Param
+	primOpsOnce    sync.Once
+	primOps        []*ir.PrimOp
 }
+
+// tableFor takes a scratch gid table sized to w's gid range from the pool.
+func tableFor(w *ir.World) *gidtab.Table { return gidtab.Get(w.Generation() + 1) }
+
+// worklists recycles the closure worklist of NewScope. Lists go back
+// cleared, so a pooled list keeps no def alive.
+var worklists = sync.Pool{New: func() any { return new([]ir.Def) }}
 
 // NewScope computes the scope of entry by a transitive closure over use
 // edges starting at entry's parameters (the algorithm of the paper's §4).
 func NewScope(entry *ir.Continuation) *Scope {
 	scopeBuilds.Add(1)
-	s := &Scope{Entry: entry, defs: make(map[int]bool), Conts: []*ir.Continuation{entry}}
+	s := &Scope{Entry: entry, Conts: []*ir.Continuation{entry}}
+	member := tableFor(entry.World())
+	defer gidtab.Put(member)
+	lp := worklists.Get().(*[]ir.Def)
+	defs := (*lp)[:0]
 
-	var queue []ir.Def
 	push := func(d ir.Def) {
-		if s.defs[d.GID()] {
-			return
+		if member.Add(d.GID()) {
+			defs = append(defs, d)
+			if c, ok := d.(*ir.Continuation); ok && c != entry {
+				s.Conts = append(s.Conts, c)
+			}
 		}
-		s.defs[d.GID()] = true
-		queue = append(queue, d)
-		if c, ok := d.(*ir.Continuation); ok && c != entry {
-			s.Conts = append(s.Conts, c)
-		}
+	}
+	pushUser := func(u ir.Use) bool {
+		push(u.Def)
+		return true
 	}
 	push(entry)
 	for _, p := range entry.Params() {
 		push(p)
 	}
-	for len(queue) > 0 {
-		d := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	// defs is the member list and the worklist at once: members after
+	// defs[i] are still to be expanded. Visit order does not matter because
+	// membership is a set and gids and Conts are sorted after the closure.
+	for i := 0; i < len(defs); i++ {
+		d := defs[i]
 		if d != entry {
 			// Follow use edges: everything that uses a scope member depends
 			// on the entry's params and therefore belongs to the scope.
-			// EachUse keeps the closure allocation-free; visit order does
-			// not matter because membership is a set and Conts is sorted
-			// after the closure.
-			d.EachUse(func(u ir.Use) bool {
-				push(u.Def)
-				return true
-			})
+			d.EachUse(pushUser)
 		}
 		if c, ok := d.(*ir.Continuation); ok {
 			for _, p := range c.Params() {
@@ -93,13 +106,54 @@ func NewScope(entry *ir.Continuation) *Scope {
 		}
 	}
 
+	s.gids = make([]int32, len(defs))
+	for i, d := range defs {
+		s.gids[i] = int32(d.GID())
+	}
+	slices.Sort(s.gids)
+	clear(defs)
+	*lp = defs[:0]
+	worklists.Put(lp)
 	rest := s.Conts[1:]
-	sort.Slice(rest, func(i, j int) bool { return rest[i].GID() < rest[j].GID() })
+	slices.SortFunc(rest, func(a, b *ir.Continuation) int { return a.GID() - b.GID() })
 	return s
 }
 
 // Contains reports whether d belongs to the scope.
-func (s *Scope) Contains(d ir.Def) bool { return s.defs[d.GID()] }
+func (s *Scope) Contains(d ir.Def) bool {
+	_, ok := slices.BinarySearch(s.gids, int32(d.GID()))
+	return ok
+}
+
+// contIndex returns the position of c in s.Conts, or -1.
+func (s *Scope) contIndex(c *ir.Continuation) int {
+	if c == s.Entry {
+		return 0
+	}
+	rest := s.Conts[1:]
+	i, ok := slices.BinarySearchFunc(rest, c.GID(), func(e *ir.Continuation, gid int) int { return e.GID() - gid })
+	if !ok {
+		return -1
+	}
+	return i + 1
+}
+
+// Scope walk tables: a gid's value in the scratch table marks it as a scope
+// member and as visited by the current walk.
+const (
+	inScope int32 = 1 << iota
+	visited
+)
+
+// walkTable returns a scratch table in which every scope member is marked
+// inScope. Return it with gidtab.Put.
+func (s *Scope) walkTable() *gidtab.Table {
+	t := tableFor(s.Entry.World())
+	for _, g := range s.gids {
+		t.Set(int(g), inScope)
+	}
+	return t
+}
 
 // FreeDefs returns the non-continuation, non-literal defs referenced by
 // scope members but defined outside the scope, in ascending gid order.
@@ -112,15 +166,17 @@ func (s *Scope) FreeDefs() []ir.Def {
 }
 
 func (s *Scope) computeFreeDefs() []ir.Def {
-	seen := map[int]bool{}
+	t := s.walkTable()
+	defer gidtab.Put(t)
 	var free []ir.Def
 	var visit func(d ir.Def)
 	visit = func(d ir.Def) {
-		if seen[d.GID()] {
+		mark, _ := t.Get(d.GID())
+		if mark&visited != 0 {
 			return
 		}
-		seen[d.GID()] = true
-		if s.defs[d.GID()] {
+		t.Set(d.GID(), mark|visited)
+		if mark&inScope != 0 {
 			// Scope members: recurse into their operands.
 			for _, op := range d.Ops() {
 				visit(op)
@@ -143,14 +199,13 @@ func (s *Scope) computeFreeDefs() []ir.Def {
 		default:
 			free = append(free, d) // params of enclosing scopes
 		}
-		_ = d
 	}
 	for _, c := range s.Conts {
 		for _, op := range c.Ops() {
 			visit(op)
 		}
 	}
-	sort.Slice(free, func(i, j int) bool { return free[i].GID() < free[j].GID() })
+	slices.SortFunc(free, func(a, b ir.Def) int { return a.GID() - b.GID() })
 	return free
 }
 
@@ -164,15 +219,17 @@ func (s *Scope) FreeParams() []*ir.Param {
 }
 
 func (s *Scope) computeFreeParams() []*ir.Param {
+	t := s.walkTable()
+	defer gidtab.Put(t)
 	var out []*ir.Param
-	seen := map[int]bool{}
 	var visit func(d ir.Def)
 	visit = func(d ir.Def) {
-		if seen[d.GID()] {
+		mark, _ := t.Get(d.GID())
+		if mark&visited != 0 {
 			return
 		}
-		seen[d.GID()] = true
-		inScope := s.defs[d.GID()]
+		t.Set(d.GID(), mark|visited)
+		inScope := mark&inScope != 0
 		if p, ok := d.(*ir.Param); ok && !inScope {
 			out = append(out, p)
 			return
@@ -192,7 +249,7 @@ func (s *Scope) computeFreeParams() []*ir.Param {
 			visit(op)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].GID() < out[j].GID() })
+	slices.SortFunc(out, func(a, b *ir.Param) int { return a.GID() - b.GID() })
 	return out
 }
 
@@ -203,17 +260,26 @@ func (s *Scope) computeFreeParams() []*ir.Param {
 func (s *Scope) TopLevel() bool { return len(s.FreeParams()) == 0 }
 
 // ReachablePrimOps returns every primop reachable from the bodies of the
-// scope's continuations (the defs a backend must materialize), in gid order.
+// scope's continuations (the defs a backend must materialize), in gid
+// order, which puts every operand before its users. The result is
+// memoized like FreeDefs: callers must not mutate the returned slice, and
+// must ask before they mutate the world, since a memoized walk does not
+// see later rewrites.
 func (s *Scope) ReachablePrimOps() []*ir.PrimOp {
-	seen := map[int]bool{}
+	s.primOpsOnce.Do(func() { s.primOps = s.computeReachablePrimOps() })
+	return s.primOps
+}
+
+func (s *Scope) computeReachablePrimOps() []*ir.PrimOp {
+	seen := tableFor(s.Entry.World())
+	defer gidtab.Put(seen)
 	var out []*ir.PrimOp
 	var visit func(d ir.Def)
 	visit = func(d ir.Def) {
 		p, ok := d.(*ir.PrimOp)
-		if !ok || seen[p.GID()] {
+		if !ok || !seen.Add(p.GID()) {
 			return
 		}
-		seen[p.GID()] = true
 		for _, op := range p.Ops() {
 			visit(op)
 		}
@@ -224,6 +290,6 @@ func (s *Scope) ReachablePrimOps() []*ir.PrimOp {
 			visit(op)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].GID() < out[j].GID() })
+	slices.SortFunc(out, func(a, b *ir.PrimOp) int { return a.GID() - b.GID() })
 	return out
 }

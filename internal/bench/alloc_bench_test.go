@@ -4,18 +4,21 @@ import (
 	"testing"
 
 	"thorin/internal/analysis"
+	"thorin/internal/backend"
+	"thorin/internal/driver"
 	"thorin/internal/fuzzgen"
 	"thorin/internal/impala"
 	"thorin/internal/transform"
 )
 
 // The compile-throughput benchmarks guard the IR core's allocation
-// behavior: construction (hash-consing), optimization (use-edge rewriting)
-// and scope computation (use-edge traversal). `make bench` runs them once
-// as a smoke test and `make bench-diff` A/B-times the two Optimize
-// benchmarks against a base revision; run them directly with
+// behavior: construction (hash-consing), optimization (use-edge rewriting),
+// scope computation (use-edge traversal) and whole compiles of the suite.
+// `make bench` runs them once as a smoke test and `make bench-diff`
+// A/B-times the two Optimize benchmarks and CompileSuite against a base
+// revision; run them directly with
 //
-//	go test -short -bench='Construct|Optimize|Scope' -benchmem ./internal/bench
+//	go test -short -bench='Construct|Optimize|Scope|CompileSuite' -benchmem ./internal/bench
 //
 // (-short selects the reduced workloads bench-diff times).
 
@@ -24,6 +27,26 @@ func BenchmarkConstructFuzz(b *testing.B) { benchConstruct(b, fuzzCorpus(sized(6
 func BenchmarkOptimize(b *testing.B)      { benchOptimize(b, []string{GenManyFns(sized(24, 8))}) }
 func BenchmarkOptimizeFuzz(b *testing.B)  { benchOptimize(b, fuzzCorpus(sized(6, 3))) }
 func BenchmarkScope(b *testing.B)         { benchScope(b, GenManyFns(sized(24, 8))) }
+
+// BenchmarkCompileSuite compiles both variants of every suite program at
+// -O2 for both targets with one analysis worker: frontend, passes, scope
+// walks and both backends on small programs, the per-compile fixed costs
+// of perfbench's compile-small workload.
+func BenchmarkCompileSuite(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range Suite {
+			for _, src := range []string{p.Functional, p.Imperative} {
+				for _, target := range []backend.Target{backend.VM, backend.Wasm} {
+					if _, err := driver.CompileSpec(src, transform.O2, analysis.ScheduleSmart,
+						driver.Config{Jobs: 1, Target: target}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
 
 // sized returns the workload size: full, or short under -short (the CI
 // smoke configuration).

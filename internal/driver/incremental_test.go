@@ -2,8 +2,8 @@ package driver_test
 
 // End-to-end checks of the incremental rewrite machinery over the real
 // pipeline: incremental compiles must skip provably no-op pass runs (that is
-// the point of the journal) while producing byte-identical IR — the
-// byte-identity half lives in determinism_test.go.
+// the point of the rewrite generation) while producing byte-identical IR —
+// the byte-identity half lives in determinism_test.go.
 
 import (
 	"testing"

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestConcurrentHashConsing hammers the sharded interning tables from many
+// TestConcurrentHashConsing hammers the interning tables from many
 // goroutines building overlapping expression sets and checks that equal
 // expressions are interned to the same node (one node per distinct value,
 // however many goroutines raced to create it).
@@ -60,12 +60,12 @@ func TestConcurrentHashConsing(t *testing.T) {
 // TestConcurrentInternStatsExact has every worker build the same set of
 // distinct primops and checks the interning counters add up *exactly*:
 // one node per distinct expression, workers×distinct requests, and the
-// difference as cons hits. Exactness is the point — the per-shard counters
-// are updated under the shard mutex, so a snapshot can never observe a
+// difference as cons hits. Exactness is the point — the counters are
+// updated under the interning mutex, so a snapshot can never observe a
 // request that is neither a hit nor a node (the torn-read bug the old
-// atomic counters had). Under -race this doubles as a stress test of the
-// striped use-list locks: every node shares the param operand, so all
-// appends contend on one use list.
+// atomic counters had). Under -race this doubles as a stress test of
+// use-list registration under that mutex: every node shares the param
+// operand, so all appends contend on one use list.
 func TestConcurrentInternStatsExact(t *testing.T) {
 	w := NewWorld()
 	f := w.Continuation(w.FnType(w.PrimType(PrimI64)), "f")

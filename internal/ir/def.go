@@ -3,25 +3,12 @@ package ir
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Use records that Def uses the subject def as operand Index.
 type Use struct {
 	Def   Def
 	Index int
-}
-
-// numUseStripes is the number of reader/writer locks striping the per-def
-// use lists. Striping by the subject def's gid keeps registration of
-// disjoint defs contention-free while still making each def's list safe
-// against concurrent construction.
-const numUseStripes = 64
-
-// useStripe returns the lock guarding the use list of the def with the
-// given gid.
-func (w *World) useStripe(gid int) *sync.RWMutex {
-	return &w.useStripes[uint(gid)%numUseStripes]
 }
 
 // Def is a node of the Thorin program graph. The four concrete
@@ -74,13 +61,15 @@ type defBase struct {
 	typ   Type
 	name  string
 	ops   []Def
-	// uses is the compact use list, in insertion (= registration) order,
-	// guarded by the world's use stripe for this def's gid. It is mutated
-	// in place: appends reuse spare capacity and removals shift the tail
-	// down inside the same backing array. Readers take the slice header
-	// under the stripe's read lock and iterate lock-free, which is safe
-	// because no writer runs while anyone iterates: analysis workers only
-	// read, and EachUse callbacks must not mutate (see Def.EachUse).
+	// uses is the compact use list, in insertion (= registration) order.
+	// It is mutated in place: appends reuse spare capacity and removals
+	// shift the tail down inside the same backing array. It takes no lock
+	// of its own. Writers are already serialized: a new primop registers
+	// its uses under the world's internMu, and Jump and Unset belong to the
+	// world's single writer. Readers iterate lock-free, which is safe
+	// because no writer runs while anyone iterates: the pass manager's
+	// analysis workers run while the world is read-only, and EachUse
+	// callbacks must not mutate (see Def.EachUse).
 	uses []Use
 }
 
@@ -94,27 +83,17 @@ func (d *defBase) SetName(n string) { d.name = n }
 func (d *defBase) World() *World    { return d.world }
 func (d *defBase) base() *defBase   { return d }
 
+// NumUses takes the interning lock, the one lock use-list writers may hold,
+// so a use count may be read while other goroutines intern nodes.
 func (d *defBase) NumUses() int {
-	mu := d.world.useStripe(d.gid)
-	mu.RLock()
-	n := len(d.uses)
-	mu.RUnlock()
-	return n
-}
-
-// currentUses returns the current use list without copying it. It stays
-// valid only until the next mutation of the graph (see the uses field).
-func (d *defBase) currentUses() []Use {
-	mu := d.world.useStripe(d.gid)
-	mu.RLock()
-	uses := d.uses
-	mu.RUnlock()
-	return uses
+	d.world.internMu.Lock()
+	defer d.world.internMu.Unlock()
+	return len(d.uses)
 }
 
 func (d *defBase) EachUse(f func(Use) bool) {
 	gen := d.world.RewriteGen()
-	for _, u := range d.currentUses() {
+	for _, u := range d.uses {
 		more := f(u)
 		if d.world.RewriteGen() != gen {
 			panic("ir: EachUse callback mutated the graph")
@@ -126,7 +105,7 @@ func (d *defBase) EachUse(f func(Use) bool) {
 }
 
 func (d *defBase) Uses() []Use {
-	uses := append([]Use(nil), d.currentUses()...)
+	uses := append([]Use(nil), d.uses...)
 	sort.Slice(uses, func(i, j int) bool {
 		if uses[i].Def.GID() != uses[j].Def.GID() {
 			return uses[i].Def.GID() < uses[j].Def.GID()
@@ -136,9 +115,10 @@ func (d *defBase) Uses() []Use {
 	return uses
 }
 
-// registerUses records user as a use of each of its operands. Use lists are
-// shared mutable state (concurrent workers interning nodes may touch the
-// same operand), so each append happens under the operand's use stripe.
+// registerUses records user as a use of each of its operands. Concurrent
+// interning may touch the same operand's list, so a new primop registers
+// under internMu (internPrimOp); a continuation registers from Jump, which
+// only the world's single writer calls.
 //
 // Gaining a user can grow the use-closure of any scope containing an
 // operand, so registration advances the rewrite generation (journal.go).
@@ -150,10 +130,7 @@ func registerUses(user Def) {
 			continue
 		}
 		b := op.base()
-		mu := w.useStripe(b.gid)
-		mu.Lock()
 		b.uses = append(b.uses, Use{Def: user, Index: i})
-		mu.Unlock()
 	}
 }
 
@@ -173,8 +150,6 @@ func unregisterUses(user Def) {
 			continue
 		}
 		b := op.base()
-		mu := w.useStripe(b.gid)
-		mu.Lock()
 		for j, u := range b.uses {
 			if u.Def == user && u.Index == i {
 				last := len(b.uses) - 1
@@ -184,7 +159,6 @@ func unregisterUses(user Def) {
 				break
 			}
 		}
-		mu.Unlock()
 	}
 }
 
@@ -365,6 +339,7 @@ func (c *Continuation) NumArgs() int {
 // with a literal condition — or with identical targets — fold to a direct
 // jump, so specialization collapses control flow as it rebuilds scopes.
 func (c *Continuation) Jump(callee Def, args ...Def) {
+	c.world.checkWritable("Jump")
 	if callee == nil {
 		panic("ir: Jump with nil callee")
 	}
@@ -398,6 +373,7 @@ func (c *Continuation) Jump(callee Def, args ...Def) {
 
 // Unset removes the continuation's body.
 func (c *Continuation) Unset() {
+	c.world.checkWritable("Unset")
 	if len(c.ops) != 0 {
 		unregisterUses(c)
 		c.ops = nil

@@ -3,6 +3,8 @@ package ir
 import (
 	"errors"
 	"fmt"
+
+	"thorin/internal/gidtab"
 )
 
 // opShape is the operand contract of one primop kind: arity bounds and
@@ -68,15 +70,18 @@ var opShapes = map[OpKind]opShape{
 // It returns a joined error describing every violation found.
 func Verify(w *World) error {
 	var errs []error
+	seen := gidtab.Get(w.Generation() + 1)
+	defer gidtab.Put(seen)
 	for _, c := range w.Continuations() {
-		if err := verifyCont(c); err != nil {
+		if err := verifyCont(c, seen); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-func verifyCont(c *Continuation) error {
+// verifyCont checks one continuation; seen is scratch for its primop walk.
+func verifyCont(c *Continuation, seen *gidtab.Table) error {
 	for i, p := range c.params {
 		if p.cont != c || p.index != i {
 			return fmt.Errorf("ir: %s: param %d broken back-link", c.name, i)
@@ -114,7 +119,7 @@ func verifyCont(c *Continuation) error {
 			return err
 		}
 	}
-	return verifyOps(c)
+	return verifyOps(c, seen)
 }
 
 // verifyBranch checks the parts of a branch call the generic type check
@@ -138,15 +143,16 @@ func verifyBranch(c *Continuation) error {
 	return nil
 }
 
-func verifyOps(c *Continuation) error {
-	seen := map[int]bool{}
+// verifyOps checks every primop reachable from c's body, each once; the
+// walk starts a new epoch of seen.
+func verifyOps(c *Continuation, seen *gidtab.Table) error {
+	seen.Reset(c.world.Generation() + 1)
 	var walk func(d Def) error
 	walk = func(d Def) error {
 		p, ok := d.(*PrimOp)
-		if !ok || seen[p.gid] {
+		if !ok || !seen.Add(p.gid) {
 			return nil
 		}
-		seen[p.gid] = true
 		for i, op := range p.Ops() {
 			if op == nil {
 				return fmt.Errorf("ir: primop %s in %s: nil operand %d", p.kind, c.name, i)

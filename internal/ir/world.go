@@ -30,18 +30,23 @@ func hashU64(h, v uint64) uint64 {
 // primops (same kind, type and operands) are represented by a single node,
 // which makes global value numbering a side effect of IR construction.
 //
-// A World is safe for concurrent node construction: the interning tables and
-// their statistics share one mutex, the id/salt counters are atomic, and the
-// use lists are guarded by striped reader/writer locks. Use lists are
-// mutated in place, so reading them (EachUse, Uses) must not race with a
-// Jump, an Unset or the creation of a node with operands.
-// Note that hash-consing makes concurrent interning order-independent for
-// node identity (both racers get the same node), but gid assignment still
-// depends on arrival order — parallel phases that must stay deterministic
-// (the pass manager's scope scheduler) therefore keep node *creation* on a
-// single goroutine and parallelize only the read-only analysis.
-// Continuations remain single-writer: Jump/Unset on one continuation must
-// not race with other mutations of the same continuation.
+// Concurrency. A World is safe for concurrent node construction: the
+// interning tables, their statistics and every use-list append of a new
+// primop share one mutex (internMu), and the id/salt counters are atomic.
+// Everything else has a single writer. Jump, Unset and the creation or
+// removal of continuations must not race with each other, and reading use
+// lists (EachUse, Uses) must not race with any mutation: use lists are
+// mutated in place and take no lock of their own. NumUses alone takes
+// internMu, so it may run alongside concurrent interning.
+//
+// Hash-consing makes concurrent interning order-independent for node
+// identity (both racers get the same node), but gid assignment still
+// depends on arrival order. So parallel phases that must stay deterministic
+// (the pass manager's scope scheduler) keep node *creation* on a single
+// goroutine and parallelize only the read-only analysis. They enforce it
+// with SetReadOnly: while the world is read-only, any operation that would
+// create a node, rewire a body or add or remove a continuation panics
+// before it touches shared state.
 type World struct {
 	types   *typeTable
 	nextGID atomic.Int64
@@ -63,11 +68,8 @@ type World struct {
 	intrMu     sync.Mutex
 	intrinsics map[Intrinsic]*Continuation
 
-	// useStripes guard the per-def use lists (they are mutated whenever a
-	// node with operands is created or a continuation re-jumps). Striping by
-	// the subject def's gid lets concurrent workers touch disjoint defs
-	// without contending on one world-wide lock.
-	useStripes [numUseStripes]sync.RWMutex
+	// readOnly is set by SetReadOnly; checkWritable reads it.
+	readOnly atomic.Bool
 
 	// rewriteGen is the rewrite generation: it advances on every observable
 	// graph mutation (see journal.go).
@@ -167,9 +169,26 @@ func (w *World) newGID() int {
 	return int(w.nextGID.Add(1))
 }
 
+// SetReadOnly marks the world read-only (on) or writable again. While it is
+// read-only, an interning miss (a primop or literal that does not exist
+// yet), creating or removing a continuation, Jump and Unset panic before
+// they touch shared state; interning hits and every read stay allowed. The
+// pass manager marks the world read-only around the analysis phase of each
+// scope pass, so a faulty Analyze fails by name instead of racing.
+func (w *World) SetReadOnly(on bool) { w.readOnly.Store(on) }
+
+// checkWritable panics if the world is read-only; op names the attempted
+// mutation.
+func (w *World) checkWritable(op string) {
+	if w.readOnly.Load() {
+		panic("ir: " + op + " on a read-only world (Analyze must be read-only)")
+	}
+}
+
 // Continuation creates a new continuation of the given type. Its params are
 // created eagerly; the body is unset until Jump is called.
 func (w *World) Continuation(t *FnType, name string) *Continuation {
+	w.checkWritable("creating a continuation")
 	c := &Continuation{defBase: defBase{world: w, gid: w.newGID(), typ: t, name: name}}
 	c.params = make([]*Param, len(t.Params))
 	for i, pt := range t.Params {
@@ -199,6 +218,7 @@ func (w *World) BasicBlock(name string) *Continuation {
 // one pass over the continuation list (used by cleanup's sweep). The caller
 // must have unset each body first so use lists stay consistent.
 func (w *World) RemoveContinuations(dead []*Continuation) {
+	w.checkWritable("removing continuations")
 	if len(dead) == 0 {
 		return
 	}
@@ -283,6 +303,7 @@ func (w *World) literal(t Type, i int64, f float64, bottom bool) *Literal {
 			return l
 		}
 	}
+	w.checkWritable("interning a new literal")
 	l := &Literal{defBase: defBase{world: w, gid: w.newGID(), typ: t}, I: i, F: f, Bottom: bottom, next: w.literals[h]}
 	w.literals[h] = l
 	return l
@@ -405,14 +426,16 @@ func (w *World) cseSalted(kind OpKind, t Type, salt int, ops ...Def) *PrimOp {
 func (w *World) internPrimOp(h uint64, kind OpKind, t Type, salt int, ops []Def) *PrimOp {
 	w.internMu.Lock()
 	defer w.internMu.Unlock()
-	w.stats.Requested++
 	head := w.primops[h]
 	for p := head; p != nil; p = p.next {
 		if p.structEq(kind, t, salt, ops) {
+			w.stats.Requested++
 			w.stats.ConsHits++
 			return p
 		}
 	}
+	w.checkWritable("interning a new primop")
+	w.stats.Requested++
 	p := &PrimOp{
 		defBase: defBase{world: w, gid: w.newGID(), typ: t, ops: append([]Def(nil), ops...)},
 		kind:    kind,

@@ -1,7 +1,6 @@
 package pm
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,14 +28,67 @@ func analyzeOne(ctx *Context, sr ScopeRewriter, c *ir.Continuation) (plan any, e
 	return plan, err
 }
 
+// analyzeAll runs Analyze on every target with jobs workers, filling plans
+// and errs by target index, while the world is read-only.
+func analyzeAll(ctx *Context, sr ScopeRewriter, targets []*ir.Continuation, jobs int, plans []any, errs []error) []WorkerStat {
+	stats := make([]WorkerStat, jobs)
+	ctx.World.SetReadOnly(true)
+	defer ctx.World.SetReadOnly(false)
+
+	// Cancellation seam for the analysis phase: each worker re-checks the
+	// run context between targets, so an abandoned request stops consuming
+	// the pool after at most one in-flight Analyze per worker.
+	cancelLabel := "pass " + sr.Name() + " analyze"
+	if jobs == 1 {
+		start := time.Now()
+		for i, c := range targets {
+			if cerr := ctx.interrupted(cancelLabel); cerr != nil {
+				errs[i] = cerr
+				break
+			}
+			plans[i], errs[i] = analyzeOne(ctx, sr, c)
+		}
+		stats[0] = WorkerStat{Worker: 0, Targets: len(targets), Time: time.Since(start)}
+		return stats
+	}
+	// Dynamic work stealing over a shared index: scopes vary wildly in
+	// size, so static partitioning would leave workers idle.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for wi := 0; wi < jobs; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			start := time.Now()
+			n := 0
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(targets) {
+					break
+				}
+				if cerr := ctx.interrupted(cancelLabel); cerr != nil {
+					errs[i] = cerr
+					break
+				}
+				plans[i], errs[i] = analyzeOne(ctx, sr, targets[i])
+				n++
+			}
+			stats[wi] = WorkerStat{Worker: wi, Targets: n, Time: time.Since(start)}
+		}(wi)
+	}
+	wg.Wait()
+	return stats
+}
+
 // runScoped drives one ScopeRewriter pass: enumerate targets, analyze them
 // (in parallel when ctx.Jobs > 1), then commit sequentially in target order
 // and finish. Analysis errors — including recovered panics — are surfaced
 // in deterministic target order so a failing pipeline reports the same
-// error at every jobs level. An analysis phase that created a node or
-// rewrote the graph fails the pass before any commit: node creation racing
-// across workers would make gid assignment, and so the printed IR, depend
-// on the worker schedule.
+// error at every jobs level. The world is read-only during the analysis
+// phase, so an Analyze that tries to create a node or rewrite the graph
+// panics there and fails the pass by name before any commit: node creation
+// racing across workers would make gid assignment, and so the printed IR,
+// depend on the worker schedule.
 func runScoped(ctx *Context, sr ScopeRewriter) (res Result, parallelism int, stats []WorkerStat, err error) {
 	var targets []*ir.Continuation
 	if err := guard(sr.Name(), "", func() error {
@@ -58,61 +110,12 @@ func runScoped(ctx *Context, sr ScopeRewriter) (res Result, parallelism int, sta
 
 	plans := make([]any, len(targets))
 	errs := make([]error, len(targets))
-	stats = make([]WorkerStat, jobs)
-	gen, rewriteGen := ctx.World.Generation(), ctx.World.RewriteGen()
-
-	// Cancellation seam for the analysis phase: each worker re-checks the
-	// run context between targets, so an abandoned request stops consuming
-	// the pool after at most one in-flight Analyze per worker.
-	cancelLabel := "pass " + sr.Name() + " analyze"
-	if jobs == 1 {
-		start := time.Now()
-		for i, c := range targets {
-			if cerr := ctx.interrupted(cancelLabel); cerr != nil {
-				errs[i] = cerr
-				break
-			}
-			plans[i], errs[i] = analyzeOne(ctx, sr, c)
-		}
-		stats[0] = WorkerStat{Worker: 0, Targets: len(targets), Time: time.Since(start)}
-	} else {
-		// Dynamic work stealing over a shared index: scopes vary wildly in
-		// size, so static partitioning would leave workers idle.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for wi := 0; wi < jobs; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				start := time.Now()
-				n := 0
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(targets) {
-						break
-					}
-					if cerr := ctx.interrupted(cancelLabel); cerr != nil {
-						errs[i] = cerr
-						break
-					}
-					plans[i], errs[i] = analyzeOne(ctx, sr, targets[i])
-					n++
-				}
-				stats[wi] = WorkerStat{Worker: wi, Targets: n, Time: time.Since(start)}
-			}(wi)
-		}
-		wg.Wait()
-	}
+	stats = analyzeAll(ctx, sr, targets, jobs, plans, errs)
 	var total Result
 	for i := range targets {
 		if errs[i] != nil {
 			return total, jobs, stats, errs[i]
 		}
-	}
-	if g, rg := ctx.World.Generation(), ctx.World.RewriteGen(); g != gen || rg != rewriteGen {
-		return total, jobs, stats, fmt.Errorf(
-			"analysis phase mutated the world (generation %d -> %d, rewrite generation %d -> %d); Analyze must be read-only",
-			gen, g, rewriteGen, rg)
 	}
 	for i, c := range targets {
 		c := c

@@ -186,3 +186,63 @@ func TestAnalyzeMustNotBuild(t *testing.T) {
 		}
 	}
 }
+
+// jumpingRewriter is a ScopeRewriter whose Analyze breaks the read-only
+// contract by rewiring its target's body. It counts its commits on the
+// blackboard.
+type jumpingRewriter struct{}
+
+func (jumpingRewriter) Name() string { return "t-analyze-jumps" }
+
+func (jumpingRewriter) Targets(ctx *Context) []*ir.Continuation { return ctx.World.Continuations() }
+
+func (jumpingRewriter) Analyze(ctx *Context, c *ir.Continuation) (any, error) {
+	c.Jump(c, c.Param(0))
+	return nil, nil
+}
+
+func (jumpingRewriter) Commit(ctx *Context, c *ir.Continuation, plan any) (Result, error) {
+	bump(ctx, "t-analyze-jumps.commits")
+	return Result{}, nil
+}
+
+func (jumpingRewriter) Finish(ctx *Context) (Result, error) { return Result{}, nil }
+
+func init() { Register(jumpingRewriter{}) }
+
+// TestAnalyzeMustNotJump: the world is read-only during the analysis phase,
+// so an Analyze that calls Jump panics before it touches a use list (no
+// target gains a body, however many workers race) and the pass fails by
+// name with no commit, at every jobs level. The world is writable again
+// afterwards.
+func TestAnalyzeMustNotJump(t *testing.T) {
+	p, err := Parse("t-nop,t-analyze-jumps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 4} {
+		w, targets := fakeWorldTargets(8)
+		ctx := NewContext(w)
+		ctx.Jobs = jobs
+		rg := w.RewriteGen()
+		_, err := p.Run(ctx)
+		if name, ok := FailedPass(err); !ok || name != "t-analyze-jumps" {
+			t.Fatalf("jobs=%d: FailedPass = %q,%v (err %v), want t-analyze-jumps", jobs, name, ok, err)
+		}
+		if !strings.Contains(err.Error(), "Analyze must be read-only") {
+			t.Errorf("jobs=%d: err = %v, want the read-only contract named", jobs, err)
+		}
+		if n, _ := ctx.Get("t-analyze-jumps.commits").(int); n != 0 {
+			t.Errorf("jobs=%d: %d commits ran after a mutating analysis", jobs, n)
+		}
+		for _, c := range targets {
+			if c.HasBody() {
+				t.Fatalf("jobs=%d: %s gained a body during a read-only analysis", jobs, c.Name())
+			}
+		}
+		if got := w.RewriteGen(); got != rg {
+			t.Errorf("jobs=%d: rewrite generation moved %d -> %d", jobs, rg, got)
+		}
+		targets[0].Jump(targets[1], targets[0].Param(0)) // writable again
+	}
+}

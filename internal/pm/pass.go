@@ -64,7 +64,8 @@ type Runner interface {
 //  2. Analyze per target, in parallel across ctx.Jobs workers — Analyze
 //     MUST be read-only on the world (planning only; creating IR nodes here
 //     would make gid assignment, and hence printed IR, depend on worker
-//     scheduling);
+//     scheduling). The runner marks the world read-only for this phase, so
+//     a node creation, Jump or Unset here panics and fails the pass;
 //  3. Commit per target, sequentially in Targets order, applying the plan.
 //     Finish runs once after all commits (trailing cleanup).
 //

@@ -82,7 +82,7 @@ func m2rAnalyze(w *ir.World, ac *analysis.Cache, c *ir.Continuation) *m2rPlan {
 	}
 	if blockFormScope(s) {
 		plan := &m2rPlan{}
-		plan.p = planPromotion(w, s, nil)
+		plan.p = planPromotion(w, s, PromotableSlots(s))
 		plan.reasons.SkippedEscaped = countEscapedSlots(s)
 		return plan
 	}
@@ -211,6 +211,7 @@ func planNonBlock(w *ir.World, s *analysis.Scope) *m2rPlan {
 	}
 
 	keep := map[*ir.PrimOp]bool{}
+	var kept []*ir.PrimOp // keep's slots in candidates order
 	for _, sl := range candidates {
 		switch {
 		case outside[sl]:
@@ -221,6 +222,7 @@ func planNonBlock(w *ir.World, s *analysis.Scope) *m2rPlan {
 			plan.reasons.SkippedInterleaved++
 		default:
 			keep[sl] = true
+			kept = append(kept, sl)
 		}
 	}
 	if len(keep) == 0 {
@@ -243,7 +245,7 @@ func planNonBlock(w *ir.World, s *analysis.Scope) *m2rPlan {
 		}
 	}
 
-	plan.p = planPromotion(w, s, keep)
+	plan.p = planPromotion(w, s, kept)
 	return plan
 }
 
@@ -450,23 +452,14 @@ type promoter struct {
 	blockPhis [][]*m2rPhi // per block, every φ created for it
 }
 
-// planPromotion runs the read-only analysis of one scope: it finds the
-// promotable slots and symbolically evaluates every load and block-end
-// value. A non-nil keep set restricts promotion to those slots (the
-// region-local path for non-block-form scopes). It returns nil when the
-// scope has nothing to promote; otherwise the returned promoter is ready
-// for rewrite().
-func planPromotion(w *ir.World, s *analysis.Scope, keep map[*ir.PrimOp]bool) *promoter {
-	slots := PromotableSlots(s)
-	if keep != nil {
-		kept := slots[:0]
-		for _, sl := range slots {
-			if keep[sl] {
-				kept = append(kept, sl)
-			}
-		}
-		slots = kept
-	}
+// planPromotion runs the read-only analysis of one scope: it symbolically
+// evaluates every load and block-end value of the given promotable slots
+// (all of PromotableSlots in block form, the region-local subset for
+// non-block-form scopes). It returns nil when there is nothing to promote;
+// otherwise the returned promoter is ready for rewrite(). The scope's
+// reachable primops are walked once per plan: PromotableSlots,
+// countEscapedSlots and NewSchedule share Scope.ReachablePrimOps' memo.
+func planPromotion(w *ir.World, s *analysis.Scope, slots []*ir.PrimOp) *promoter {
 	if len(slots) == 0 {
 		return nil
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # bench-diff.sh is the wall-clock regression gate: a same-host A/B of the
-# optimizer and execution benchmarks, a base revision against the working
-# tree.
+# optimizer, whole-compile and execution benchmarks, a base revision
+# against the working tree.
 #
 #	sh scripts/bench-diff.sh [BASE]        # or: make bench-diff BASE=<rev>
 #
@@ -9,7 +9,7 @@
 # internal/bench test binaries of BASE and of the working tree are built
 # once, then run in 10 pairs with the flags of
 #
-#	go test -short -run '^$' -bench '^Benchmark(Optimize(Fuzz)?|Exec(VM|Wasm))$' -count 1 ./internal/bench
+#	go test -short -run '^$' -bench '^Benchmark(Optimize(Fuzz)?|CompileSuite|Exec(VM|Wasm))$' -count 1 ./internal/bench
 #
 # BASE runs first in odd pairs and second in even ones, so an order effect
 # (the second run of a pair is often slower on a shared host) falls on
@@ -27,7 +27,7 @@ base=${1:-HEAD~1}
 pairs=10
 bound_pct=10
 bytes_bound_pct=2
-pattern='^Benchmark(Optimize(Fuzz)?|Exec(VM|Wasm))$'
+pattern='^Benchmark(Optimize(Fuzz)?|CompileSuite|Exec(VM|Wasm))$'
 
 cd "$(git rev-parse --show-toplevel)"
 tmp=$(mktemp -d)
@@ -81,7 +81,7 @@ stats() {
 compare() {
 	rc=0
 	printf '%-22s %10s  %-23s %10s  %-23s %7s\n' benchmark base "(IQR) $1" change "(IQR) $1" delta
-	for name in BenchmarkOptimize BenchmarkOptimizeFuzz BenchmarkExecVM BenchmarkExecWasm; do
+	for name in BenchmarkOptimize BenchmarkOptimizeFuzz BenchmarkCompileSuite BenchmarkExecVM BenchmarkExecWasm; do
 		b=$(stats base "$name" "$2")
 		c=$(stats change "$name" "$2")
 		if [ -z "$b" ]; then
